@@ -98,62 +98,34 @@ std::int64_t scenario_bench(std::string_view name, const PerfOptions& opts,
   return 0;
 }
 
-std::int64_t fig14_bench(const PerfOptions& opts) {
-  return scenario_bench("fig14_sim_speed", opts, 1);
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-std::int64_t channel_scaling_bench(const PerfOptions& opts) {
-  return scenario_bench("channel_scaling", opts, 8);
-}
-
-std::int64_t mitigation_overhead_bench(const PerfOptions& opts) {
-  return scenario_bench("mitigation_overhead", opts, 1);
-}
-
-std::int64_t raidr_refresh_bench(const PerfOptions& opts) {
-  return scenario_bench("raidr_baseline", opts, 1);
-}
-
-std::int64_t stream_sweep_bench(const PerfOptions& opts) {
-  return scenario_bench("stream_sweep", opts, 1);
-}
-
-std::int64_t latency_sweep_bench(const PerfOptions& opts) {
-  return scenario_bench("latency_sweep", opts, 1);
-}
-
-double now_seconds();
-
-/// The channel-parallel scaling workload: an independent stride-64 read
-/// burst over >= 8 channels with the channel-interleaved mapping, FIFOs
-/// deep enough that the submit path rarely back-pressures — so the run is
-/// dominated by long completion-drain phases, the shape the epoch
-/// scheduler shards across pump workers.
-sys::SystemConfig parallel_scaling_config(const PerfOptions& opts,
-                                          unsigned workers) {
-  sys::SystemConfig cfg = harness_config(opts);
-  cfg.geometry.channels = std::max<std::uint32_t>(opts.run.channels, 8);
-  cfg.mapping = smc::MappingKind::kChannelInterleaved;
-  cfg.tile.incoming_fifo_depth = 512;
-  cfg.pump_workers = workers;
-  return cfg;
-}
-
-std::int64_t parallel_scaling_burst(const PerfOptions& opts, unsigned workers) {
-  sys::EasyDramSystem sysm(parallel_scaling_config(opts, workers));
-  const std::int64_t n = scaled(opts, 16384);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    ids.push_back(
-        sysm.submit_read(static_cast<std::uint64_t>(i) * 64, 100 + i));
+/// Host seconds of `reps` back-to-back calls of `fn`, one entry per call:
+/// the timing loop every bench and detail sweep shares.
+template <typename Fn>
+std::vector<double> time_reps(int reps, Fn&& fn) {
+  std::vector<double> secs;
+  secs.reserve(static_cast<std::size_t>(std::max(reps, 0)));
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_seconds();
+    fn();
+    secs.push_back(now_seconds() - t0);
   }
-  for (const std::uint64_t id : ids) sysm.wait(id);
-  return n;
+  return secs;
 }
 
-std::int64_t channel_parallel_scaling_run(const PerfOptions& opts) {
-  return parallel_scaling_burst(opts, 1);
+Json to_json(const std::vector<double>& values) {
+  Json a = Json::array();
+  for (const double v : values) a.push_back(v);
+  return a;
+}
+
+double best_of(const std::vector<double>& secs) {
+  return secs.empty() ? 0.0 : *std::min_element(secs.begin(), secs.end());
 }
 
 /// Error-pipeline host overhead: a stride-64 write-then-read burst with
@@ -195,17 +167,11 @@ Json ecc_scrub_overhead_detail(const PerfOptions& opts) {
   double ecc_best = 0.0;
   double base_best = 0.0;
   for (const bool ecc : {true, false}) {
-    Json secs = Json::array();
-    double best = 0.0;
-    for (int rep = 0; rep < opts.reps; ++rep) {
-      const double t0 = now_seconds();
-      ecc_rw_burst(opts, ecc);
-      const double dt = now_seconds() - t0;
-      secs.push_back(dt);
-      if (best == 0.0 || dt < best) best = dt;
-    }
+    const std::vector<double> secs =
+        time_reps(opts.reps, [&] { ecc_rw_burst(opts, ecc); });
+    const double best = best_of(secs);
     d[ecc ? "ecc_host_seconds_per_rep" : "baseline_host_seconds_per_rep"] =
-        std::move(secs);
+        to_json(secs);
     d[ecc ? "ecc_host_seconds_best" : "baseline_host_seconds_best"] = best;
     (ecc ? ecc_best : base_best) = best;
   }
@@ -266,19 +232,13 @@ Json qos_scheduler_overhead_detail(const PerfOptions& opts) {
        {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kParbs,
         smc::SchedulerKind::kBliss, smc::SchedulerKind::kAtlas,
         smc::SchedulerKind::kTcm}) {
-    Json secs = Json::array();
-    double best = 0.0;
-    for (int rep = 0; rep < opts.reps; ++rep) {
-      const double t0 = now_seconds();
-      qos_sched_burst(opts, kind);
-      const double dt = now_seconds() - t0;
-      secs.push_back(dt);
-      if (best == 0.0 || dt < best) best = dt;
-    }
+    const std::vector<double> secs =
+        time_reps(opts.reps, [&] { qos_sched_burst(opts, kind); });
+    const double best = best_of(secs);
     if (kind == smc::SchedulerKind::kFrfcfs) frfcfs_best = best;
     Json p = Json::object();
     p["sched"] = smc::to_string(kind);
-    p["host_seconds_per_rep"] = std::move(secs);
+    p["host_seconds_per_rep"] = to_json(secs);
     p["host_seconds_best"] = best;
     p["overhead_vs_frfcfs_percent"] =
         frfcfs_best > 0.0 ? (best - frfcfs_best) / frfcfs_best * 100.0 : 0.0;
@@ -288,93 +248,69 @@ Json qos_scheduler_overhead_detail(const PerfOptions& opts) {
   return d;
 }
 
-/// Worker-count sweep for the scaling bench. The headline timing fields
-/// cover the 1-worker run (comparable to every other bench); this payload
-/// adds the 1/2/4/8-worker sweep with speedup-vs-1 plus the host metadata
-/// (`threads`, `host_cores`) that decides whether a speedup is physically
-/// possible on the measuring machine at all.
-Json channel_parallel_scaling_detail(const PerfOptions& opts) {
-  Json d = Json::object();
-  d["threads"] = opts.run.threads;
-  d["host_cores"] =
-      static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  d["channels"] = static_cast<std::int64_t>(
-      std::max<std::uint32_t>(opts.run.channels, 8));
-  d["requests"] = scaled(opts, 16384);
-  Json points = Json::array();
-  double base_best = 0.0;
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    Json secs = Json::array();
-    double best = 0.0;
-    for (int rep = 0; rep < opts.reps; ++rep) {
-      const double t0 = now_seconds();
-      parallel_scaling_burst(opts, workers);
-      const double dt = now_seconds() - t0;
-      secs.push_back(dt);
-      if (best == 0.0 || dt < best) best = dt;
-    }
-    if (workers == 1) base_best = best;
-    Json p = Json::object();
-    p["workers"] = static_cast<std::int64_t>(workers);
-    p["host_seconds_per_rep"] = std::move(secs);
-    p["host_seconds_best"] = best;
-    p["speedup_vs_1"] = best > 0.0 ? base_best / best : 0.0;
-    points.push_back(std::move(p));
-  }
-  d["points"] = std::move(points);
-  return d;
-}
-
 struct PerfBench {
   std::string_view name;
   std::string_view summary;
-  std::int64_t (*run)(const PerfOptions&);
+  /// Times one rep and returns the requests it drove (null for
+  /// scenario-wrapped benches).
+  std::int64_t (*run)(const PerfOptions&) = nullptr;
   /// Optional structured side-measurement attached to the bench's JSON as
   /// `detail` (null for benches without one).
   Json (*detail)(const PerfOptions&) = nullptr;
+  /// Registered scenario a scenario-wrapped bench runs whole (empty when
+  /// `run` is set), on at least `min_channels` channels.
+  std::string_view scenario = {};
+  std::uint32_t min_channels = 1;
 };
 
 constexpr PerfBench kBenches[] = {
-    {"micro_read_burst",
-     "16384 independent stride-64 reads through submit/wait", &micro_read_burst},
-    {"micro_write_burst",
-     "16384 independent stride-64 writes through submit/wait",
-     &micro_write_burst},
-    {"micro_dependent_reads",
-     "4096 dependent row-miss reads, one outstanding at a time",
-     &micro_dependent_reads},
-    {"fig14_sim_speed",
-     "Full fig14_sim_speed scenario (PolyBench on EasyDRAM + Ramulator)",
-     &fig14_bench},
-    {"channel_scaling",
-     "Full channel_scaling scenario at >= 8 channels", &channel_scaling_bench},
-    {"channel_parallel_scaling",
-     "8-channel interleaved burst at 1/2/4/8 channel-pump workers",
-     &channel_parallel_scaling_run, &channel_parallel_scaling_detail},
-    {"ecc_scrub_overhead",
-     "Write+read burst with SEC-DED ECC and patrol scrub vs default-off",
-     &ecc_scrub_overhead_run, &ecc_scrub_overhead_detail},
-    {"mitigation_overhead",
-     "Full mitigation_overhead scenario (hammer + blend under PARA/Graphene)",
-     &mitigation_overhead_bench},
-    {"raidr_refresh",
-     "Full raidr_baseline scenario (REF savings of retention-aware refresh)",
-     &raidr_refresh_bench},
-    {"qos_scheduler_overhead",
-     "4-stream tagged read burst under each QoS policy vs FR-FCFS",
-     &qos_scheduler_overhead_run, &qos_scheduler_overhead_detail},
-    {"stream_sweep",
-     "Full stream_sweep scenario (STREAM kernels across 8 working sets)",
-     &stream_sweep_bench},
-    {"latency_sweep",
-     "Full latency_sweep scenario (pointer chase across 8 working sets)",
-     &latency_sweep_bench},
+    {.name = "micro_read_burst",
+     .summary = "16384 independent stride-64 reads through submit/wait",
+     .run = &micro_read_burst},
+    {.name = "micro_write_burst",
+     .summary = "16384 independent stride-64 writes through submit/wait",
+     .run = &micro_write_burst},
+    {.name = "micro_dependent_reads",
+     .summary = "4096 dependent row-miss reads, one outstanding at a time",
+     .run = &micro_dependent_reads},
+    {.name = "fig14_sim_speed",
+     .summary =
+         "Full fig14_sim_speed scenario (PolyBench on EasyDRAM + Ramulator)",
+     .scenario = "fig14_sim_speed"},
+    {.name = "channel_scaling",
+     .summary = "Full channel_scaling scenario at >= 8 channels",
+     .scenario = "channel_scaling",
+     .min_channels = 8},
+    {.name = "ecc_scrub_overhead",
+     .summary =
+         "Write+read burst with SEC-DED ECC and patrol scrub vs default-off",
+     .run = &ecc_scrub_overhead_run,
+     .detail = &ecc_scrub_overhead_detail},
+    {.name = "mitigation_overhead",
+     .summary = "Full mitigation_overhead scenario (hammer + blend under "
+                "PARA/Graphene)",
+     .scenario = "mitigation_overhead"},
+    {.name = "raidr_refresh",
+     .summary = "Full raidr_baseline scenario (REF savings of "
+                "retention-aware refresh)",
+     .scenario = "raidr_baseline"},
+    {.name = "qos_scheduler_overhead",
+     .summary = "4-stream tagged read burst under each QoS policy vs FR-FCFS",
+     .run = &qos_scheduler_overhead_run,
+     .detail = &qos_scheduler_overhead_detail},
+    {.name = "stream_sweep",
+     .summary =
+         "Full stream_sweep scenario (STREAM kernels across 8 working sets)",
+     .scenario = "stream_sweep"},
+    {.name = "latency_sweep",
+     .summary =
+         "Full latency_sweep scenario (pointer chase across 8 working sets)",
+     .scenario = "latency_sweep"},
 };
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+std::int64_t run_bench(const PerfBench& b, const PerfOptions& opts) {
+  if (b.scenario.empty()) return b.run(opts);
+  return scenario_bench(b.scenario, opts, b.min_channels);
 }
 
 }  // namespace
@@ -400,13 +336,11 @@ std::vector<PerfBenchOutcome> run_perf_benches(const PerfOptions& opts) {
     o.name = std::string(b.name);
     o.summary = std::string(b.summary);
     o.warmup = opts.warmup;
-    for (int rep = 0; rep < opts.warmup + opts.reps; ++rep) {
-      const double t0 = now_seconds();
-      o.work_items = b.run(opts);
-      const double dt = now_seconds() - t0;
-      o.host_seconds.push_back(dt);
-      o.finite = o.finite && std::isfinite(dt) && dt > 0.0;
-    }
+    o.host_seconds = time_reps(opts.warmup + opts.reps,
+                               [&] { o.work_items = run_bench(b, opts); });
+    o.finite = std::all_of(
+        o.host_seconds.begin(), o.host_seconds.end(),
+        [](double dt) { return std::isfinite(dt) && dt > 0.0; });
     if (b.detail != nullptr) o.detail = b.detail(opts);
     outcomes.push_back(std::move(o));
   }

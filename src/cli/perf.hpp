@@ -40,10 +40,8 @@ struct PerfBenchOutcome {
   int warmup = 0;      ///< Leading warmup entries in host_seconds.
   bool finite = true;  ///< All measurements were positive and finite.
   /// Bench-specific structured payload (null unless the bench provides
-  /// one). channel_parallel_scaling reports its worker-count sweep here:
-  /// timings at 1/2/4/8 pump workers, speedup-vs-1, and the `threads` /
-  /// `host_cores` metadata that makes the numbers interpretable across
-  /// machines.
+  /// one): the ECC and QoS overhead sweeps report their per-variant
+  /// timings here.
   Json detail;
 };
 

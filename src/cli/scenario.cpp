@@ -161,15 +161,6 @@ ParsedArgs parse_args(int argc, char** argv) {
         if (!n || *n < 1 || *n > 1024) a.error = "bad --threads value";
         else a.opts.threads = static_cast<int>(*n);
       }
-    } else if (arg == "--pump-workers") {
-      if (const char* v = value()) {
-        const auto n = parse_int(v);
-        if (!n || *n < 0 || *n > 64) {
-          a.error = "bad --pump-workers value (need 0 .. 64)";
-        } else {
-          a.opts.pump_workers = static_cast<unsigned>(*n);
-        }
-      }
     } else if (arg == "--channels") {
       if (const char* v = value()) {
         const auto n = parse_int(v);
@@ -240,7 +231,7 @@ ParsedArgs parse_args(int argc, char** argv) {
 void print_usage(std::ostream& os, const char* prog) {
   os << "Usage: " << prog
      << " [--scenario NAME]... [--list] [--seed N] [--iters N]\n"
-        "       [--threads N] [--pump-workers N] [--channels N] [--ranks N]\n"
+        "       [--threads N] [--channels N] [--ranks N]\n"
         "       [--mapping KIND] [--sched POLICY] [--perf] [--perf-reps N]\n"
         "       [--perf-warmup N] [--perf-scale X]\n"
         "       [--out results.json] [--quiet] [--help]\n\n"
@@ -250,11 +241,8 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --list           list registered scenarios and exit\n"
         "  --seed N         base RNG seed for the synthetic DRAM chip\n"
         "  --iters N        independent repetitions (per-rep seed streams)\n"
-        "  --threads N      host thread budget, split between sweep tasks\n"
-        "                   and each system's channel-pump workers\n"
-        "  --pump-workers N force N channel-pump workers per system\n"
-        "                   (0 = split --threads automatically; results\n"
-        "                   are bit-identical at any worker count)\n"
+        "  --threads N      host threads running independent sweep tasks\n"
+        "                   (results are identical at any count)\n"
         "  --channels N     memory channels (memory-system scenarios)\n"
         "  --ranks N        ranks per channel (memory-system scenarios)\n"
         "  --mapping KIND   address mapping: linear | line | channel |\n"

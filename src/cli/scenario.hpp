@@ -20,12 +20,7 @@ namespace easydram::cli {
 struct RunOptions {
   std::uint64_t seed = 0x5AFA2125ULL;
   int iters = 1;    ///< Independent repetitions aggregated into the summary.
-  int threads = 1;  ///< Host thread budget (sweep tasks + channel pump).
-  /// Forced per-system channel-pump worker count (--pump-workers). 0 = split
-  /// the --threads budget automatically (see split_thread_budget); either
-  /// way results are bit-identical — the pump engine reproduces the serial
-  /// schedule exactly at any worker count.
-  unsigned pump_workers = 0;
+  int threads = 1;  ///< Host threads running independent sweep tasks.
   bool verbose = true;  ///< Print the human-readable tables to stdout.
 
   /// Memory-system shape (--channels/--ranks/--mapping). The paper

@@ -10,7 +10,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_budget.hpp"
 #include "cli/thread_pool.hpp"
 #include "common/table.hpp"
 
@@ -42,14 +41,12 @@ double read_burst_throughput(const sys::SystemConfig& cfg, int n_requests) {
 }
 
 sys::SystemConfig memsys_config(std::uint64_t seed, std::uint32_t channels,
-                                std::uint32_t ranks, smc::MappingKind mapping,
-                                unsigned pump_workers = 1) {
+                                std::uint32_t ranks, smc::MappingKind mapping) {
   sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
   cfg.variation.seed = seed;
   cfg.geometry.channels = channels;
   cfg.geometry.ranks_per_channel = ranks;
   cfg.mapping = mapping;
-  cfg.pump_workers = pump_workers;
   return cfg;
 }
 
@@ -73,9 +70,7 @@ Json run_channel_scaling(const RunOptions& opts) {
   const std::size_t n_mappings = std::size(kMappings);
   const std::size_t per_rep = channel_counts.size() * n_mappings;
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget = split_thread_budget(
-      opts.threads, opts.pump_workers, n_tasks, channel_counts.back());
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const std::size_t which = task % per_rep;
@@ -83,7 +78,7 @@ Json run_channel_scaling(const RunOptions& opts) {
     const smc::MappingKind mapping = kMappings[which % n_mappings];
     return read_burst_throughput(
         memsys_config(rep_seed(opts, static_cast<int>(rep)), channels,
-                      opts.ranks, mapping, budget.pump_workers),
+                      opts.ranks, mapping),
         kBurstRequests);
   });
 
@@ -155,10 +150,7 @@ Json run_rank_interleaving(const RunOptions& opts) {
   const std::size_t n_mappings = std::size(kMappings);
   const std::size_t per_rep = rank_counts.size() * n_mappings;
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget = split_thread_budget(opts.threads,
-                                                  opts.pump_workers, n_tasks,
-                                                  opts.channels);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const std::size_t which = task % per_rep;
@@ -166,7 +158,7 @@ Json run_rank_interleaving(const RunOptions& opts) {
     const smc::MappingKind mapping = kMappings[which % n_mappings];
     return read_burst_throughput(
         memsys_config(rep_seed(opts, static_cast<int>(rep)), opts.channels,
-                      ranks, mapping, budget.pump_workers),
+                      ranks, mapping),
         kBurstRequests);
   });
 

@@ -19,7 +19,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_budget.hpp"
 #include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -86,7 +85,6 @@ QosRun run_records(const sys::SystemConfig& cfg,
 }
 
 sys::SystemConfig qos_config(std::uint64_t seed, smc::SchedulerKind sched,
-                             unsigned pump_workers,
                              smc::MappingKind mapping =
                                  smc::MappingKind::kLinear) {
   sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
@@ -96,7 +94,6 @@ sys::SystemConfig qos_config(std::uint64_t seed, smc::SchedulerKind sched,
   cfg.track_stream_latency = true;
   cfg.caches.l1 = {4 * 1024, 4, 64};
   cfg.caches.l2 = {16 * 1024, 8, 64};
-  cfg.pump_workers = pump_workers;
   return cfg;
 }
 
@@ -179,15 +176,12 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
   };
   const std::size_t per_rep = policies.size();
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const smc::SchedulerKind policy = policies[task % per_rep];
     const sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy,
-                   budget.pump_workers);
+        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
     const smc::LinearMapper mapper(cfg.geometry);
     workloads::MixedTrace mix = workloads::make_mixed_trace(tenants, mapper);
 
@@ -294,17 +288,14 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
 
   const std::size_t per_rep = std::size(counts) * policies.size();
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const std::size_t which = task % per_rep;
     const std::size_t n = counts[which / policies.size()];
     const smc::SchedulerKind policy = policies[which % policies.size()];
     const sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy,
-                   budget.pump_workers);
+        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
     const smc::LinearMapper mapper(cfg.geometry);
     workloads::MixedTrace mix =
         workloads::make_mixed_trace(scaling_tenants(n), mapper);
@@ -397,17 +388,14 @@ Json run_qos_mitigation(const RunOptions& opts) {
   };
   const std::size_t per_rep = std::size(para_points) * policies.size();
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const std::size_t which = task % per_rep;
     const bool para = para_points[which / policies.size()];
     const smc::SchedulerKind policy = policies[which % policies.size()];
     sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy,
-                   budget.pump_workers);
+        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
     if (para) {
       cfg.mitigation.kind = smc::mitigation::MitigationKind::kPara;
       cfg.mitigation.seed = rep_seed(opts, static_cast<int>(rep));
@@ -507,15 +495,12 @@ Json run_qos_bank_partition(const RunOptions& opts) {
 
   const std::size_t per_rep = std::size(mappings);
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const smc::MappingKind mapping = mappings[task % per_rep];
     sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy,
-                   budget.pump_workers, mapping);
+        qos_config(rep_seed(opts, static_cast<int>(rep)), policy, mapping);
     const auto mapper =
         smc::make_mapper(mapping, cfg.geometry, cfg.bank_partitions);
     workloads::MixedTrace mix = workloads::make_mixed_trace(tenants, *mapper);

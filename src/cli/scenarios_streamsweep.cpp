@@ -22,7 +22,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_budget.hpp"
 #include "cli/thread_pool.hpp"
 #include "common/table.hpp"
 #include "cpu/trace.hpp"
@@ -55,14 +54,13 @@ int measured_passes_for(std::uint64_t working_set_bytes) {
 }
 
 sys::SystemConfig sweep_config(const RunOptions& opts, std::uint64_t seed,
-                               unsigned pump_workers, bool blocking_loads) {
+                               bool blocking_loads) {
   sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
   cfg.variation.seed = seed;
   cfg.caches.l1 = {kSweepL1Bytes, 4, 64};
   cfg.caches.l2 = {kSweepL2Bytes, 8, 64};
   cfg.core.blocking_loads = blocking_loads;
   if (opts.sched.has_value()) cfg.sched = *opts.sched;
-  cfg.pump_workers = pump_workers;
   return cfg;
 }
 
@@ -106,9 +104,7 @@ Json run_stream_sweep(const RunOptions& opts) {
 
   const std::size_t per_rep = kernels * sizes.size();
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     const std::size_t which = task % per_rep;
@@ -119,7 +115,7 @@ Json run_stream_sweep(const RunOptions& opts) {
         measured_passes_for(pt.params.working_set_bytes);
     const sys::SystemConfig cfg =
         sweep_config(opts, rep_seed(opts, static_cast<int>(rep)),
-                     budget.pump_workers, /*blocking_loads=*/true);
+                     /*blocking_loads=*/true);
     pt.t = run_trace(cfg, workloads::make_stream_trace(pt.params));
     pt.measured_bytes =
         workloads::stream_bytes_per_pass(pt.params) *
@@ -226,9 +222,7 @@ Json run_latency_sweep(const RunOptions& opts) {
 
   const std::size_t per_rep = sizes.size();
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  const ThreadBudget budget =
-      split_thread_budget(opts.threads, opts.pump_workers, n_tasks, 1);
-  ThreadPool pool(budget.sweep_threads);
+  ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
     LatencyPoint pt;
@@ -240,7 +234,7 @@ Json run_latency_sweep(const RunOptions& opts) {
     // chip's variation seed follows the rep stream.
     const sys::SystemConfig cfg =
         sweep_config(opts, rep_seed(opts, static_cast<int>(rep)),
-                     budget.pump_workers, /*blocking_loads=*/false);
+                     /*blocking_loads=*/false);
     pt.t = run_trace(cfg, workloads::make_latency_trace(pt.params));
     pt.measured_loads =
         workloads::latency_loads_per_pass(pt.params) *

@@ -52,8 +52,8 @@ struct FaultConfig {
 
   /// Base seed of every fault draw. Scenarios pass their scenario seed;
   /// EasyDramSystem mixes the channel index in (like the variation model)
-  /// so channels fault independently and any --threads / --pump-workers
-  /// value replays the same draws.
+  /// so channels fault independently and any --threads value replays the
+  /// same draws.
   std::uint64_t seed = 0x5AFA2125;
 
   /// Per-read probability of a random transient upset (the fault_sweep

@@ -30,22 +30,18 @@ class CompletionRing {
     return slot(id).state == State::kReady;
   }
 
-  /// Registers `id` as submitted-but-not-completed and records the channel
-  /// it was routed to, the issuing stream, and the issue-time processor
-  /// cycle. The channel is what lets a wait() on a still-pending id be
-  /// decomposed into a per-channel pump goal: only `channel`'s slice can
-  /// ever produce this completion. Stream and issue cycle ride along so a
-  /// completion can be attributed (and its modeled latency computed)
-  /// without looking the request back up.
-  void note_pending(std::uint64_t id, std::uint32_t channel,
-                    std::uint32_t stream = 0, std::int64_t issue_proc_cycle = 0) {
+  /// Registers `id` as submitted-but-not-completed and records the issuing
+  /// stream and the issue-time processor cycle, so a completion can be
+  /// attributed (and its modeled latency computed) without looking the
+  /// request back up.
+  void note_pending(std::uint64_t id, std::uint32_t stream = 0,
+                    std::int64_t issue_proc_cycle = 0) {
     EASYDRAM_EXPECTS(id >= base_id_);
     const std::uint64_t off = id - base_id_;
     if (off >= slots_.size()) grow(off + 1);
     if (off >= window_) window_ = off + 1;
     Slot& s = slot(id);
     EASYDRAM_EXPECTS(s.state == State::kEmpty);
-    s.channel = channel;
     s.stream = stream;
     s.issue_proc_cycle = issue_proc_cycle;
     s.state = State::kPending;
@@ -54,12 +50,6 @@ class CompletionRing {
   bool pending(std::uint64_t id) const {
     if (id < base_id_ || id - base_id_ >= window_) return false;
     return slot(id).state == State::kPending;
-  }
-
-  /// Channel a pending id was routed to (valid until the id is consumed).
-  std::uint32_t channel(std::uint64_t id) const {
-    EASYDRAM_EXPECTS(pending(id) || ready(id));
-    return slot(id).channel;
   }
 
   /// Stream the request was issued by (valid until the id is consumed).
@@ -149,7 +139,6 @@ class CompletionRing {
   struct Slot {
     std::int64_t release_proc_cycle = 0;
     std::int64_t issue_proc_cycle = 0;
-    std::uint32_t channel = 0;
     std::uint32_t stream = 0;
     State state = State::kEmpty;
     bool ok = true;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/rng.hpp"
-#include "sys/epoch.hpp"
 
 namespace easydram::sys {
 
@@ -115,16 +114,7 @@ EasyDramSystem::EasyDramSystem(const SystemConfig& cfg)
     slice.api.set_refresh_policy(refresh_policies_.back().get());
   }
   rebuild_controllers();
-  // The parallel pump engine is worth building only when there is more
-  // than one slice to shard; the serial engine remains the reference
-  // implementation (and the default). Any worker count yields bit-identical
-  // observable state, so clamping is purely a host-resource decision.
-  const unsigned workers = std::min(
-      std::max(cfg_.pump_workers, 1u), static_cast<unsigned>(channels_.size()));
-  if (workers > 1) epoch_ = std::make_unique<EpochScheduler>(*this, workers);
 }
-
-EasyDramSystem::~EasyDramSystem() = default;
 
 smc::EasyApi& EasyDramSystem::api(std::uint32_t channel) {
   EASYDRAM_EXPECTS(channel < channels_.size());
@@ -395,10 +385,6 @@ bool EasyDramSystem::pump_once() {
 }
 
 void EasyDramSystem::pump_until_fifo_has_room(std::uint32_t channel) {
-  if (epoch_) {
-    epoch_->run_phase(PumpPhase{PumpGoal::kFifoRoom, channel, 0, 1'000'000});
-    return;
-  }
   pump_until(
       [this, channel] { return !channels_[channel]->tile.incoming().full(); },
       1'000'000);
@@ -414,10 +400,8 @@ std::uint64_t EasyDramSystem::submit(tile::Request req, std::uint32_t channel,
   req.issue_proc_cycle = now;
   req.arrival_wall = ch.keeper.wall();
   const std::uint64_t id = req.id;
-  // Record the routing decision: only this channel's slice can ever
-  // complete the id, which is what lets wait() become a per-channel goal.
   // Stream and issue cycle ride along for per-stream latency accounting.
-  completed_.note_pending(id, channel, req.stream_id, now);
+  completed_.note_pending(id, req.stream_id, now);
   ch.tile.incoming().push(std::move(req));
   return id;
 }
@@ -474,14 +458,7 @@ std::uint64_t EasyDramSystem::submit_profile(std::uint64_t paddr, Picoseconds tr
 }
 
 cpu::Completion EasyDramSystem::wait(std::uint64_t id) {
-  if (epoch_) {
-    if (!completed_.ready(id)) {
-      epoch_->run_phase(
-          PumpPhase{PumpGoal::kCompletion, completed_.channel(id), id});
-    }
-  } else {
-    pump_until([this, id] { return completed_.ready(id); });
-  }
+  pump_until([this, id] { return completed_.ready(id); });
   cpu::Completion c;
   c.release_cycle = completed_.release_proc_cycle(id);
   c.stream = completed_.stream(id);
@@ -507,22 +484,15 @@ cpu::RunResult EasyDramSystem::run(cpu::TraceSource& trace) {
   // the core's final cycle count. Each drain phase gets its own full pump
   // budget (they previously shared one guard, halving the second phase's).
   account_cpu_progress(result.cycles);
-  if (epoch_) {
-    epoch_->run_phase(PumpPhase{PumpGoal::kAllIdle});
-    // Let every controller observe its empty table and leave critical
-    // mode, resynchronising the time-scaling counters (Fig. 5(f)).
-    epoch_->run_phase(PumpPhase{PumpGoal::kExitCritical});
-  } else {
-    pump_until([this] { return all_idle(); });
-    // Let every controller observe its empty table and leave critical mode,
-    // resynchronising the time-scaling counters (Fig. 5(f)).
-    pump_until([this] {
-      for (const auto& ch : channels_) {
-        if (ch->keeper.counters().critical()) return false;
-      }
-      return true;
-    });
-  }
+  pump_until([this] { return all_idle(); });
+  // Let every controller observe its empty table and leave critical mode,
+  // resynchronising the time-scaling counters (Fig. 5(f)).
+  pump_until([this] {
+    for (const auto& ch : channels_) {
+      if (ch->keeper.counters().critical()) return false;
+    }
+    return true;
+  });
   drain_outgoing();
   completed_.clear();  // Unconsumed posted-write acks.
   return result;

@@ -26,8 +26,6 @@
 
 namespace easydram::sys {
 
-class EpochScheduler;
-
 /// Full-system configuration. The defaults model the paper's baseline: an
 /// A57-like processor (Jetson Nano target) time-scaled from a 100 MHz FPGA
 /// clock, EasyTile with a 100 MHz programmable core, and a single channel,
@@ -112,7 +110,7 @@ struct SystemConfig {
   /// system that never touches this runs bit-identical to one predating
   /// the fault pipeline. Channels get independent fault streams
   /// (`faults.seed` mixed with the channel index, like the variation and
-  /// mitigation seeds), so injection is worker-count-invariant. Enabling
+  /// mitigation seeds), so no channel's draws depend on another's. Enabling
   /// hammer-triggered flips auto-enables hammer tracking; retention flips
   /// auto-enable retention tracking (the model reads their bookkeeping).
   dram::FaultConfig faults{};
@@ -131,11 +129,9 @@ struct SystemConfig {
   /// scenarios never read them.
   bool track_stream_latency = false;
 
-  /// Worker threads pumping the channel slices (clamped to the channel
-  /// count; 0 and 1 both mean the serial engine). Any value produces
-  /// bit-identical observable state — the epoch scheduler reproduces the
-  /// serial round-robin schedule exactly (see docs/ARCHITECTURE.md,
-  /// "Parallel pump") — so this is purely a host-speed knob.
+  /// Ignored. The system always pumps its channels with one serial
+  /// round-robin loop, as each channel's SMC program runs on its own core.
+  /// The field stays only because e2ebench/easydram_bench.cpp assigns it.
   unsigned pump_workers = 1;
 };
 
@@ -166,13 +162,10 @@ SystemConfig validation_reference();     ///< §6: direct 1 GHz RTL reference.
 /// Units: `paddr` arguments are byte addresses in the mapped physical
 /// space; `now` arguments are emulated-processor cycles; returned times
 /// are Picoseconds of FPGA wall. Thread-safety: one system is driven by
-/// one thread; with `pump_workers > 1` it internally shards channel
-/// slices across an epoch-synchronized pool, but the public API remains
-/// single-caller. Parameter sweeps build one system per task.
+/// one thread. Parameter sweeps build one system per task.
 class EasyDramSystem final : public cpu::MemoryBackend {
  public:
   explicit EasyDramSystem(const SystemConfig& cfg);
-  ~EasyDramSystem() override;
 
   // --- Setup-phase access ---------------------------------------------------
 
@@ -274,8 +267,7 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   /// Per-stream modeled-latency samples (emulated processor cycles, one per
   /// completed request, indexed by stream id), recorded in completion-drain
   /// order when `track_stream_latency` is set. Sort before computing
-  /// percentiles: the drain order is engine-dependent even though the
-  /// sample multiset is bit-identical at any worker count.
+  /// percentiles: the drain order interleaves channels.
   const std::vector<std::vector<std::int64_t>>& stream_latency_samples() const {
     return stream_samples_;
   }
@@ -301,8 +293,7 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   void pump_until_fifo_has_room(std::uint32_t channel);
   /// One main-loop iteration of `ch`'s controller: the idle fast path (one
   /// poll-iteration charge) or one controller step plus idle-skip. Returns
-  /// whether the controller did real work. Touches only `ch`'s slice — the
-  /// unit the epoch scheduler shards across workers.
+  /// whether the controller did real work. Touches only `ch`'s slice.
   bool step_channel(ChannelSlice& ch);
   /// One main-loop iteration of every channel's controller (round-robin).
   bool pump_once();
@@ -357,15 +348,7 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   std::vector<std::vector<std::int64_t>> stream_samples_;
   /// Responses drained from the tiles, keyed by the dense request id
   /// stream (the core waits approximately in order; see CompletionRing).
-  /// Workers never write it directly — they buffer completions per slice
-  /// and the scheduler merges at the phase barrier.
-  CompletionRing completed_;  // SLICE-SHARED(phase barrier)
-
-  friend class EpochScheduler;
-  /// Parallel pump engine; null for the serial engine (pump_workers <= 1
-  /// or a single channel). Declared last so worker threads are joined
-  /// before any state they reference is destroyed.
-  std::unique_ptr<EpochScheduler> epoch_;
+  CompletionRing completed_;
 };
 
 }  // namespace easydram::sys

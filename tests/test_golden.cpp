@@ -103,11 +103,9 @@ TEST(GoldenHashTest, DeterministicScenariosMatchCheckedInDigests) {
 }
 
 /// Cross-thread determinism sweep: every multi-channel deterministic
-/// scenario must emit a bit-identical `results` payload whichever way the
-/// host budget is split — `--threads` values that auto-split into sweep +
-/// pump workers, and forced per-system pump worker counts. Only the
-/// `results` member is compared because the envelope records the requested
-/// `threads` value verbatim.
+/// scenario must emit a bit-identical `results` payload at any `--threads`
+/// value. Only the `results` member is compared because the envelope
+/// records the requested `threads` value verbatim.
 TEST(GoldenHashTest, MultiChannelScenariosThreadCountInvariant) {
   const char* kMultiChannel[] = {"channel_scaling", "rank_interleaving"};
   for (const char* name : kMultiChannel) {
@@ -124,19 +122,13 @@ TEST(GoldenHashTest, MultiChannelScenariosThreadCountInvariant) {
       EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
           << name << " diverged at --threads " << threads;
     }
-    for (const unsigned pump : {2u, 4u}) {
-      RunOptions opts = base;
-      opts.pump_workers = pump;
-      EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
-          << name << " diverged at --pump-workers " << pump;
-    }
   }
 }
 
 /// Stream identity rides through the request table, completion ring, and
 /// per-stream latency histograms — every one a candidate for
-/// worker-count-dependent ordering. The QoS scenarios must stay
-/// bit-identical however the host budget is split, like everything else.
+/// thread-count-dependent ordering. The QoS scenarios must stay
+/// bit-identical at any `--threads` value, like everything else.
 TEST(GoldenHashTest, QosScenariosThreadCountInvariant) {
   const char* kQos[] = {"qos_tenant_scaling", "qos_bank_partition"};
   for (const char* name : kQos) {
@@ -146,26 +138,17 @@ TEST(GoldenHashTest, QosScenariosThreadCountInvariant) {
     base.verbose = false;
     const std::string serial =
         run_scenario(*s, base)["results"].dump_string();
-    {
-      RunOptions opts = base;
-      opts.threads = 4;
-      EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
-          << name << " diverged at --threads 4";
-    }
-    for (const unsigned pump : {1u, 4u}) {
-      RunOptions opts = base;
-      opts.pump_workers = pump;
-      EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
-          << name << " diverged at --pump-workers " << pump;
-    }
+    RunOptions opts = base;
+    opts.threads = 4;
+    EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
+        << name << " diverged at --threads 4";
   }
 }
 
 /// The sweep scenarios shard iters x (kernel x size) tasks across the
-/// sweep pool and run each simulated system under a pump-worker budget —
-/// both layers of the parallel core. Their bandwidth/latency curves (and
-/// so the monotonicity booleans the curves feed) must be bit-identical
-/// however the host budget is split.
+/// sweep pool. Their bandwidth/latency curves (and so the monotonicity
+/// booleans the curves feed) must be bit-identical at any `--threads`
+/// value.
 TEST(GoldenHashTest, StreamSweepScenariosThreadCountInvariant) {
   const char* kSweeps[] = {"stream_sweep", "latency_sweep"};
   for (const char* name : kSweeps) {
@@ -175,18 +158,10 @@ TEST(GoldenHashTest, StreamSweepScenariosThreadCountInvariant) {
     base.verbose = false;
     const std::string serial =
         run_scenario(*s, base)["results"].dump_string();
-    {
-      RunOptions opts = base;
-      opts.threads = 4;
-      EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
-          << name << " diverged at --threads 4";
-    }
-    for (const unsigned pump : {1u, 4u}) {
-      RunOptions opts = base;
-      opts.pump_workers = pump;
-      EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
-          << name << " diverged at --pump-workers " << pump;
-    }
+    RunOptions opts = base;
+    opts.threads = 4;
+    EXPECT_EQ(run_scenario(*s, opts)["results"].dump_string(), serial)
+        << name << " diverged at --threads 4";
   }
 }
 

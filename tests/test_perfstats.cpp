@@ -143,23 +143,6 @@ Json fixture_doc(int host_cores, double median_scale = 1.0,
     benches.push_back(fixture_bench(name, 0.1 * median_scale, cv));
   }
 
-  Json scaling = fixture_bench("channel_parallel_scaling",
-                               0.2 * median_scale, cv);
-  Json sd = Json::object();
-  sd["threads"] = 1;
-  sd["host_cores"] = host_cores;
-  Json spoints = Json::array();
-  for (const int workers : {1, 2, 4, 8}) {
-    Json p = Json::object();
-    p["workers"] = workers;
-    p["host_seconds_best"] = 0.2 / workers;
-    p["speedup_vs_1"] = static_cast<double>(workers);
-    spoints.push_back(std::move(p));
-  }
-  sd["points"] = std::move(spoints);
-  scaling["detail"] = std::move(sd);
-  benches.push_back(std::move(scaling));
-
   Json ecc = fixture_bench("ecc_scrub_overhead", 0.3 * median_scale, cv);
   Json ed = Json::object();
   ed["ecc_host_seconds_best"] = 0.3;

@@ -218,16 +218,16 @@ TEST(SystemTest, FifoBackpressurePumpsController) {
   EXPECT_EQ(r.stores, 40);
 }
 
-TEST(CompletionRingTest, PendingTracksChannelRouting) {
+TEST(CompletionRingTest, PendingTracksIssuingStream) {
   CompletionRing ring;
   ring.note_pending(1, 3);
   EXPECT_TRUE(ring.pending(1));
   EXPECT_FALSE(ring.ready(1));
-  EXPECT_EQ(ring.channel(1), 3u);
+  EXPECT_EQ(ring.stream(1), 3u);
   ring.put(1, 500, true);
   EXPECT_FALSE(ring.pending(1));
   EXPECT_TRUE(ring.ready(1));
-  EXPECT_EQ(ring.channel(1), 3u);
+  EXPECT_EQ(ring.stream(1), 3u);
   ring.consume(1);
   EXPECT_FALSE(ring.pending(1));
   EXPECT_FALSE(ring.ready(1));
@@ -238,121 +238,14 @@ TEST(CompletionRingTest, PendingWindowSurvivesGrowthAndClear) {
   for (std::uint64_t id = 1; id <= 200; ++id) {
     ring.note_pending(id, static_cast<std::uint32_t>(id % 8));
   }
-  EXPECT_EQ(ring.channel(200), 200u % 8);
-  EXPECT_EQ(ring.channel(1), 1u);
+  EXPECT_EQ(ring.stream(200), 200u % 8);
+  EXPECT_EQ(ring.stream(1), 1u);
   ring.put(5, 10, true);
   EXPECT_TRUE(ring.ready(5));
   EXPECT_TRUE(ring.pending(4));
   ring.clear();
   EXPECT_FALSE(ring.pending(5));
   EXPECT_FALSE(ring.ready(5));
-}
-
-/// Everything the parallel pump could plausibly perturb: per-request
-/// completion cycles, the reduced wall clock, and the aggregate SMC
-/// counters of every channel.
-struct PumpSignature {
-  std::vector<std::int64_t> release_cycles;
-  std::int64_t wall_ps = 0;
-  std::int64_t requests = 0;
-  std::int64_t responses = 0;
-  std::int64_t batches = 0;
-  std::int64_t commands = 0;
-  std::int64_t dram_busy_ps = 0;
-
-  bool operator==(const PumpSignature&) const = default;
-};
-
-SystemConfig parallel_config(unsigned workers) {
-  SystemConfig cfg = small_ts_config();
-  cfg.geometry.channels = 8;
-  cfg.mapping = smc::MappingKind::kChannelInterleaved;
-  cfg.pump_workers = workers;
-  return cfg;
-}
-
-PumpSignature take_signature(EasyDramSystem& sysm,
-                             std::vector<std::int64_t> release_cycles) {
-  PumpSignature sig;
-  sig.release_cycles = std::move(release_cycles);
-  sig.wall_ps = sysm.wall().count;
-  const smc::ApiStats s = sysm.smc_stats();
-  sig.requests = s.requests_received;
-  sig.responses = s.responses_sent;
-  sig.batches = s.batches_executed;
-  sig.commands = s.commands_executed;
-  sig.dram_busy_ps = s.dram_busy.count;
-  return sig;
-}
-
-/// Independent burst across all 8 channels — more requests per channel
-/// than the FIFO holds, so the back-pressure, completion-drain, and
-/// run()-style phases all execute.
-PumpSignature interleaved_burst_signature(unsigned workers) {
-  EasyDramSystem sysm(parallel_config(workers));
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 512; ++i) {
-    ids.push_back(
-        sysm.submit_read(static_cast<std::uint64_t>(i) * 64, 100 + i));
-  }
-  std::vector<std::int64_t> cycles;
-  for (const std::uint64_t id : ids) {
-    cycles.push_back(sysm.wait(id).release_cycle);
-  }
-  return take_signature(sysm, std::move(cycles));
-}
-
-/// Dependent chain hopping across channels: one outstanding request at a
-/// time, so every wait() runs its own (short) completion phase.
-PumpSignature dependent_chain_signature(unsigned workers) {
-  EasyDramSystem sysm(parallel_config(workers));
-  std::vector<std::int64_t> cycles;
-  std::int64_t now = 100;
-  for (int i = 0; i < 96; ++i) {
-    const auto addr = static_cast<std::uint64_t>(i) * 64;
-    now = sysm.wait(sysm.submit_read(addr, now)).release_cycle + 1;
-    cycles.push_back(now);
-  }
-  return take_signature(sysm, std::move(cycles));
-}
-
-TEST(ParallelPumpTest, BurstBitIdenticalAtAnyWorkerCount) {
-  const PumpSignature serial = interleaved_burst_signature(1);
-  EXPECT_EQ(serial, interleaved_burst_signature(2));
-  EXPECT_EQ(serial, interleaved_burst_signature(4));
-  EXPECT_EQ(serial, interleaved_burst_signature(8));
-}
-
-TEST(ParallelPumpTest, DependentChainBitIdenticalAtAnyWorkerCount) {
-  const PumpSignature serial = dependent_chain_signature(1);
-  EXPECT_EQ(serial, dependent_chain_signature(2));
-  EXPECT_EQ(serial, dependent_chain_signature(8));
-}
-
-TEST(ParallelPumpTest, WorkerCountClampedToChannels) {
-  // More workers than channels must not break anything (clamped inside).
-  SystemConfig cfg = small_ts_config();
-  cfg.geometry.channels = 2;
-  cfg.mapping = smc::MappingKind::kChannelInterleaved;
-  cfg.pump_workers = 16;
-  EasyDramSystem sysm(cfg);
-  const std::uint64_t a = sysm.submit_read(0, 100);
-  const std::uint64_t b = sysm.submit_read(64, 101);
-  EXPECT_TRUE(sysm.wait(a).ok);
-  EXPECT_TRUE(sysm.wait(b).ok);
-}
-
-TEST(ParallelPumpTest, RunTraceBitIdenticalAtAnyWorkerCount) {
-  auto run_wall = [](unsigned workers) {
-    EasyDramSystem sysm(parallel_config(workers));
-    cpu::VectorTrace trace = dependent_loads(64, 64);
-    const cpu::RunResult r = sysm.run(trace);
-    return std::pair<std::int64_t, std::int64_t>(r.cycles,
-                                                 sysm.wall().count);
-  };
-  const auto serial = run_wall(1);
-  EXPECT_EQ(serial, run_wall(4));
-  EXPECT_EQ(serial, run_wall(8));
 }
 
 }  // namespace

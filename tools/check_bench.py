@@ -4,9 +4,8 @@
 Three layers of checking, in increasing strictness:
 
 1. Structure (always fatal): the schema tag, `all_finite`, the presence of
-   every subsystem bench, and the per-bench detail payloads
-   (channel-pump scaling points, ECC overhead fields, the QoS policy
-   family). These are the crash/NaN checks the old inline CI gate ran --
+   every subsystem bench, and the per-bench detail payloads (ECC
+   overhead fields, the QoS policy family). These are the crash/NaN checks the old inline CI gate ran --
    they never threshold absolute speed, so noisy runners cannot flake
    them.
 2. Stability (fatal on multi-core hosts, warn-only otherwise): every
@@ -33,7 +32,6 @@ SCHEMA = "easydram-bench-v2"
 REQUIRED_BENCHES = [
     "mitigation_overhead",
     "raidr_refresh",
-    "channel_parallel_scaling",
     "ecc_scrub_overhead",
     "qos_scheduler_overhead",
     "stream_sweep",
@@ -102,32 +100,6 @@ def check_structure(doc, failures):
                 failures.append(f"{name}: missing {field}")
             elif not finite(b[field]):
                 failures.append(f"{name}: non-finite {field} = {b[field]!r}")
-
-    # Channel-pump scaling: all four worker points present and finite; on
-    # hosts with enough cores the 4-worker point must not be slower than
-    # serial (relative-to-self, so runner speed cannot flake it).
-    scaling = by_name.get("channel_parallel_scaling")
-    if scaling is not None:
-        detail = scaling.get("detail") or {}
-        points = {p.get("workers"): p for p in detail.get("points", [])}
-        if sorted(points) != [1, 2, 4, 8]:
-            failures.append("channel_parallel_scaling: worker points are "
-                            f"{sorted(points)}, expected [1, 2, 4, 8]")
-        else:
-            for p in points.values():
-                if not finite(p.get("speedup_vs_1")):
-                    failures.append(
-                        f"channel_parallel_scaling: bad speedup point {p}")
-                if not finite_pos(p.get("host_seconds_best")):
-                    failures.append(
-                        f"channel_parallel_scaling: bad timing point {p}")
-            if detail.get("host_cores", 0) >= 4 and finite(
-                    points[4].get("speedup_vs_1")):
-                if points[4]["speedup_vs_1"] < 1.0:
-                    failures.append(
-                        "channel_parallel_scaling: 4-worker speedup "
-                        f"{points[4]['speedup_vs_1']:.3f} < 1.0 on a "
-                        f"{detail['host_cores']}-core host")
 
     # Error pipeline: ECC-on and default-off both ran with finite host and
     # emulated-time overheads.

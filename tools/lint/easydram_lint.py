@@ -474,8 +474,8 @@ FAULT_PIPELINE_EXEMPT_RE = re.compile(r"^src/(?!dram/faults\.|smc/ecc\.)")
 def check_fault_injection_seeding(path, stripped_lines, ctx):
     """RNG constructions in the fault pipeline not derived from the scenario seed.
 
-    Fault manifestation must replay bit-identically at any --threads /
-    --pump-workers value, which holds only when every draw in
+    Fault manifestation must replay bit-identically at any --threads
+    value, which holds only when every draw in
     src/dram/faults.* and src/smc/ecc.* is keyed from FaultConfig::seed
     through hash_mix with distinct salts. An RNG seeded from anything
     else — a literal, an address, a host counter — silently forks the
@@ -499,7 +499,7 @@ def check_fault_injection_seeding(path, stripped_lines, ctx):
                     f"{m.group(1)} constructed without a scenario-seed "
                     "derivation: fault-pipeline draws must be keyed from "
                     "FaultConfig::seed via hash_mix (distinct salts) so "
-                    "injection replays at any worker count",
+                    "injection replays at any thread count",
                 )
             )
     return findings
@@ -518,22 +518,21 @@ SLICE_SCOPED_RE = re.compile(r"^src/(?!sys/|smc/)")
 
 
 def check_cross_slice_shared_state(path, stripped_lines, ctx):
-    """Mutable static state in slice-pumped code without a SLICE-SHARED annotation.
+    """Mutable static state in system-layer code without a SLICE-SHARED annotation.
 
-    The parallel pump shards channel slices across worker threads, so any
-    mutable state reachable from more than one slice must either be
-    synchronized at a documented rendezvous or be immutable. The token
-    proxy for "reachable from more than one slice" is a `static` or
-    `thread_local` object declaration in src/sys or src/smc (the layers
-    workers execute): a non-const, non-atomic static is visible to every
-    worker at once. Deliberate shared state carries a
-    `// SLICE-SHARED(<barrier>)` annotation on the same or previous line
-    naming the synchronization point that orders access; everything else
-    should become const, atomic, or per-slice.
+    Scenario sweeps run whole systems concurrently on the sweep ThreadPool,
+    one system per task, so a `static` or `thread_local` object in src/sys
+    or src/smc (the layers every system executes) is shared by every
+    channel slice of every system in flight. A non-const, non-atomic
+    static races between sweep threads; a `thread_local` one forks its
+    value per thread and breaks thread-count invariance. Deliberate shared
+    state carries a `// SLICE-SHARED(<rendezvous>)` annotation on the same
+    or previous line naming the synchronization point that orders access;
+    everything else should become const, atomic, or per-slice.
     """
     findings = []
     if SLICE_SCOPED_RE.match(path):
-        return findings  # src/ layers outside the sliced pump.
+        return findings  # src/ layers outside the system engine.
     raw_lines = ctx["raw_by_path"].get(path, [])
     for i, line in enumerate(stripped_lines, 1):
         m = STATIC_DECL_RE.match(line)
@@ -555,10 +554,10 @@ def check_cross_slice_shared_state(path, stripped_lines, ctx):
                 path,
                 i,
                 "cross-slice-shared-state",
-                f"mutable {m.group(1)} state in slice-pumped code: workers "
-                "pump channel slices concurrently, so non-const non-atomic "
-                "statics race; make it const/atomic/per-slice or annotate "
-                "deliberate sharing with // SLICE-SHARED(<barrier>)",
+                f"mutable {m.group(1)} state in system-layer code: sweep "
+                "threads run whole systems concurrently, so non-const "
+                "non-atomic statics race; make it const/atomic/per-slice or "
+                "annotate deliberate sharing with // SLICE-SHARED(<rendezvous>)",
             )
         )
     return findings
