@@ -1,6 +1,7 @@
 #include "bender/interpreter.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -37,7 +38,8 @@ std::size_t skip_loop(std::span<const Instruction> insts, std::size_t begin_idx)
 
 }  // namespace
 
-ExecutionResult Interpreter::execute(const Program& program, Picoseconds start) {
+ExecutionResult Interpreter::execute(const Program& program, Picoseconds start,
+                                     std::vector<ReadbackEntry> reuse) {
   const Picoseconds tck = device_->timing().tCK;
   Picoseconds t = std::max(start, device_->now());
   const Picoseconds batch_start = t;
@@ -45,6 +47,8 @@ ExecutionResult Interpreter::execute(const Program& program, Picoseconds start) 
   Picoseconds last_cmd_issue = t - tck;  // So a first-command min_gap of tCK holds.
 
   ExecutionResult result;
+  result.readback = std::move(reuse);
+  result.readback.clear();
   std::array<std::uint64_t, kNumRegisters> regs{};
   std::vector<LoopFrame> loops;
   const auto insts = program.instructions();

@@ -45,7 +45,11 @@ class Interpreter {
   /// after the device's current time). Returns when the last instruction
   /// retires; `elapsed` covers start -> retirement of the final command
   /// slot, including trailing read-data latency of captured reads.
-  ExecutionResult execute(const Program& program, Picoseconds start);
+  /// `reuse` lends its storage to the result's readback buffer: it is
+  /// cleared, then filled, so a caller that hands back the previous
+  /// batch's buffer allocates nothing per batch.
+  ExecutionResult execute(const Program& program, Picoseconds start,
+                          std::vector<ReadbackEntry> reuse = {});
 
  private:
   dram::DramDevice* device_;

@@ -1,6 +1,7 @@
 #include "dram/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -11,6 +12,9 @@ namespace easydram::dram {
 namespace {
 
 constexpr Picoseconds kNegInf{std::numeric_limits<std::int64_t>::min() / 4};
+
+/// 2^64 / golden ratio: multiplicative (Fibonacci) hashing of row keys.
+constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
 
 /// ACT->PRE gaps below this fraction of tRAS count as an "early precharge",
 /// the first half of the FPM RowClone ACT->PRE->ACT pattern. Real chips need
@@ -47,10 +51,12 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
       timing_(timing),
       variation_(geo, variation),
       banks_(geo.banks_per_channel()),
-      store_(geo.banks_per_channel()),
+      cells_(geo.rows_per_bank, geo.cols_per_row()),
       ranks_(geo.ranks_per_channel),
       data_bus_free_(kNegInf),
       now_(Picoseconds{0}) {
+  // Column accesses move exactly one stored line.
+  EASYDRAM_EXPECTS(geo.col_bytes == sizeof(LineStore::Line));
   for (auto& b : banks_) {
     b.act_time = b.pre_time = b.last_rd = b.last_wr = kNegInf;
     b.wr_data_end = b.rd_data_end = b.early_pre_at = kNegInf;
@@ -66,27 +72,72 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
   }
 }
 
-DramDevice::RowData& DramDevice::row_data(std::uint32_t fbank, std::uint32_t row) {
-  auto& bank_store = store_[fbank];
-  if (bank_store.empty()) bank_store.resize(geo_.rows_per_bank);
-  auto& slot = bank_store[row];
-  if (!slot) {
-    slot = std::make_unique<RowData>();
-    slot->fill(0);
-  }
-  return *slot;
+std::size_t DramDevice::LineStore::home(std::uint32_t key) const {
+  return static_cast<std::size_t>((key * kFibonacci) >> index_shift_);
 }
 
-const DramDevice::RowData* DramDevice::row_data_if_present(std::uint32_t fbank,
-                                                           std::uint32_t row) const {
-  const auto& bank_store = store_[fbank];
-  if (bank_store.empty() || !bank_store[row]) return nullptr;
-  return bank_store[row].get();
+std::uint32_t DramDevice::LineStore::find_record(std::uint32_t key) const {
+  if (index_.empty()) return kNoRecord;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot& s = index_[i];
+    if (s.key_plus_one == key + 1) return s.record;
+    if (s.key_plus_one == 0) return kNoRecord;
+  }
+}
+
+void DramDevice::LineStore::place(Slot slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(slot.key_plus_one - 1);
+  while (index_[i].key_plus_one != 0) i = (i + 1) & mask;
+  index_[i] = slot;
+}
+
+std::uint32_t DramDevice::LineStore::insert_record(std::uint32_t key) {
+  const auto record = static_cast<std::uint32_t>(line_ids_.size() / cols_per_row_);
+  if (2 * (static_cast<std::size_t>(record) + 1) > index_.size()) {
+    // Double (64 slots minimum) and rehash every record.
+    std::vector<Slot> old = std::move(index_);
+    index_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+    index_shift_ = 64 - std::countr_zero(index_.size());
+    for (const Slot& s : old) {
+      if (s.key_plus_one != 0) place(s);
+    }
+  }
+  place(Slot{key + 1, record});
+  line_ids_.resize(line_ids_.size() + cols_per_row_, 0);
+  return record;
+}
+
+DramDevice::LineStore::Line& DramDevice::LineStore::line_data(std::uint32_t fbank,
+                                                              std::uint32_t row,
+                                                              std::uint32_t col) {
+  const std::uint32_t k = key(fbank, row);
+  std::uint32_t record = find_record(k);
+  if (record == kNoRecord) record = insert_record(k);
+  std::uint32_t& id = line_ids_[static_cast<std::size_t>(record) * cols_per_row_ + col];
+  if (id != 0) return line_at(id);
+  if (lines_ % kLinesPerBlock == 0) {
+    blocks_.push_back(std::make_unique_for_overwrite<Line[]>(kLinesPerBlock));
+  }
+  id = static_cast<std::uint32_t>(++lines_);
+  Line& line = line_at(id);
+  line.fill(0);
+  return line;
+}
+
+const DramDevice::LineStore::Line* DramDevice::LineStore::line_if_present(
+    std::uint32_t fbank, std::uint32_t row, std::uint32_t col) const {
+  const std::uint32_t record = find_record(key(fbank, row));
+  if (record == kNoRecord) return nullptr;
+  const std::uint32_t id =
+      line_ids_[static_cast<std::size_t>(record) * cols_per_row_ + col];
+  return id == 0 ? nullptr : &line_at(id);
 }
 
 void DramDevice::corrupt_line(std::uint32_t fbank, std::uint32_t row,
                               std::uint32_t col, std::uint64_t salt) {
-  RowData& rd = row_data(fbank, row);
+  LineStore::Line& line = cells_.line_data(fbank, row, col);
   SplitMix64 sm(hash_mix(variation_.config().seed ^ 0xBADBADBAD, fbank, row,
                          (static_cast<std::uint64_t>(col) << 32) | salt));
   // Flip a deterministic set of bits across the 64-byte line. Weak-tRCD
@@ -94,8 +145,7 @@ void DramDevice::corrupt_line(std::uint32_t fbank, std::uint32_t row,
   // for any data-comparison test to detect the failure reliably.
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t r = sm.next();
-    const std::uint32_t byte = col * geo_.col_bytes + static_cast<std::uint32_t>(r % 64);
-    rd[byte] ^= static_cast<std::uint8_t>(1u << ((r >> 8) % 8));
+    line[r % 64] ^= static_cast<std::uint8_t>(1u << ((r >> 8) % 8));
   }
 }
 
@@ -116,7 +166,7 @@ Picoseconds DramDevice::earliest_act(const DramAddress& a) const {
   Picoseconds t = max_ps({b.pre_time + timing_.tRP, b.act_time + timing_.tRC,
                           r.last_act_in_group[geo_.bank_group_of(a.bank)] + timing_.tRRD_L,
                           r.last_act_any + timing_.tRRD_S, r.ref_busy_until});
-  if (r.act_window.size() >= 4) t = std::max(t, r.act_window.front() + timing_.tFAW);
+  if (r.act_window.full()) t = std::max(t, r.act_window.oldest() + timing_.tFAW);
   return std::max(t, now_);
 }
 
@@ -181,14 +231,6 @@ Picoseconds DramDevice::earliest_legal(Command c, const DramAddress& a) const {
   return now_;
 }
 
-std::optional<std::uint32_t> DramDevice::open_row(std::uint32_t bank,
-                                                  std::uint32_t rank) const {
-  EASYDRAM_EXPECTS(rank < ranks_.size() && bank < geo_.num_banks());
-  const BankState& b = banks_[geo_.flat_bank(rank, bank)];
-  if (!b.active) return std::nullopt;
-  return b.row;
-}
-
 std::int64_t DramDevice::refreshes_due(Picoseconds at) const {
   return at.count / timing_.tREFI.count;
 }
@@ -234,7 +276,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       const std::uint32_t group = geo_.bank_group_of(a.bank);
       if (at < r.last_act_in_group[group] + timing_.tRRD_L) res.violations |= kTrrd;
       if (at < r.last_act_any + timing_.tRRD_S) res.violations |= kTrrd;
-      if (r.act_window.size() >= 4 && at < r.act_window.front() + timing_.tFAW) {
+      if (r.act_window.full() && at < r.act_window.oldest() + timing_.tFAW) {
         res.violations |= kTfaw;
       }
       if (at < r.ref_busy_until) res.violations |= kTrfc;
@@ -251,12 +293,15 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
           res.rowclone_success = variation_.rowclone_pair_ok(fbank, src, dst);
           if (res.rowclone_success) {
             if (src != dst) {
-              const RowData* src_data = row_data_if_present(fbank, src);
-              RowData& dst_data = row_data(fbank, dst);
-              if (src_data != nullptr) {
-                dst_data = *src_data;
-              } else {
-                dst_data.fill(0);
+              // Line by line, holding no lookup across a destination insert
+              // (which may grow the row index). A never-written source line
+              // clears only a destination line that holds data; the rest
+              // already read as zero.
+              for (std::uint32_t col = 0; col < geo_.cols_per_row(); ++col) {
+                const LineStore::Line* s = cells_.line_if_present(fbank, src, col);
+                if (s != nullptr || cells_.line_if_present(fbank, dst, col) != nullptr) {
+                  cells_.line_data(fbank, dst, col) = s != nullptr ? *s : LineStore::Line{};
+                }
               }
             }
           } else {
@@ -273,8 +318,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       b.wr_data_end = b.rd_data_end = kNegInf;
       r.last_act_in_group[group] = at;
       r.last_act_any = at;
-      r.act_window.push_back(at);
-      while (r.act_window.size() > 4) r.act_window.pop_front();
+      r.act_window.push(at);
       if (hammer_tracking_) note_hammer_act(fbank, a.row);
       return res;
     }
@@ -351,9 +395,8 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         // restored into the cells.
         corrupt_line(fbank, a.row, a.col, static_cast<std::uint64_t>(at.count));
       }
-      const RowData* rd = row_data_if_present(fbank, a.row);
-      if (rd != nullptr) {
-        std::memcpy(res.data.data(), rd->data() + a.col * geo_.col_bytes, 64);
+      if (const auto* line = cells_.line_if_present(fbank, a.row, a.col)) {
+        res.data = *line;
       } else {
         res.data.fill(0);
       }
@@ -390,8 +433,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       if (at < r.ref_busy_until) res.violations |= kTrfc;
       if (at + timing_.tCWL < bus_free_for(a.rank)) res.violations |= kBusConflict;
 
-      RowData& rd = row_data(fbank, a.row);
-      std::memcpy(rd.data() + a.col * geo_.col_bytes, wdata.data(), 64);
+      std::memcpy(cells_.line_data(fbank, a.row, a.col).data(), wdata.data(), 64);
       if (fault_model_ != nullptr) {
         fault_model_->on_write(fbank, a.row, a.col,
                                retention_epoch_of(a.rank, a.row));
@@ -451,8 +493,7 @@ void DramDevice::backdoor_write(const DramAddress& a,
   EASYDRAM_EXPECTS(a.rank < ranks_.size() && a.bank < geo_.num_banks() &&
                    a.row < geo_.rows_per_bank && a.col < geo_.cols_per_row());
   EASYDRAM_EXPECTS(data.size() == 64);
-  RowData& rd = row_data(flat(a), a.row);
-  std::memcpy(rd.data() + a.col * geo_.col_bytes, data.data(), 64);
+  std::memcpy(cells_.line_data(flat(a), a.row, a.col).data(), data.data(), 64);
 }
 
 void DramDevice::backdoor_read(const DramAddress& a,
@@ -460,9 +501,8 @@ void DramDevice::backdoor_read(const DramAddress& a,
   EASYDRAM_EXPECTS(a.rank < ranks_.size() && a.bank < geo_.num_banks() &&
                    a.row < geo_.rows_per_bank && a.col < geo_.cols_per_row());
   EASYDRAM_EXPECTS(out.size() == 64);
-  const RowData* rd = row_data_if_present(flat(a), a.row);
-  if (rd != nullptr) {
-    std::memcpy(out.data(), rd->data() + a.col * geo_.col_bytes, 64);
+  if (const auto* line = cells_.line_if_present(flat(a), a.row, a.col)) {
+    std::memcpy(out.data(), line->data(), 64);
   } else {
     std::fill(out.begin(), out.end(), std::uint8_t{0});
   }
@@ -474,8 +514,11 @@ void DramDevice::backdoor_write_row(std::uint32_t bank, std::uint32_t row,
   EASYDRAM_EXPECTS(rank < ranks_.size() && bank < geo_.num_banks() &&
                    row < geo_.rows_per_bank);
   EASYDRAM_EXPECTS(data.size() == geo_.row_bytes);
-  RowData& rd = row_data(geo_.flat_bank(rank, bank), row);
-  std::memcpy(rd.data(), data.data(), geo_.row_bytes);
+  const std::uint32_t fbank = geo_.flat_bank(rank, bank);
+  for (std::uint32_t col = 0; col < geo_.cols_per_row(); ++col) {
+    std::memcpy(cells_.line_data(fbank, row, col).data(),
+                data.data() + col * geo_.col_bytes, geo_.col_bytes);
+  }
 }
 
 std::int64_t DramDevice::commands_issued(Command c) const {

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -116,9 +116,15 @@ class DramDevice {
   Picoseconds earliest_legal(Command c, const DramAddress& a) const;
 
   /// Open row of `bank` in `rank`, if any. Preconditions: bank <
-  /// Geometry::num_banks(), rank < num_ranks().
+  /// Geometry::num_banks(), rank < num_ranks(). Inline: the FR-FCFS scan
+  /// asks once per scanned queue entry.
   std::optional<std::uint32_t> open_row(std::uint32_t bank,
-                                        std::uint32_t rank = 0) const;
+                                        std::uint32_t rank = 0) const {
+    EASYDRAM_EXPECTS(rank < ranks_.size() && bank < geo_.num_banks());
+    const BankState& b = banks_[geo_.flat_bank(rank, bank)];
+    if (!b.active) return std::nullopt;
+    return b.row;
+  }
 
   /// Time of the last issued command (the device clock high-water mark,
   /// Picoseconds). Advances only with command activity — idle emulated
@@ -161,6 +167,11 @@ class DramDevice {
 
   /// Statistics: total commands issued per command kind, over all ranks.
   std::int64_t commands_issued(Command c) const;
+
+  /// Cache lines holding stored contents (written at least once, by any
+  /// path). The device's cell footprint scales with this, not with the
+  /// number of rows touched.
+  std::size_t stored_lines() const { return cells_.stored_lines(); }
 
   // --- RowHammer exposure accounting ---------------------------------------
   //
@@ -267,9 +278,85 @@ class DramDevice {
     Picoseconds early_pre_at;
   };
 
+  /// The last four ACT times of one rank (tFAW) as a fixed ring: each ACT
+  /// overwrites the oldest entry once four are recorded.
+  class ActWindow {
+   public:
+    bool full() const { return count_ == times_.size(); }
+    /// Oldest recorded ACT. Precondition: full().
+    Picoseconds oldest() const { return times_[head_]; }
+    void push(Picoseconds at) {
+      if (!full()) {
+        times_[count_++] = at;  // head_ stays 0 until the ring fills.
+        return;
+      }
+      times_[head_] = at;
+      head_ = (head_ + 1) % times_.size();
+    }
+    void clear() { head_ = count_ = 0; }
+
+   private:
+    std::array<Picoseconds, 4> times_{};
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
+  /// Sparse cell contents at cache-line granularity, in three levels: an
+  /// open-addressing index from row key (fbank * rows_per_bank + row) to a
+  /// row record; per record, cols_per_row line ids (0 = never written);
+  /// and a pool of 64-byte lines allocated in 256 KiB blocks. Blocks are
+  /// left uninitialized and each line is zeroed when it materializes, so
+  /// untouched pages never become resident and line addresses stay stable
+  /// across later inserts. Unwritten lines read as zero.
+  class LineStore {
+   public:
+    using Line = std::array<std::uint8_t, 64>;
+
+    LineStore(std::uint32_t rows_per_bank, std::uint32_t cols_per_row)
+        : rows_per_bank_(rows_per_bank), cols_per_row_(cols_per_row) {}
+
+    /// The stored line, materialized as zeros on first use.
+    Line& line_data(std::uint32_t fbank, std::uint32_t row, std::uint32_t col);
+    /// The stored line, or null when it was never materialized.
+    const Line* line_if_present(std::uint32_t fbank, std::uint32_t row,
+                                std::uint32_t col) const;
+    std::size_t stored_lines() const { return lines_; }
+
+   private:
+    /// One index slot: key + 1 (0 = empty) and the row's record number.
+    struct Slot {
+      std::uint32_t key_plus_one = 0;
+      std::uint32_t record = 0;
+    };
+    static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+    static constexpr std::size_t kLinesPerBlock = 4096;  ///< 256 KiB.
+
+    std::uint32_t key(std::uint32_t fbank, std::uint32_t row) const {
+      return fbank * rows_per_bank_ + row;
+    }
+    std::size_t home(std::uint32_t key) const;  ///< First probe slot.
+    std::uint32_t find_record(std::uint32_t key) const;
+    /// Stores `slot` in the first free slot of its probe sequence.
+    void place(Slot slot);
+    /// Adds an all-unwritten record for `key`, growing the index first
+    /// when the insert would lift its load above 1/2.
+    std::uint32_t insert_record(std::uint32_t key);
+    Line& line_at(std::uint32_t id) const {
+      return blocks_[(id - 1) / kLinesPerBlock][(id - 1) % kLinesPerBlock];
+    }
+
+    std::uint32_t rows_per_bank_;
+    std::uint32_t cols_per_row_;
+    std::vector<Slot> index_;  ///< Power-of-two size, load <= 1/2.
+    int index_shift_ = 64;     ///< 64 - log2(index_.size()).
+    std::vector<std::uint32_t> line_ids_;  ///< cols_per_row_ per record.
+    std::vector<std::unique_ptr<Line[]>> blocks_;
+    std::size_t lines_ = 0;
+  };
+
   /// Timing state one rank carries independently of its siblings.
   struct RankState {
-    std::deque<Picoseconds> act_window;          ///< Last ACT times (tFAW).
+    ActWindow act_window;                        ///< Last ACT times (tFAW).
     std::vector<Picoseconds> last_act_in_group;  ///< Per bank group (tRRD_L).
     Picoseconds last_act_any;
     std::vector<Picoseconds> last_col_in_group;  ///< Per bank group (tCCD_L).
@@ -284,16 +371,11 @@ class DramDevice {
     std::int64_t refresh_slots = 0;
   };
 
-  using RowData = std::array<std::uint8_t, 8192>;
-
   /// Per-channel flat bank index; rank 0 coincides with the historical
   /// single-rank indices (and with the VariationModel's bank namespace).
   std::uint32_t flat(const DramAddress& a) const {
     return geo_.flat_bank(a.rank, a.bank);
   }
-
-  RowData& row_data(std::uint32_t fbank, std::uint32_t row);
-  const RowData* row_data_if_present(std::uint32_t fbank, std::uint32_t row) const;
 
   void corrupt_line(std::uint32_t fbank, std::uint32_t row, std::uint32_t col,
                     std::uint64_t salt);
@@ -326,8 +408,7 @@ class DramDevice {
   VariationModel variation_;
 
   std::vector<BankState> banks_;  ///< Indexed by flat (rank, bank).
-  // Sparse storage: per-flat-bank vector of lazily allocated rows.
-  std::vector<std::vector<std::unique_ptr<RowData>>> store_;
+  LineStore cells_;  ///< Cell contents, sparse per written line.
 
   std::vector<RankState> ranks_;
 

@@ -240,7 +240,8 @@ bender::ExecutionResult EasyApi::flush_commands(bool charge) {
   // Fault manifestation is keyed to absolute emulated time, which the
   // device's command timeline does not track (it lags on sparse traffic).
   device_->set_fault_clock(keeper_->emulated_now());
-  bender::ExecutionResult result = interpreter_.execute(program_, device_->now());
+  bender::ExecutionResult result =
+      interpreter_.execute(program_, device_->now(), std::move(readback_));
   ++stats_.batches_executed;
   stats_.commands_executed += result.commands_issued;
   stats_.rowclone_attempts += result.rowclone_attempts;

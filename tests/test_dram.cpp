@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "dram/device.hpp"
 
@@ -312,6 +314,157 @@ TEST_F(DeviceTest, BackdoorRoundTrip) {
   std::array<std::uint8_t, 64> out{};
   dev_.backdoor_read({7, 1234, 56}, out);
   EXPECT_EQ(std::memcmp(out.data(), p.data(), 64), 0);
+}
+
+/// A line whose first two bytes encode `i`, so 4096 lines stay distinct.
+std::array<std::uint8_t, 64> numbered_line(std::uint32_t i) {
+  std::array<std::uint8_t, 64> p{};
+  for (std::size_t b = 0; b < 64; ++b) p[b] = static_cast<std::uint8_t>(i * 31 + b);
+  p[0] = static_cast<std::uint8_t>(i);
+  p[1] = static_cast<std::uint8_t>(i >> 8);
+  return p;
+}
+
+/// The i-th of 4096 one-line addresses: distinct rows spread over all 16
+/// banks, columns varying with i.
+DramAddress sparse_address(std::uint32_t i) {
+  return {i % 16, (i / 16) * 97 % 32768, i % 128};
+}
+
+bool reads_zero(const DramDevice& dev, const DramAddress& a) {
+  std::array<std::uint8_t, 64> out{};
+  out.fill(0xFF);
+  dev.backdoor_read(a, out);
+  for (const std::uint8_t b : out) {
+    if (b != 0) return false;
+  }
+  return true;
+}
+
+TEST_F(DeviceTest, SparseLineWritesAcrossBanksReadBackExactly) {
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    dev_.backdoor_write(sparse_address(i), numbered_line(i));
+  }
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    const DramAddress a = sparse_address(i);
+    std::array<std::uint8_t, 64> out{};
+    dev_.backdoor_read(a, out);
+    ASSERT_EQ(out, numbered_line(i)) << "line " << i;
+    // Neighbours in the row and the next row were never written.
+    EXPECT_TRUE(reads_zero(dev_, {a.bank, a.row, (a.col + 1) % 128}));
+    EXPECT_TRUE(reads_zero(dev_, {a.bank, a.row, (a.col + 127) % 128}));
+    EXPECT_TRUE(reads_zero(dev_, {a.bank, a.row + 1, a.col}));
+  }
+}
+
+TEST_F(DeviceTest, StoredLinesScaleWithLinesWrittenNotRowsTouched) {
+  EXPECT_EQ(dev_.stored_lines(), 0u);
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    dev_.backdoor_write(sparse_address(i), numbered_line(i));
+  }
+  EXPECT_EQ(dev_.stored_lines(), 4096u);  // Not 4096 rows x 128 lines.
+  // Reads never materialize; rewrites reuse the stored line.
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    EXPECT_TRUE(reads_zero(dev_, {sparse_address(i).bank, 32767, 0}));
+    dev_.backdoor_write(sparse_address(i), numbered_line(i + 1));
+  }
+  EXPECT_EQ(dev_.stored_lines(), 4096u);
+}
+
+TEST_F(DeviceTest, RowCloneMaterializesDestinationLinesMidCopy) {
+  // Filler rows in other banks: 62 full rows plus one 64-line row. With
+  // the full source row that is 64 records and 8128 lines, 64 short of a
+  // third 256 KiB block, so the copy's first destination line grows the
+  // row index and its 65th starts a new block.
+  for (std::uint32_t f = 0; f < 63; ++f) {
+    const std::uint32_t cols = f < 62 ? 128 : 64;
+    for (std::uint32_t c = 0; c < cols; ++c) {
+      dev_.backdoor_write({4 + f % 8, 1000 + f, c}, numbered_line(f * 128 + c));
+    }
+  }
+  const std::uint32_t src = 20;
+  const std::uint32_t dst = 21;  // Same subarray as src.
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    dev_.backdoor_write({3, src, c}, numbered_line(9000 + c));
+  }
+  ASSERT_EQ(dev_.stored_lines(), 8128u);
+
+  dev_.issue(Command::kAct, {3, src, 0}, 0_ns);
+  dev_.issue(Command::kPre, {3, 0, 0}, 3_ns);
+  const IssueResult act = dev_.issue(Command::kAct, {3, dst, 0}, 6_ns);
+  ASSERT_TRUE(act.rowclone_success);
+  EXPECT_EQ(dev_.stored_lines(), 8128u + 128u);
+
+  std::array<std::uint8_t, 64> out{};
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    dev_.backdoor_read({3, dst, c}, out);
+    ASSERT_EQ(out, numbered_line(9000 + c)) << "destination col " << c;
+    dev_.backdoor_read({3, src, c}, out);
+    ASSERT_EQ(out, numbered_line(9000 + c)) << "source col " << c;
+  }
+  for (std::uint32_t f = 0; f < 63; ++f) {
+    dev_.backdoor_read({4 + f % 8, 1000 + f, 63}, out);
+    EXPECT_EQ(out, numbered_line(f * 128 + 63)) << "filler row " << f;
+  }
+
+  // Cloning a never-written row clears the destination.
+  dev_.issue(Command::kPre, {3, 0, 0}, 100_ns);
+  dev_.issue(Command::kAct, {3, 22, 0}, 200_ns);
+  dev_.issue(Command::kPre, {3, 0, 0}, 203_ns);
+  ASSERT_TRUE(dev_.issue(Command::kAct, {3, dst, 0}, 206_ns).rowclone_success);
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    EXPECT_TRUE(reads_zero(dev_, {3, dst, c})) << "col " << c;
+  }
+}
+
+TEST_F(DeviceTest, ReducedTrcdReadCorruptsNeverWrittenLine) {
+  VariationConfig weak;
+  weak.min_trcd = 9_ns;
+  weak.max_trcd = Picoseconds{9001};
+  DramDevice dev(Geometry{}, t_, weak);
+  dev.issue(Command::kAct, {6, 300, 0}, 0_ns);
+  const IssueResult bad = dev.issue(Command::kRead, {6, 300, 17}, 2_ns);
+  EXPECT_FALSE(bad.data_reliable);
+  const std::array<std::uint8_t, 64> zeros{};
+  EXPECT_NE(bad.data, zeros);
+  EXPECT_EQ(dev.stored_lines(), 1u);
+  // The corruption was restored into the cells: a nominal read returns it.
+  const IssueResult good = dev.issue(Command::kRead, {6, 300, 17}, 2_ns + t_.tRCD);
+  EXPECT_TRUE(good.data_reliable);
+  EXPECT_EQ(good.data, bad.data);
+  EXPECT_TRUE(reads_zero(dev, {6, 300, 18}));
+}
+
+TEST_F(DeviceTest, BackdoorWriteRowReadsBackPerColumn) {
+  std::vector<std::uint8_t> row(8192);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<std::uint8_t>(i * 7 + i / 64);
+  }
+  dev_.backdoor_write_row(9, 4321, row);
+  EXPECT_EQ(dev_.stored_lines(), 128u);
+  std::array<std::uint8_t, 64> out{};
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    dev_.backdoor_read({9, 4321, c}, out);
+    EXPECT_EQ(std::memcmp(out.data(), row.data() + c * 64, 64), 0) << "col " << c;
+  }
+}
+
+TEST_F(DeviceTest, TfawWindowWrapsAcrossNineActivates) {
+  // Distinct banks rotating over the bank groups, each issued a varying
+  // delay past its earliest legal time so the window entries differ.
+  std::vector<Picoseconds> acts;
+  for (std::uint32_t k = 0; k < 9; ++k) {
+    const DramAddress a{(k % 4) * 4 + k / 4, 1, 0};
+    const Picoseconds earliest = dev_.earliest_legal(Command::kAct, a);
+    if (k >= 1) {
+      Picoseconds bound = acts[k - 1] + t_.tRRD_S;
+      if (k >= 4) bound = std::max(bound, acts[k - 4] + t_.tFAW);
+      EXPECT_EQ(earliest, bound) << "ACT " << k;
+    }
+    const Picoseconds at = earliest + Picoseconds{(k % 3) * 2500};
+    EXPECT_EQ(dev_.issue(Command::kAct, a, at).violations, kNone) << "ACT " << k;
+    acts.push_back(at);
+  }
 }
 
 TEST_F(DeviceTest, TimeMustBeMonotonic) {
