@@ -192,13 +192,6 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
         break;
       }
 
-      case Op::kProfile: {
-        const std::uint64_t id = mem.submit_profile(rec.addr, rec.profile_trcd, cycle_);
-        const Completion c = mem.wait(id);
-        cycle_ = std::max(cycle_, c.release_cycle);
-        break;
-      }
-
       case Op::kDrain:
         drain_all(mem);
         break;

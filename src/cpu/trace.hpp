@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/units.hpp"
-
 namespace easydram::cpu {
 
 /// Operations in a core execution trace.
@@ -20,24 +18,27 @@ enum class Op : std::uint8_t {
   kStoreStream,
   kFlush,     ///< Cache-line flush via the memory-mapped register (§7.1).
   kRowClone,  ///< Trigger an in-DRAM copy of addr -> addr2.
-  kProfile,   ///< Issue a tRCD profiling request for addr.
   kDrain,     ///< Memory barrier: wait for all outstanding requests.
   kMarker,    ///< Snapshot the cycle counter into RunResult::markers.
 };
 
 /// One trace record: `gap_instructions` non-memory instructions execute
-/// before the operation itself.
+/// before the operation itself. Packed to 24 bytes (the PolyBench kernels
+/// hold millions of records). tRCD profiling does not travel in the trace:
+/// it reaches the memory system through MemoryBackend::submit_profile.
 struct TraceRecord {
-  Op op = Op::kLoad;
-  std::uint32_t gap_instructions = 0;
   std::uint64_t addr = 0;
-  std::uint64_t addr2 = 0;           ///< kRowClone destination.
-  Picoseconds profile_trcd{};        ///< kProfile only.
+  std::uint64_t addr2 = 0;  ///< kRowClone destination.
+  std::uint32_t gap_instructions = 0;
+  Op op = Op::kLoad;
   /// Traffic-stream identity for multi-tenant traces. The core forwards it
   /// to the memory backend so every memory request it causes (including
   /// cache writebacks, attributed to the evicting stream) carries it.
-  std::uint32_t stream = 0;
+  /// Narrower than the uint32 stream ids downstream; producers check the
+  /// range before narrowing.
+  std::uint16_t stream = 0;
 };
+static_assert(sizeof(TraceRecord) == 24);
 
 /// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
 /// the most recent kRowClone so generators can emit CPU-fallback accesses,

@@ -372,17 +372,6 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
           break;
         }
 
-        case cpu::Op::kProfile: {
-          // Served as a nominal read in the baseline.
-          if (inflight >= cfg_.mshrs ||
-              read_queue_.size() >= cfg_.read_queue_depth) {
-            consumed = false;
-            break;
-          }
-          stall_on_id = enqueue_read(map(line));
-          break;
-        }
-
         case cpu::Op::kDrain: {
           if (inflight != 0 || !write_queue_.empty()) {
             consumed = false;

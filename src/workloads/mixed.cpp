@@ -69,6 +69,7 @@ std::vector<cpu::TraceRecord> make_tenant_trace(
     const TenantSpec& spec, const smc::AddressMapper& mapper) {
   EASYDRAM_EXPECTS(spec.passes > 0);
   EASYDRAM_EXPECTS(spec.footprint_bytes >= 128);
+  EASYDRAM_EXPECTS(spec.stream <= 0xFFFF);  // TraceRecord::stream is 16-bit.
   std::vector<cpu::TraceRecord> trace;
   switch (spec.kind) {
     case TenantKind::kPointerChase:
@@ -84,7 +85,8 @@ std::vector<cpu::TraceRecord> make_tenant_trace(
       trace = make_hammer_tenant(spec, mapper);
       break;
   }
-  for (cpu::TraceRecord& rec : trace) rec.stream = spec.stream;
+  const auto stream = static_cast<std::uint16_t>(spec.stream);
+  for (cpu::TraceRecord& rec : trace) rec.stream = stream;
   return trace;
 }
 

@@ -33,7 +33,8 @@ std::string_view to_string(TenantKind kind);
 /// experiment wants).
 struct TenantSpec {
   TenantKind kind = TenantKind::kPointerChase;
-  /// Stream identity stamped on every record this tenant emits.
+  /// Stream identity stamped on every record this tenant emits; at most
+  /// 0xFFFF, the range of TraceRecord::stream.
   std::uint32_t stream = 0;
   std::uint64_t base_addr = 0;
   std::uint64_t footprint_bytes = 256 * 1024;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
 #include "cpu/core.hpp"
@@ -23,14 +25,16 @@ class FixedLatencyBackend final : public MemoryBackend {
     writes.push_back(paddr);
     return remember(now);
   }
-  std::uint64_t submit_rowclone(std::uint64_t, std::uint64_t,
+  std::uint64_t submit_rowclone(std::uint64_t src, std::uint64_t dst,
                                 std::int64_t now) override {
-    ++rowclones;
+    rowclones.emplace_back(src, dst);
     return remember(now);
   }
   std::uint64_t submit_profile(std::uint64_t, Picoseconds, std::int64_t now) override {
     return remember(now);
   }
+
+  void set_stream(std::uint32_t stream) override { streams.push_back(stream); }
 
   Completion wait(std::uint64_t id) override {
     return Completion{release_.at(id), rowclone_ok};
@@ -38,7 +42,8 @@ class FixedLatencyBackend final : public MemoryBackend {
 
   std::vector<std::uint64_t> reads;
   std::vector<std::uint64_t> writes;
-  int rowclones = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rowclones;
+  std::vector<std::uint32_t> streams;  ///< Every set_stream value, in order.
   bool rowclone_ok = true;
 
  private:
@@ -370,6 +375,32 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
   EXPECT_FALSE(trace.saw_ok);
   EXPECT_EQ(r.rowclones, 1);
   EXPECT_EQ(r.rowclone_fallbacks, 1);
+}
+
+TEST(CoreTest, RecordFieldsReachTheBackendUnchanged) {
+  // Full-width addresses, the widest stream id and the largest gap a
+  // producer emits survive the packed record layout.
+  std::vector<TraceRecord> t(2);
+  t[0].op = Op::kRowClone;
+  t[0].addr = 0xFEDC'BA98'7654'3000;
+  t[0].addr2 = 0x0123'4567'89AB'C000;
+  t[0].stream = 0xFFFF;
+  t[1].op = Op::kLoad;
+  t[1].addr = 0x8000'0000'0000'1040;
+  t[1].gap_instructions = 0x7FFF'FFFF;
+  t[1].stream = 7;
+
+  Core core(tiny_core(), tiny_caches());
+  FixedLatencyBackend mem(10);
+  VectorTrace trace(std::move(t));
+  const RunResult r = core.run(trace, mem);
+
+  ASSERT_EQ(mem.rowclones.size(), 1u);
+  EXPECT_EQ(mem.rowclones[0].first, 0xFEDC'BA98'7654'3000u);
+  EXPECT_EQ(mem.rowclones[0].second, 0x0123'4567'89AB'C000u);
+  EXPECT_EQ(mem.reads, std::vector<std::uint64_t>{0x8000'0000'0000'1040u});
+  EXPECT_EQ(mem.streams, (std::vector<std::uint32_t>{0, 0xFFFF, 7}));
+  EXPECT_EQ(r.instructions, std::int64_t{0x8000'0000} + 1);
 }
 
 TEST(CoreTest, MarkersSnapshotCycles) {

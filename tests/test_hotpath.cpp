@@ -165,7 +165,9 @@ TEST(HotPathPropertyTest, SlotTableTraversalIsArrivalOrdered) {
     std::size_t count = 0;
     for (std::size_t s = table.first(); s != smc::RequestTable::kNull;
          s = table.next(s)) {
-      if (!first) EXPECT_GT(table.at(s).arrival_seq, prev_seq);
+      if (!first) {
+        EXPECT_GT(table.at(s).arrival_seq, prev_seq);
+      }
       prev_seq = table.at(s).arrival_seq;
       first = false;
       ++count;
@@ -189,7 +191,9 @@ TEST(HotPathPropertyTest, RingFifoMatchesDequeSemantics) {
       EXPECT_EQ(fifo.size(), ref.size());
       EXPECT_EQ(fifo.empty(), ref.empty());
       EXPECT_EQ(fifo.full(), ref.size() >= capacity);
-      if (!ref.empty()) EXPECT_EQ(fifo.front(), ref.front());
+      if (!ref.empty()) {
+        EXPECT_EQ(fifo.front(), ref.front());
+      }
 
       switch (rng.next() % 3) {
         case 0:

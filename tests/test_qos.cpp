@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/request_table.hpp"
 #include "smc/scheduler.hpp"
@@ -431,6 +432,25 @@ TEST(MixedTraceTest, InterleaveIsProportionalAndDeterministic) {
   EXPECT_TRUE(seen[0]);
   EXPECT_TRUE(seen[1]);
   EXPECT_TRUE(seen[2]);
+}
+
+TEST(MixedTraceTest, StreamIdsAreCheckedBeforeNarrowing) {
+  // TraceRecord carries a 16-bit stream id: the widest one survives the
+  // builder, and one past it is rejected instead of wrapping to stream 0.
+  dram::Geometry geo;
+  smc::LinearMapper mapper(geo);
+  std::vector<workloads::TenantSpec> tenants(1);
+  tenants[0].footprint_bytes = 16 * 1024;
+  tenants[0].stream = 0xFFFF;
+  const workloads::MixedTrace mixed =
+      workloads::make_mixed_trace(tenants, mapper);
+  ASSERT_FALSE(mixed.interleaved.empty());
+  for (const cpu::TraceRecord& rec : mixed.interleaved) {
+    ASSERT_EQ(rec.stream, 0xFFFFu);
+  }
+
+  tenants[0].stream = 0x10000;
+  EXPECT_THROW(workloads::make_mixed_trace(tenants, mapper), ContractViolation);
 }
 
 }  // namespace
