@@ -182,15 +182,21 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
       }
 
       case Op::kRowClone: {
+        const TraceRecord dst = next_rowclone_dst(trace, last_rowclone_ok);
         ++result_.rowclones;
         cycle_ += cfg_.rowclone_trigger_cycles.count;
-        const std::uint64_t id = mem.submit_rowclone(rec.addr, rec.addr2, cycle_);
+        const std::uint64_t id =
+            mem.submit_rowclone(rec.addr, dst.addr, cycle_);
         const Completion c = mem.wait(id);
         cycle_ = std::max(cycle_, c.release_cycle);
         last_rowclone_ok = c.ok;
         if (!c.ok) ++result_.rowclone_fallbacks;
         break;
       }
+
+      case Op::kRowCloneDst:
+        EASYDRAM_EXPECTS(!"kRowCloneDst without its kRowClone");
+        break;
 
       case Op::kDrain:
         drain_all(mem);

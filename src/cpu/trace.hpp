@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/contracts.hpp"
 
 namespace easydram::cpu {
 
@@ -17,18 +20,25 @@ enum class Op : std::uint8_t {
   /// it as a plain store.
   kStoreStream,
   kFlush,     ///< Cache-line flush via the memory-mapped register (§7.1).
-  kRowClone,  ///< Trigger an in-DRAM copy of addr -> addr2.
+  /// Trigger an in-DRAM copy of the row holding `addr` onto the row named
+  /// by the kRowCloneDst record that must immediately follow.
+  kRowClone,
+  /// Destination half of a kRowClone pair: `addr` is the destination. It is
+  /// consumed together with its kRowClone, retires no instruction and adds
+  /// no gap; reaching one on its own is a contract violation.
+  kRowCloneDst,
   kDrain,     ///< Memory barrier: wait for all outstanding requests.
   kMarker,    ///< Snapshot the cycle counter into RunResult::markers.
 };
 
 /// One trace record: `gap_instructions` non-memory instructions execute
-/// before the operation itself. Packed to 24 bytes (the PolyBench kernels
-/// hold millions of records). tRCD profiling does not travel in the trace:
-/// it reaches the memory system through MemoryBackend::submit_profile.
+/// before the operation itself. Packed to 16 bytes (the PolyBench kernels
+/// hold millions of records), so a RowClone travels as two records:
+/// kRowClone (source) then kRowCloneDst (destination). tRCD profiling does
+/// not travel in the trace: it reaches the memory system through
+/// MemoryBackend::submit_profile.
 struct TraceRecord {
   std::uint64_t addr = 0;
-  std::uint64_t addr2 = 0;  ///< kRowClone destination.
   std::uint32_t gap_instructions = 0;
   Op op = Op::kLoad;
   /// Traffic-stream identity for multi-tenant traces. The core forwards it
@@ -38,7 +48,7 @@ struct TraceRecord {
   /// range before narrowing.
   std::uint16_t stream = 0;
 };
-static_assert(sizeof(TraceRecord) == 24);
+static_assert(sizeof(TraceRecord) == 16);
 
 /// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
 /// the most recent kRowClone so generators can emit CPU-fallback accesses,
@@ -48,6 +58,30 @@ class TraceSource {
   virtual ~TraceSource() = default;
   virtual bool next(TraceRecord& out, bool last_rowclone_ok) = 0;
 };
+
+/// The two records of one RowClone: kRowClone with the source, after
+/// `gap_instructions`, then its kRowCloneDst with the destination. Producers
+/// emit them back to back.
+inline std::array<TraceRecord, 2> rowclone_pair(
+    std::uint64_t src, std::uint64_t dst, std::uint32_t gap_instructions) {
+  std::array<TraceRecord, 2> pair;
+  pair[0].op = Op::kRowClone;
+  pair[0].gap_instructions = gap_instructions;
+  pair[0].addr = src;
+  pair[1].op = Op::kRowCloneDst;
+  pair[1].addr = dst;
+  return pair;
+}
+
+/// Pulls the kRowCloneDst that must follow a kRowClone just read from
+/// `trace`; a missing or different record is a contract violation.
+inline TraceRecord next_rowclone_dst(TraceSource& trace,
+                                     bool last_rowclone_ok) {
+  TraceRecord dst;
+  EASYDRAM_EXPECTS(trace.next(dst, last_rowclone_ok) &&
+                   dst.op == Op::kRowCloneDst);
+  return dst;
+}
 
 /// A trace replayed from a pre-recorded vector (ignores feedback).
 class VectorTrace final : public TraceSource {

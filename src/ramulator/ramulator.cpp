@@ -360,9 +360,11 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
             consumed = false;
             break;
           }
+          const cpu::TraceRecord dst =
+              cpu::next_rowclone_dst(trace, /*last_rowclone_ok=*/true);
           MemRequest r;
           r.id = next_id++;
-          r.addr = map(rec.addr2 & ~std::uint64_t{63});
+          r.addr = map(dst.addr & ~std::uint64_t{63});
           r.is_rowclone = true;
           r.seq = seq_++;
           read_queue_.push_back(r);
@@ -371,6 +373,10 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
           stall_on_id = r.id;
           break;
         }
+
+        case cpu::Op::kRowCloneDst:
+          EASYDRAM_EXPECTS(!"kRowCloneDst without its kRowClone");
+          break;
 
         case cpu::Op::kDrain: {
           if (inflight != 0 || !write_queue_.empty()) {

@@ -58,10 +58,13 @@ std::optional<std::size_t> frfcfs_pick_if(const RequestTable& table,
   return oldest;
 }
 
-/// Distinct stream ids outstanding in `table`, ascending. The table is
-/// small (tens of slots), so a sorted scratch vector beats any set.
-std::vector<std::uint32_t> distinct_streams(const RequestTable& table) {
-  std::vector<std::uint32_t> streams;
+/// Fills `streams` with the distinct stream ids outstanding in `table`,
+/// ascending, and returns it. The table is small (tens of slots), so a
+/// sorted vector beats any set; callers pass a scratch buffer they own so
+/// picks do not allocate.
+const std::vector<std::uint32_t>& distinct_streams(
+    const RequestTable& table, std::vector<std::uint32_t>& streams) {
+  streams.clear();
   for (std::size_t s = table.first(); s != RequestTable::kNull;
        s = table.next(s)) {
     streams.push_back(table.at(s).request.stream_id);
@@ -118,7 +121,9 @@ std::optional<std::size_t> BlacklistScheduler::pick(
   // between; a single-stream table uses the original bounded-row-streak
   // simplification so legacy single-source traffic sees identical
   // decisions.
-  if (distinct_streams(ctx.table).size() >= 2) return pick_multi_stream(ctx);
+  if (distinct_streams(ctx.table, streams_).size() >= 2) {
+    return pick_multi_stream(ctx);
+  }
   return pick_single_source(ctx);
 }
 
@@ -184,7 +189,8 @@ std::optional<std::size_t> AtlasScheduler::pick(const PickContext& ctx,
 
   // Rank outstanding streams by long-term attained service, least first
   // (ties to the lower stream id), and serve FR-FCFS within the winner.
-  const std::vector<std::uint32_t> present = distinct_streams(ctx.table);
+  const std::vector<std::uint32_t>& present =
+      distinct_streams(ctx.table, streams_);
   std::uint32_t best = present.front();
   std::uint64_t best_service = ctx.streams->attained_service(best);
   for (const std::uint32_t s : present) {
@@ -238,7 +244,8 @@ std::optional<std::size_t> TcmScheduler::pick(const PickContext& ctx,
   if (!choice) {
     // Only bandwidth-heavy streams outstanding: the shuffle offset picks
     // which of them owns top priority this window.
-    const std::vector<std::uint32_t> present = distinct_streams(ctx.table);
+    const std::vector<std::uint32_t>& present =
+        distinct_streams(ctx.table, streams_);
     const std::uint32_t first =
         present[static_cast<std::size_t>(shuffle_offset_ % present.size())];
     choice = frfcfs_pick_if(ctx.table, ctx.banks,

@@ -174,6 +174,7 @@ class BlacklistScheduler final : public Scheduler {
   std::uint32_t last_stream_ = 0;
   std::uint64_t picks_since_clear_ = 0;
   std::vector<bool> blacklist_;
+  std::vector<std::uint32_t> streams_;  ///< Per-pick scratch.
 };
 
 /// ATLAS-style scheduler (Kim et al., HPCA'10, simplified): streams are
@@ -188,6 +189,9 @@ class AtlasScheduler final : public Scheduler {
   std::optional<std::size_t> pick(const PickContext& ctx,
                                   std::size_t& scanned_entries) override;
   std::string_view name() const override { return "ATLAS"; }
+
+ private:
+  std::vector<std::uint32_t> streams_;  ///< Per-pick scratch.
 };
 
 /// TCM-style scheduler (Kim et al., MICRO'10, simplified): every
@@ -220,6 +224,7 @@ class TcmScheduler final : public Scheduler {
   std::uint64_t shuffle_offset_ = 0;
   std::vector<std::uint64_t> served_in_window_;
   std::vector<bool> bandwidth_;
+  std::vector<std::uint32_t> streams_;  ///< Per-pick scratch.
 };
 
 /// Registry of the built-in scheduling policies, addressable from

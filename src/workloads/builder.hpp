@@ -40,12 +40,9 @@ class TraceBuilder {
   void flush(std::uint64_t addr) { push(cpu::Op::kFlush, addr, 1); }
   void drain() { push(cpu::Op::kDrain, 0, 0); }
   void rowclone(std::uint64_t src, std::uint64_t dst) {
-    cpu::TraceRecord r;
-    r.op = cpu::Op::kRowClone;
-    r.gap_instructions = 2;
-    r.addr = src;
-    r.addr2 = dst;
-    records_.push_back(r);
+    for (const cpu::TraceRecord& r : cpu::rowclone_pair(src, dst, 2)) {
+      records_.push_back(r);
+    }
   }
   void compute(std::uint32_t instructions) {
     // Pure-compute stretch: attach the instructions to a NOP-like record by

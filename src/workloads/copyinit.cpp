@@ -6,13 +6,11 @@ namespace easydram::workloads {
 
 namespace {
 
-cpu::TraceRecord make(cpu::Op op, std::uint64_t addr, std::uint32_t gap,
-                      std::uint64_t addr2 = 0) {
+cpu::TraceRecord make(cpu::Op op, std::uint64_t addr, std::uint32_t gap) {
   cpu::TraceRecord r;
   r.op = op;
   r.gap_instructions = gap;
   r.addr = addr;
-  r.addr2 = addr2;
   return r;
 }
 
@@ -134,7 +132,11 @@ void CopyInitTrace::enqueue_row(std::size_t row_index) {
   const std::uint64_t dst = params_.kind == CopyInitParams::Kind::kCopy
                                 ? row_base(copy_plan_[row_index].dst)
                                 : row_base(init_plan_[row_index].dst);
-  pending_.push_back(make(cpu::Op::kRowClone, src, 2, dst));
+  // The pair is queued whole, so the feedback check in next() runs only
+  // on the pull after the destination record.
+  for (const cpu::TraceRecord& r : cpu::rowclone_pair(src, dst, 2)) {
+    pending_.push_back(r);
+  }
   awaiting_feedback_ = true;
 }
 

@@ -107,6 +107,12 @@ std::vector<cpu::TraceRecord> make_hammer_blend(
     const HammerParams& p, const smc::AddressMapper& mapper,
     std::span<const cpu::TraceRecord> background, std::size_t burst_period) {
   EASYDRAM_EXPECTS(burst_period > 0);
+  // A burst may land between any two background records, which would split
+  // a kRowClone from its kRowCloneDst.
+  EASYDRAM_EXPECTS(std::none_of(
+      background.begin(), background.end(), [](const cpu::TraceRecord& r) {
+        return r.op == cpu::Op::kRowClone || r.op == cpu::Op::kRowCloneDst;
+      }));
   const std::vector<cpu::TraceRecord> hammer = make_hammer_trace(p, mapper);
   const std::size_t per_round = hammer_aggressor_rows(p).size() * 2;
 

@@ -85,8 +85,14 @@ std::vector<cpu::TraceRecord> make_tenant_trace(
       trace = make_hammer_tenant(spec, mapper);
       break;
   }
+  // make_mixed_trace interleaves record by record, which would split a
+  // kRowClone from its kRowCloneDst; no tenant kind emits RowClone.
   const auto stream = static_cast<std::uint16_t>(spec.stream);
-  for (cpu::TraceRecord& rec : trace) rec.stream = stream;
+  for (cpu::TraceRecord& rec : trace) {
+    EASYDRAM_EXPECTS(rec.op != cpu::Op::kRowClone &&
+                     rec.op != cpu::Op::kRowCloneDst);
+    rec.stream = stream;
+  }
   return trace;
 }
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/contracts.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
 #include "cpu/core.hpp"
@@ -351,16 +352,16 @@ TEST(CoreTest, FlushOfCleanLineDoesNotWriteBack) {
 }
 
 TEST(CoreTest, RowCloneFeedbackReachesTrace) {
-  /// Trace source that emits one rowclone then reports the feedback.
+  /// Trace source that emits one rowclone pair then reports the feedback.
   class FeedbackProbe final : public TraceSource {
    public:
     bool next(TraceRecord& out, bool last_rowclone_ok) override {
-      if (step_ == 1) saw_ok = last_rowclone_ok;
-      if (step_++ > 0) return false;
+      if (step_ == 2) saw_ok = last_rowclone_ok;
+      if (step_ > 1) return false;
       out = TraceRecord{};
-      out.op = Op::kRowClone;
-      out.addr = 0;
-      out.addr2 = 8192;
+      out.op = step_ == 0 ? Op::kRowClone : Op::kRowCloneDst;
+      out.addr = step_ == 0 ? 0 : 8192;
+      ++step_;
       return true;
     }
     int step_ = 0;
@@ -380,15 +381,17 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
 TEST(CoreTest, RecordFieldsReachTheBackendUnchanged) {
   // Full-width addresses, the widest stream id and the largest gap a
   // producer emits survive the packed record layout.
-  std::vector<TraceRecord> t(2);
+  std::vector<TraceRecord> t(3);
   t[0].op = Op::kRowClone;
   t[0].addr = 0xFEDC'BA98'7654'3000;
-  t[0].addr2 = 0x0123'4567'89AB'C000;
   t[0].stream = 0xFFFF;
-  t[1].op = Op::kLoad;
-  t[1].addr = 0x8000'0000'0000'1040;
-  t[1].gap_instructions = 0x7FFF'FFFF;
-  t[1].stream = 7;
+  t[1].op = Op::kRowCloneDst;
+  t[1].addr = 0x0123'4567'89AB'C000;
+  t[1].stream = 0xFFFF;
+  t[2].op = Op::kLoad;
+  t[2].addr = 0x8000'0000'0000'1040;
+  t[2].gap_instructions = 0x7FFF'FFFF;
+  t[2].stream = 7;
 
   Core core(tiny_core(), tiny_caches());
   FixedLatencyBackend mem(10);
@@ -401,6 +404,24 @@ TEST(CoreTest, RecordFieldsReachTheBackendUnchanged) {
   EXPECT_EQ(mem.reads, std::vector<std::uint64_t>{0x8000'0000'0000'1040u});
   EXPECT_EQ(mem.streams, (std::vector<std::uint32_t>{0, 0xFFFF, 7}));
   EXPECT_EQ(r.instructions, std::int64_t{0x8000'0000} + 1);
+}
+
+TEST(CoreTest, UnpairedRowCloneRecordsViolateTheContract) {
+  TraceRecord clone;
+  clone.op = Op::kRowClone;
+  TraceRecord dst;
+  dst.op = Op::kRowCloneDst;
+  dst.addr = 8192;
+  TraceRecord load;
+  load.addr = 64;
+  const std::vector<std::vector<TraceRecord>> broken = {
+      {clone}, {clone, load}, {dst}, {load, dst}};
+  for (const auto& records : broken) {
+    Core core(tiny_core(), tiny_caches());
+    FixedLatencyBackend mem(10);
+    VectorTrace trace(records);
+    EXPECT_THROW(core.run(trace, mem), ContractViolation);
+  }
 }
 
 TEST(CoreTest, MarkersSnapshotCycles) {

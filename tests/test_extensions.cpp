@@ -272,10 +272,11 @@ TEST(RowCloneTriggerTest, TriggerCyclesChargedToCore) {
     smc::RowClonePairTester tester(sysm.api(), 2);
     tester.test(0, 0, 1, sysm.clone_map());
     sysm.enable_rowclone();
-    std::vector<cpu::TraceRecord> recs(1);
+    std::vector<cpu::TraceRecord> recs(2);
     recs[0].op = cpu::Op::kRowClone;
     recs[0].addr = 0;
-    recs[0].addr2 = 8192;
+    recs[1].op = cpu::Op::kRowCloneDst;
+    recs[1].addr = 8192;
     cpu::VectorTrace trace(std::move(recs));
     return sysm.run(trace).cycles;
   };

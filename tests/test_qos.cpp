@@ -407,6 +407,18 @@ TEST(MixedTraceTest, TagsEveryRecordAndPreservesCounts) {
   }
 }
 
+TEST(MixedTraceTest, NoTenantKindEmitsRowClonePairs) {
+  // The record-by-record interleave relies on this: it would split a pair.
+  dram::Geometry geo;
+  smc::LinearMapper mapper(geo);
+  const auto tenants = three_tenants();
+  const auto mixed = workloads::make_mixed_trace(tenants, mapper);
+  for (const cpu::TraceRecord& rec : mixed.interleaved) {
+    ASSERT_NE(rec.op, cpu::Op::kRowClone);
+    ASSERT_NE(rec.op, cpu::Op::kRowCloneDst);
+  }
+}
+
 TEST(MixedTraceTest, InterleaveIsProportionalAndDeterministic) {
   dram::Geometry geo;
   smc::LinearMapper mapper(geo);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/contracts.hpp"
 #include "ramulator/ramulator.hpp"
 #include "workloads/builder.hpp"
 
@@ -82,6 +83,41 @@ TEST(RamulatorTest, RowCloneIsIdealized) {
   // Each idealized clone costs ~2 tCK + tRAS + tRP plus the fixed
   // request-path overhead (~350 ns total); ten clones finish in ~3.5 us.
   EXPECT_LT(s.cycles, 20'000);
+}
+
+TEST(RamulatorTest, RowCloneWaitingOnAFullQueueKeepsItsDestination) {
+  // A one-slot read queue makes the clone retry while earlier misses are
+  // queued; the destination record is pulled only when the clone issues.
+  RamulatorConfig cfg = small_cfg();
+  cfg.read_queue_depth = 1;
+  RamulatorSim sim(cfg);
+  workloads::TraceBuilder b;
+  for (int i = 0; i < 8; ++i) {
+    b.load(static_cast<std::uint64_t>(i) * 8192 * 4, /*gap=*/0);
+  }
+  b.rowclone(0, 8192);
+  b.load(64);
+  cpu::VectorTrace t(b.take());
+  const RamStats s = sim.run(t);
+  EXPECT_EQ(s.rowclones, 1);
+  EXPECT_EQ(s.loads, 9);
+}
+
+TEST(RamulatorTest, UnpairedRowCloneRecordsViolateTheContract) {
+  cpu::TraceRecord clone;
+  clone.op = cpu::Op::kRowClone;
+  cpu::TraceRecord dst;
+  dst.op = cpu::Op::kRowCloneDst;
+  dst.addr = 8192;
+  cpu::TraceRecord load;
+  load.addr = 64;
+  const std::vector<std::vector<cpu::TraceRecord>> broken = {
+      {clone}, {clone, load}, {dst}, {load, dst}};
+  for (const auto& records : broken) {
+    RamulatorSim sim(small_cfg());
+    cpu::VectorTrace t(records);
+    EXPECT_THROW(sim.run(t), ContractViolation);
+  }
 }
 
 TEST(RamulatorTest, InstructionCapStopsSimulation) {

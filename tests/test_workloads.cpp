@@ -245,13 +245,21 @@ TEST(CopyInitTest, InitUsesPatternSourceRow) {
   const auto recs = collect(trace);
   const std::uint64_t pattern_base =
       h.mapper.to_physical(dram::DramAddress{0, 511, 0});
-  std::int64_t clones = 0;
-  for (const auto& r : recs) {
-    if (r.op != cpu::Op::kRowClone) continue;
+  const auto plan = h.init_plan(4);
+  std::size_t clones = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].op != cpu::Op::kRowClone) continue;
+    EXPECT_EQ(recs[i].addr, pattern_base);
+    // The destination record follows its clone directly.
+    ASSERT_LT(i + 1, recs.size());
+    ASSERT_LT(clones, plan.size());
+    EXPECT_EQ(recs[i + 1].op, cpu::Op::kRowCloneDst);
+    EXPECT_EQ(recs[i + 1].addr,
+              h.mapper.to_physical(dram::DramAddress{plan[clones].dst.bank,
+                                                     plan[clones].dst.row, 0}));
     ++clones;
-    EXPECT_EQ(r.addr, pattern_base);
   }
-  EXPECT_EQ(clones, 4);
+  EXPECT_EQ(clones, 4u);
 }
 
 TEST(CopyInitTest, MeasuredRegionBoundedByTwoMarkers) {
@@ -360,6 +368,21 @@ TEST(HammerTest, BlendSplicesWholeRoundsAndKeepsEveryRecord) {
   EXPECT_EQ(blend[10].op, cpu::Op::kLoadDependent);
   EXPECT_EQ(blend[11].op, cpu::Op::kFlush);
   EXPECT_EQ(blend[12].op, cpu::Op::kLoad);  // Background resumes.
+}
+
+TEST(HammerTest, BlendRejectsRowCloneRecords) {
+  // A burst could land between a kRowClone and its kRowCloneDst.
+  const dram::Geometry geo;
+  const smc::LinearMapper mapper(geo);
+  HammerParams p;
+  p.pattern = HammerPattern::kDoubleSided;
+  p.rounds = 10;
+  for (const cpu::Op op : {cpu::Op::kRowClone, cpu::Op::kRowCloneDst}) {
+    std::vector<cpu::TraceRecord> background(37);
+    background[7].op = op;
+    EXPECT_THROW(make_hammer_blend(p, mapper, background, 8),
+                 ContractViolation);
+  }
 }
 
 // --------------------------------------------------------------------------
