@@ -196,7 +196,7 @@ namespace {
 std::uint32_t footprint_rows_per_bank(const std::vector<cpu::TraceRecord>& trace,
                                       const dram::Geometry& geo) {
   std::uint64_t max_addr = 0;
-  for (const auto& r : trace) max_addr = std::max(max_addr, r.addr);
+  for (const auto& r : trace) max_addr = std::max(max_addr, r.addr());
   const std::uint64_t lines = max_addr / 64 + 1;
   const std::uint64_t per_bank = lines / geo.num_banks() + 1;
   return static_cast<std::uint32_t>(per_bank / geo.cols_per_row() + 2);

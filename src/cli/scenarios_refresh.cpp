@@ -40,11 +40,10 @@ std::vector<cpu::TraceRecord> refresh_stress_trace() {
   std::vector<cpu::TraceRecord> records;
   records.reserve(kStressRecords);
   for (std::size_t i = 0; i < kStressRecords; ++i) {
-    cpu::TraceRecord r;
-    r.op = cpu::Op::kLoadDependent;
-    r.gap_instructions = kStressGapInstructions;
-    r.addr = static_cast<std::uint64_t>(i) * 8192;  // One fresh row each.
-    records.push_back(r);
+    // One fresh row each.
+    records.emplace_back(cpu::Op::kLoadDependent,
+                         static_cast<std::uint64_t>(i) * 8192,
+                         kStressGapInstructions);
   }
   return records;
 }

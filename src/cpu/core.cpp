@@ -9,6 +9,8 @@ Core::Core(const CoreConfig& cfg, const CacheHierConfig& caches)
   EASYDRAM_EXPECTS(cfg.issue_width > 0);
   EASYDRAM_EXPECTS(cfg.mlp > 0);
   EASYDRAM_EXPECTS(cfg.store_buffer > 0);
+  // run() issues every access as a 64-byte line (addr & ~63).
+  EASYDRAM_EXPECTS(caches.l1.line_bytes == 64 && caches.l2.line_bytes == 64);
 }
 
 void Core::advance_for_instructions(std::uint32_t count) {
@@ -96,7 +98,7 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
       mem.set_stream(current_stream);
     }
     advance_for_instructions(rec.gap_instructions + 1);
-    const std::uint64_t line = rec.addr & ~std::uint64_t{63};
+    const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
 
     switch (rec.op) {
       case Op::kLoad:
@@ -186,7 +188,7 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
         ++result_.rowclones;
         cycle_ += cfg_.rowclone_trigger_cycles.count;
         const std::uint64_t id =
-            mem.submit_rowclone(rec.addr, dst.addr, cycle_);
+            mem.submit_rowclone(rec.addr(), dst.addr(), cycle_);
         const Completion c = mem.wait(id);
         cycle_ = std::max(cycle_, c.release_cycle);
         last_rowclone_ok = c.ok;

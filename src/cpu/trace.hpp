@@ -32,23 +32,47 @@ enum class Op : std::uint8_t {
 };
 
 /// One trace record: `gap_instructions` non-memory instructions execute
-/// before the operation itself. Packed to 16 bytes (the PolyBench kernels
-/// hold millions of records), so a RowClone travels as two records:
-/// kRowClone (source) then kRowCloneDst (destination). tRCD profiling does
-/// not travel in the trace: it reaches the memory system through
-/// MemoryBackend::submit_profile.
-struct TraceRecord {
-  std::uint64_t addr = 0;
+/// before the operation itself. Packed to 12 bytes (the PolyBench kernels
+/// hold millions of records): the address is 40 bits, split into a 32-bit
+/// low word and an 8-bit high byte behind addr()/set_addr(), and a RowClone
+/// travels as two records: kRowClone (source) then kRowCloneDst
+/// (destination). tRCD profiling does not travel in the trace: it reaches
+/// the memory system through MemoryBackend::submit_profile.
+class TraceRecord {
+ public:
+  /// Addresses must lie below 1 TiB. Every AddressMapper already rejects
+  /// addresses beyond its capacity, and no geometry comes close.
+  static constexpr std::uint64_t kAddrLimit = std::uint64_t{1} << 40;
+
+  TraceRecord() = default;
+  TraceRecord(Op o, std::uint64_t a, std::uint32_t gap = 0)
+      : gap_instructions(gap), op(o) {
+    set_addr(a);
+  }
+
+  std::uint64_t addr() const {
+    return (std::uint64_t{addr_hi_} << 32) | addr_lo_;
+  }
+  void set_addr(std::uint64_t a) {
+    EASYDRAM_EXPECTS(a < kAddrLimit);
+    addr_lo_ = static_cast<std::uint32_t>(a);
+    addr_hi_ = static_cast<std::uint8_t>(a >> 32);
+  }
+
   std::uint32_t gap_instructions = 0;
-  Op op = Op::kLoad;
   /// Traffic-stream identity for multi-tenant traces. The core forwards it
   /// to the memory backend so every memory request it causes (including
   /// cache writebacks, attributed to the evicting stream) carries it.
   /// Narrower than the uint32 stream ids downstream; producers check the
   /// range before narrowing.
   std::uint16_t stream = 0;
+  Op op = Op::kLoad;
+
+ private:
+  std::uint8_t addr_hi_ = 0;
+  std::uint32_t addr_lo_ = 0;
 };
-static_assert(sizeof(TraceRecord) == 16);
+static_assert(sizeof(TraceRecord) == 12);
 
 /// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
 /// the most recent kRowClone so generators can emit CPU-fallback accesses,
@@ -64,13 +88,8 @@ class TraceSource {
 /// emit them back to back.
 inline std::array<TraceRecord, 2> rowclone_pair(
     std::uint64_t src, std::uint64_t dst, std::uint32_t gap_instructions) {
-  std::array<TraceRecord, 2> pair;
-  pair[0].op = Op::kRowClone;
-  pair[0].gap_instructions = gap_instructions;
-  pair[0].addr = src;
-  pair[1].op = Op::kRowCloneDst;
-  pair[1].addr = dst;
-  return pair;
+  return {TraceRecord(Op::kRowClone, src, gap_instructions),
+          TraceRecord(Op::kRowCloneDst, dst)};
 }
 
 /// Pulls the kRowCloneDst that must follow a kRowClone just read from

@@ -12,6 +12,8 @@ constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 RamulatorSim::RamulatorSim(const RamulatorConfig& cfg)
     : cfg_(cfg), banks_(cfg.geometry.num_banks()) {
+  // run() issues every access as a 64-byte line (addr & ~63).
+  EASYDRAM_EXPECTS(cfg.llc.line_bytes == 64);
   next_ref_ = cfg_.timing.tREFI;
 }
 
@@ -296,7 +298,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
         continue;
       }
 
-      const std::uint64_t line = rec.addr & ~std::uint64_t{63};
+      const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
       bool consumed = true;
       switch (rec.op) {
         case cpu::Op::kLoad:
@@ -364,7 +366,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
               cpu::next_rowclone_dst(trace, /*last_rowclone_ok=*/true);
           MemRequest r;
           r.id = next_id++;
-          r.addr = map(dst.addr & ~std::uint64_t{63});
+          r.addr = map(dst.addr() & ~std::uint64_t{63});
           r.is_rowclone = true;
           r.seq = seq_++;
           read_queue_.push_back(r);

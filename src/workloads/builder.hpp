@@ -55,12 +55,8 @@ class TraceBuilder {
 
  private:
   void push(cpu::Op op, std::uint64_t addr, std::uint32_t gap) {
-    cpu::TraceRecord r;
-    r.op = op;
-    r.gap_instructions = gap + pending_gap_;
+    records_.emplace_back(op, addr, gap + pending_gap_);
     pending_gap_ = 0;
-    r.addr = addr;
-    records_.push_back(r);
   }
 
   inline static thread_local std::size_t pending_reserve_ = 0;

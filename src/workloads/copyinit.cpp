@@ -4,18 +4,6 @@
 
 namespace easydram::workloads {
 
-namespace {
-
-cpu::TraceRecord make(cpu::Op op, std::uint64_t addr, std::uint32_t gap) {
-  cpu::TraceRecord r;
-  r.op = op;
-  r.gap_instructions = gap;
-  r.addr = addr;
-  return r;
-}
-
-}  // namespace
-
 CopyInitTrace::CopyInitTrace(CopyInitParams params, const smc::AddressMapper& mapper,
                              std::vector<smc::CopyPlanEntry> copy_plan,
                              std::vector<smc::InitPlanEntry> init_plan)
@@ -63,12 +51,12 @@ void CopyInitTrace::enqueue_warm() {
         const std::uint64_t addr = params_.kind == CopyInitParams::Kind::kCopy
                                        ? src_line(i, c)
                                        : dst_line(i, c);
-        pending_.push_back(make(cpu::Op::kStore, addr, params_.line_gap));
+        pending_.emplace_back(cpu::Op::kStore, addr, params_.line_gap);
       }
     }
-    pending_.push_back(make(cpu::Op::kDrain, 0, 0));
+    pending_.emplace_back(cpu::Op::kDrain, 0);
   }
-  pending_.push_back(make(cpu::Op::kMarker, 0, 0));
+  pending_.emplace_back(cpu::Op::kMarker, 0);
   phase_ = Phase::kRow;
   row_index_ = 0;
 }
@@ -79,18 +67,18 @@ void CopyInitTrace::enqueue_cpu_row(std::size_t row_index) {
     if (params_.kind == CopyInitParams::Kind::kCopy) {
       // Each copied line's store consumes the loaded value: the load is on
       // the critical path (memcpy's load->store dependence).
-      pending_.push_back(
-          make(cpu::Op::kLoadDependent, src_line(row_index, c), params_.line_gap));
+      pending_.emplace_back(cpu::Op::kLoadDependent, src_line(row_index, c),
+                            params_.line_gap);
     }
     // memset destinations are constant full-line streams (DC-ZVA-style
     // write streaming on cores that support it); memcpy destinations carry
     // loaded data and use the regular store path.
     if (params_.kind == CopyInitParams::Kind::kCopy) {
-      pending_.push_back(
-          make(cpu::Op::kStore, dst_line(row_index, c), params_.line_gap));
+      pending_.emplace_back(cpu::Op::kStore, dst_line(row_index, c),
+                            params_.line_gap);
     } else {
-      pending_.push_back(make(cpu::Op::kStoreStream, dst_line(row_index, c),
-                              params_.init_line_gap));
+      pending_.emplace_back(cpu::Op::kStoreStream, dst_line(row_index, c),
+                            params_.init_line_gap);
     }
   }
 }
@@ -111,13 +99,13 @@ void CopyInitTrace::enqueue_row(std::size_t row_index) {
     // destination's cached lines before operating in DRAM.
     if (params_.kind == CopyInitParams::Kind::kCopy) {
       for (std::uint32_t c = 0; c < cols; ++c) {
-        pending_.push_back(make(cpu::Op::kFlush, src_line(row_index, c), 1));
+        pending_.emplace_back(cpu::Op::kFlush, src_line(row_index, c), 1);
       }
     }
     for (std::uint32_t c = 0; c < cols; ++c) {
-      pending_.push_back(make(cpu::Op::kFlush, dst_line(row_index, c), 1));
+      pending_.emplace_back(cpu::Op::kFlush, dst_line(row_index, c), 1);
     }
-    pending_.push_back(make(cpu::Op::kDrain, 0, 0));
+    pending_.emplace_back(cpu::Op::kDrain, 0);
   }
 
   if (!planned) {
@@ -141,7 +129,7 @@ void CopyInitTrace::enqueue_row(std::size_t row_index) {
 }
 
 void CopyInitTrace::enqueue_final() {
-  pending_.push_back(make(cpu::Op::kMarker, 0, 0));
+  pending_.emplace_back(cpu::Op::kMarker, 0);
   phase_ = Phase::kDone;
 }
 

@@ -13,15 +13,6 @@ namespace {
 /// subarray for the default base rows.
 constexpr std::uint32_t kSingleSidedPartnerDistance = 8;
 
-cpu::TraceRecord hammer_access(cpu::Op op, std::uint64_t addr,
-                               std::uint32_t gap) {
-  cpu::TraceRecord r;
-  r.op = op;
-  r.gap_instructions = gap;
-  r.addr = addr;
-  return r;
-}
-
 }  // namespace
 
 std::string_view to_string(HammerPattern p) {
@@ -94,10 +85,8 @@ std::vector<cpu::TraceRecord> make_hammer_trace(
       // row. Dependent loads: real attack loops serialize (mfence or a
       // data dependence) precisely so the controller cannot coalesce
       // same-row accesses into one activation — each load is one ACT.
-      trace.push_back(
-          hammer_access(cpu::Op::kLoadDependent, addr, p.gap_instructions));
-      trace.push_back(
-          hammer_access(cpu::Op::kFlush, addr, p.gap_instructions));
+      trace.emplace_back(cpu::Op::kLoadDependent, addr, p.gap_instructions);
+      trace.emplace_back(cpu::Op::kFlush, addr, p.gap_instructions);
     }
   }
   return trace;

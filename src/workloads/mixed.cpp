@@ -31,16 +31,9 @@ std::vector<cpu::TraceRecord> make_stream_copy(const TenantSpec& spec) {
   const std::uint64_t dst = spec.base_addr + spec.footprint_bytes / 2;
   for (int pass = 0; pass < spec.passes; ++pass) {
     for (std::uint64_t line = 0; line < half_lines; ++line) {
-      cpu::TraceRecord rd;
-      rd.op = cpu::Op::kLoad;
-      rd.gap_instructions = spec.gap_instructions;
-      rd.addr = src + line * 64;
-      out.push_back(rd);
-      cpu::TraceRecord wr;
-      wr.op = cpu::Op::kStoreStream;
-      wr.gap_instructions = spec.gap_instructions;
-      wr.addr = dst + line * 64;
-      out.push_back(wr);
+      out.emplace_back(cpu::Op::kLoad, src + line * 64, spec.gap_instructions);
+      out.emplace_back(cpu::Op::kStoreStream, dst + line * 64,
+                       spec.gap_instructions);
     }
   }
   return out;

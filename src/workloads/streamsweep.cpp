@@ -19,21 +19,7 @@ constexpr std::uint64_t kLine = 64;
 
 /// Marker record: the core drains outstanding work and snapshots its cycle
 /// counter — the measurement window boundaries of both sweep kernels.
-cpu::TraceRecord marker_record() {
-  cpu::TraceRecord r;
-  r.op = cpu::Op::kMarker;
-  r.gap_instructions = 0;
-  return r;
-}
-
-void push(std::vector<cpu::TraceRecord>& out, cpu::Op op, std::uint64_t addr,
-          std::uint32_t gap) {
-  cpu::TraceRecord r;
-  r.op = op;
-  r.gap_instructions = gap;
-  r.addr = addr;
-  out.push_back(r);
-}
+cpu::TraceRecord marker_record() { return {cpu::Op::kMarker, 0}; }
 
 void emit_stream_pass(std::vector<cpu::TraceRecord>& out,
                       const StreamSweepParams& p) {
@@ -46,22 +32,22 @@ void emit_stream_pass(std::vector<cpu::TraceRecord>& out,
     const std::uint64_t off = i * kLine;
     switch (p.kernel) {
       case StreamKernel::kCopy:  // b[i] = a[i]
-        push(out, cpu::Op::kLoad, a + off, 2);
-        push(out, cpu::Op::kStore, c + off, 2);
+        out.emplace_back(cpu::Op::kLoad, a + off, 2);
+        out.emplace_back(cpu::Op::kStore, c + off, 2);
         break;
       case StreamKernel::kScale:  // b[i] = s * a[i]: one extra multiply.
-        push(out, cpu::Op::kLoad, a + off, 2);
-        push(out, cpu::Op::kStore, c + off, 3);
+        out.emplace_back(cpu::Op::kLoad, a + off, 2);
+        out.emplace_back(cpu::Op::kStore, c + off, 3);
         break;
       case StreamKernel::kAdd:  // c[i] = a[i] + b[i]
-        push(out, cpu::Op::kLoad, a + off, 2);
-        push(out, cpu::Op::kLoad, c + off, 1);
-        push(out, cpu::Op::kStore, d + off, 2);
+        out.emplace_back(cpu::Op::kLoad, a + off, 2);
+        out.emplace_back(cpu::Op::kLoad, c + off, 1);
+        out.emplace_back(cpu::Op::kStore, d + off, 2);
         break;
       case StreamKernel::kTriad:  // a[i] = b[i] + s * c[i]: add plus multiply.
-        push(out, cpu::Op::kLoad, a + off, 2);
-        push(out, cpu::Op::kLoad, c + off, 1);
-        push(out, cpu::Op::kStore, d + off, 3);
+        out.emplace_back(cpu::Op::kLoad, a + off, 2);
+        out.emplace_back(cpu::Op::kLoad, c + off, 1);
+        out.emplace_back(cpu::Op::kStore, d + off, 3);
         break;
     }
   }
@@ -160,11 +146,8 @@ std::vector<cpu::TraceRecord> make_latency_trace(const LatencySweepParams& p) {
   const auto emit_pass = [&] {
     for (std::uint64_t i = 0; i < lines; ++i) {
       cur = next[cur];
-      cpu::TraceRecord r;
-      r.op = cpu::Op::kLoadDependent;
-      r.gap_instructions = 1;
-      r.addr = p.base_addr + cur * kLine;
-      records.push_back(r);
+      records.emplace_back(cpu::Op::kLoadDependent, p.base_addr + cur * kLine,
+                           1);
     }
   };
   for (int pass = 0; pass < p.warm_passes; ++pass) emit_pass();

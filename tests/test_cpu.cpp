@@ -177,13 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
 std::vector<TraceRecord> loads(std::initializer_list<std::uint64_t> addrs,
                                Op op = Op::kLoad, std::uint32_t gap = 0) {
   std::vector<TraceRecord> v;
-  for (const std::uint64_t a : addrs) {
-    TraceRecord r;
-    r.op = op;
-    r.addr = a;
-    r.gap_instructions = gap;
-    v.push_back(r);
-  }
+  for (const std::uint64_t a : addrs) v.emplace_back(op, a, gap);
   return v;
 }
 
@@ -264,7 +258,7 @@ TEST(CoreTest, StoresArePostedThroughStoreBuffer) {
     r.op = Op::kStore;
     // Distinct sets (stride 64) so tiny-cache conflicts cause no extra
     // writebacks that would occupy store-buffer slots.
-    r.addr = static_cast<std::uint64_t>(i) * 64;
+    r.set_addr(static_cast<std::uint64_t>(i) * 64);
     t.push_back(r);
   }
   VectorTrace trace(std::move(t));
@@ -284,7 +278,7 @@ TEST(CoreTest, FullStoreBufferStalls) {
   for (int i = 0; i < 4; ++i) {
     TraceRecord r;
     r.op = Op::kStore;
-    r.addr = static_cast<std::uint64_t>(i) * 4096;
+    r.set_addr(static_cast<std::uint64_t>(i) * 4096);
     t.push_back(r);
   }
   VectorTrace trace(std::move(t));
@@ -311,7 +305,7 @@ TEST(CoreTest, DirtyEvictionsWriteBack) {
   for (int i = 0; i < 200; ++i) {
     TraceRecord r;
     r.op = Op::kStore;
-    r.addr = static_cast<std::uint64_t>(i) * 64;
+    r.set_addr(static_cast<std::uint64_t>(i) * 64);
     t.push_back(r);
   }
   VectorTrace trace(std::move(t));
@@ -325,11 +319,11 @@ TEST(CoreTest, FlushWritesBackDirtyLine) {
   std::vector<TraceRecord> t;
   TraceRecord st;
   st.op = Op::kStore;
-  st.addr = 0;
+  st.set_addr(0);
   t.push_back(st);
   TraceRecord fl;
   fl.op = Op::kFlush;
-  fl.addr = 0;
+  fl.set_addr(0);
   t.push_back(fl);
   VectorTrace trace(std::move(t));
   const RunResult r = core.run(trace, mem);
@@ -344,7 +338,7 @@ TEST(CoreTest, FlushOfCleanLineDoesNotWriteBack) {
   std::vector<TraceRecord> t = loads({0});
   TraceRecord fl;
   fl.op = Op::kFlush;
-  fl.addr = 0;
+  fl.set_addr(0);
   t.push_back(fl);
   VectorTrace trace(std::move(t));
   core.run(trace, mem);
@@ -360,7 +354,7 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
       if (step_ > 1) return false;
       out = TraceRecord{};
       out.op = step_ == 0 ? Op::kRowClone : Op::kRowCloneDst;
-      out.addr = step_ == 0 ? 0 : 8192;
+      out.set_addr(step_ == 0 ? 0 : 8192);
       ++step_;
       return true;
     }
@@ -378,19 +372,29 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
   EXPECT_EQ(r.rowclone_fallbacks, 1);
 }
 
+TEST(TraceRecordTest, AddressBelowTheLimitRoundTrips) {
+  TraceRecord r;
+  r.set_addr(TraceRecord::kAddrLimit - 64);
+  EXPECT_EQ(r.addr(), TraceRecord::kAddrLimit - 64);
+  EXPECT_EQ(TraceRecord(Op::kStore, 0x12'3456'7890).addr(), 0x12'3456'7890u);
+}
+
+TEST(TraceRecordTest, AddressAtTheLimitViolatesTheContract) {
+  TraceRecord r;
+  EXPECT_THROW(r.set_addr(TraceRecord::kAddrLimit), ContractViolation);
+  EXPECT_THROW(TraceRecord(Op::kLoad, TraceRecord::kAddrLimit),
+               ContractViolation);
+}
+
 TEST(CoreTest, RecordFieldsReachTheBackendUnchanged) {
-  // Full-width addresses, the widest stream id and the largest gap a
-  // producer emits survive the packed record layout.
-  std::vector<TraceRecord> t(3);
-  t[0].op = Op::kRowClone;
-  t[0].addr = 0xFEDC'BA98'7654'3000;
+  // The widest 40-bit addresses, the widest stream id and the largest gap
+  // a producer emits survive the packed record layout.
+  std::vector<TraceRecord> t = {
+      TraceRecord(Op::kRowClone, 0xFF'FFFF'F000),
+      TraceRecord(Op::kRowCloneDst, 0x01'2345'6000),
+      TraceRecord(Op::kLoad, 0x80'0000'1040, 0x7FFF'FFFF)};
   t[0].stream = 0xFFFF;
-  t[1].op = Op::kRowCloneDst;
-  t[1].addr = 0x0123'4567'89AB'C000;
   t[1].stream = 0xFFFF;
-  t[2].op = Op::kLoad;
-  t[2].addr = 0x8000'0000'0000'1040;
-  t[2].gap_instructions = 0x7FFF'FFFF;
   t[2].stream = 7;
 
   Core core(tiny_core(), tiny_caches());
@@ -399,21 +403,28 @@ TEST(CoreTest, RecordFieldsReachTheBackendUnchanged) {
   const RunResult r = core.run(trace, mem);
 
   ASSERT_EQ(mem.rowclones.size(), 1u);
-  EXPECT_EQ(mem.rowclones[0].first, 0xFEDC'BA98'7654'3000u);
-  EXPECT_EQ(mem.rowclones[0].second, 0x0123'4567'89AB'C000u);
-  EXPECT_EQ(mem.reads, std::vector<std::uint64_t>{0x8000'0000'0000'1040u});
+  EXPECT_EQ(mem.rowclones[0].first, 0xFF'FFFF'F000u);
+  EXPECT_EQ(mem.rowclones[0].second, 0x01'2345'6000u);
+  EXPECT_EQ(mem.reads, std::vector<std::uint64_t>{0x80'0000'1040u});
   EXPECT_EQ(mem.streams, (std::vector<std::uint32_t>{0, 0xFFFF, 7}));
   EXPECT_EQ(r.instructions, std::int64_t{0x8000'0000} + 1);
 }
 
+TEST(CoreTest, RejectsCacheLinesOtherThan64Bytes) {
+  for (const std::uint32_t line_bytes : {32u, 128u}) {
+    CacheHierConfig l1_off = tiny_caches();
+    l1_off.l1.line_bytes = line_bytes;
+    EXPECT_THROW(Core(tiny_core(), l1_off), ContractViolation);
+    CacheHierConfig l2_off = tiny_caches();
+    l2_off.l2.line_bytes = line_bytes;
+    EXPECT_THROW(Core(tiny_core(), l2_off), ContractViolation);
+  }
+}
+
 TEST(CoreTest, UnpairedRowCloneRecordsViolateTheContract) {
-  TraceRecord clone;
-  clone.op = Op::kRowClone;
-  TraceRecord dst;
-  dst.op = Op::kRowCloneDst;
-  dst.addr = 8192;
-  TraceRecord load;
-  load.addr = 64;
+  const TraceRecord clone(Op::kRowClone, 0);
+  const TraceRecord dst(Op::kRowCloneDst, 8192);
+  const TraceRecord load(Op::kLoad, 64);
   const std::vector<std::vector<TraceRecord>> broken = {
       {clone}, {clone, load}, {dst}, {load, dst}};
   for (const auto& records : broken) {

@@ -116,7 +116,7 @@ TEST(WriteStreamingTest, StreamingStoreSkipsRfo) {
   for (int i = 0; i < 32; ++i) {
     cpu::TraceRecord r;
     r.op = cpu::Op::kStoreStream;
-    r.addr = static_cast<std::uint64_t>(i) * 64;
+    r.set_addr(static_cast<std::uint64_t>(i) * 64);
     recs.push_back(r);
   }
   cpu::VectorTrace trace(std::move(recs));
@@ -137,7 +137,7 @@ TEST(WriteStreamingTest, NonStreamingCoreTreatsItAsPlainStore) {
   for (int i = 0; i < 8; ++i) {
     cpu::TraceRecord r;
     r.op = cpu::Op::kStoreStream;
-    r.addr = static_cast<std::uint64_t>(i) * 64;
+    r.set_addr(static_cast<std::uint64_t>(i) * 64);
     recs.push_back(r);
   }
   cpu::VectorTrace trace(std::move(recs));
@@ -152,10 +152,10 @@ TEST(WriteStreamingTest, StreamingInvalidatesCachedCopy) {
   std::vector<cpu::TraceRecord> recs;
   cpu::TraceRecord load;
   load.op = cpu::Op::kLoad;
-  load.addr = 0;
+  load.set_addr(0);
   cpu::TraceRecord stream;
   stream.op = cpu::Op::kStoreStream;
-  stream.addr = 0;
+  stream.set_addr(0);
   recs = {load, stream, load};
   cpu::VectorTrace trace(std::move(recs));
 
@@ -274,9 +274,9 @@ TEST(RowCloneTriggerTest, TriggerCyclesChargedToCore) {
     sysm.enable_rowclone();
     std::vector<cpu::TraceRecord> recs(2);
     recs[0].op = cpu::Op::kRowClone;
-    recs[0].addr = 0;
+    recs[0].set_addr(0);
     recs[1].op = cpu::Op::kRowCloneDst;
-    recs[1].addr = 8192;
+    recs[1].set_addr(8192);
     cpu::VectorTrace trace(std::move(recs));
     return sysm.run(trace).cycles;
   };

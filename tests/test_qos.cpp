@@ -429,7 +429,7 @@ TEST(MixedTraceTest, InterleaveIsProportionalAndDeterministic) {
   // Bit-identical rebuild: pure function of the spec list.
   ASSERT_EQ(a.interleaved.size(), b.interleaved.size());
   for (std::size_t i = 0; i < a.interleaved.size(); ++i) {
-    EXPECT_EQ(a.interleaved[i].addr, b.interleaved[i].addr);
+    EXPECT_EQ(a.interleaved[i].addr(), b.interleaved[i].addr());
     EXPECT_EQ(a.interleaved[i].stream, b.interleaved[i].stream);
     EXPECT_EQ(a.interleaved[i].op, b.interleaved[i].op);
   }

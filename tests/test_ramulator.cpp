@@ -103,14 +103,36 @@ TEST(RamulatorTest, RowCloneWaitingOnAFullQueueKeepsItsDestination) {
   EXPECT_EQ(s.loads, 9);
 }
 
+TEST(RamulatorTest, WidestAddressesKeepTheirHighBits) {
+  // Each pair differs only above bit 31, so a record that dropped its high
+  // byte would turn the second load of a pair into an LLC hit.
+  const std::uint64_t addrs[] = {0xFF'FFFF'F000, 0x7F'FFFF'F000,
+                                 0x01'2345'6000, 0x00'2345'6000,
+                                 0x80'0000'1040, 0x00'0000'1040};
+  std::vector<cpu::TraceRecord> recs;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint64_t a : addrs) recs.emplace_back(cpu::Op::kLoad, a);
+  }
+  RamulatorSim sim(small_cfg());
+  cpu::VectorTrace t(std::move(recs));
+  const RamStats s = sim.run(t);
+  EXPECT_EQ(s.loads, 12);
+  EXPECT_EQ(s.llc_misses, 6);
+  EXPECT_EQ(s.mem_reads, 6);
+}
+
+TEST(RamulatorTest, RejectsCacheLinesOtherThan64Bytes) {
+  for (const std::uint32_t line_bytes : {32u, 128u}) {
+    RamulatorConfig cfg = small_cfg();
+    cfg.llc.line_bytes = line_bytes;
+    EXPECT_THROW(RamulatorSim{cfg}, ContractViolation);
+  }
+}
+
 TEST(RamulatorTest, UnpairedRowCloneRecordsViolateTheContract) {
-  cpu::TraceRecord clone;
-  clone.op = cpu::Op::kRowClone;
-  cpu::TraceRecord dst;
-  dst.op = cpu::Op::kRowCloneDst;
-  dst.addr = 8192;
-  cpu::TraceRecord load;
-  load.addr = 64;
+  const cpu::TraceRecord clone(cpu::Op::kRowClone, 0);
+  const cpu::TraceRecord dst(cpu::Op::kRowCloneDst, 8192);
+  const cpu::TraceRecord load(cpu::Op::kLoad, 64);
   const std::vector<std::vector<cpu::TraceRecord>> broken = {
       {clone}, {clone, load}, {dst}, {load, dst}};
   for (const auto& records : broken) {
@@ -153,7 +175,7 @@ TEST(RamulatorTest, MarkersCaptured) {
   recs.push_back(m);
   cpu::TraceRecord l;
   l.op = cpu::Op::kLoadDependent;
-  l.addr = 4096;
+  l.set_addr(4096);
   recs.push_back(l);
   recs.push_back(m);
   cpu::VectorTrace t(std::move(recs));

@@ -481,7 +481,7 @@ cpu::VectorTrace stress_trace(std::size_t records) {
     cpu::TraceRecord r;
     r.op = cpu::Op::kLoadDependent;
     r.gap_instructions = 20000;
-    r.addr = static_cast<std::uint64_t>(i) * 8192;
+    r.set_addr(static_cast<std::uint64_t>(i) * 8192);
     t.push_back(r);
   }
   return cpu::VectorTrace(std::move(t));

@@ -40,7 +40,7 @@ TEST(LmbenchTest, VisitsEveryLineOncePerPass) {
   std::set<std::uint64_t> first_pass;
   for (std::size_t i = 0; i < 128; ++i) {
     EXPECT_EQ(t[i].op, cpu::Op::kLoadDependent);
-    first_pass.insert(t[i].addr);
+    first_pass.insert(t[i].addr());
   }
   EXPECT_EQ(first_pass.size(), 128u);
 }
@@ -49,7 +49,9 @@ TEST(LmbenchTest, Deterministic) {
   const auto a = make_lmbench_chase(64 * 64, 1);
   const auto b = make_lmbench_chase(64 * 64, 1);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].addr, b[i].addr);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].addr(), b[i].addr());
+  }
 }
 
 TEST(LmbenchTest, LoadsPerPass) {
@@ -83,7 +85,7 @@ TEST(PolybenchTest, AddressesStayWithinModestFootprint) {
   for (const PolybenchKernel& k : all_kernels()) {
     const auto t = k.generate();
     std::uint64_t max_addr = 0;
-    for (const auto& r : t) max_addr = std::max(max_addr, r.addr);
+    for (const auto& r : t) max_addr = std::max(max_addr, r.addr());
     EXPECT_LT(max_addr, 64ull << 20) << k.name;  // < 64 MiB footprint.
   }
 }
@@ -93,7 +95,7 @@ TEST(PolybenchTest, KernelsSpanMemoryIntensities) {
   // matrix repeatedly. Their distinct-line footprints must reflect that.
   auto lines_of = [](std::string_view name) {
     std::set<std::uint64_t> lines;
-    for (const auto& r : generate_kernel(name)) lines.insert(r.addr / 64);
+    for (const auto& r : generate_kernel(name)) lines.insert(r.addr() / 64);
     return lines.size();
   };
   EXPECT_GT(lines_of("gemver"), 20 * lines_of("durbin"));
@@ -249,12 +251,12 @@ TEST(CopyInitTest, InitUsesPatternSourceRow) {
   std::size_t clones = 0;
   for (std::size_t i = 0; i < recs.size(); ++i) {
     if (recs[i].op != cpu::Op::kRowClone) continue;
-    EXPECT_EQ(recs[i].addr, pattern_base);
+    EXPECT_EQ(recs[i].addr(), pattern_base);
     // The destination record follows its clone directly.
     ASSERT_LT(i + 1, recs.size());
     ASSERT_LT(clones, plan.size());
     EXPECT_EQ(recs[i + 1].op, cpu::Op::kRowCloneDst);
-    EXPECT_EQ(recs[i + 1].addr,
+    EXPECT_EQ(recs[i + 1].addr(),
               h.mapper.to_physical(dram::DramAddress{plan[clones].dst.bank,
                                                      plan[clones].dst.row, 0}));
     ++clones;
@@ -342,9 +344,9 @@ TEST(HammerTest, TraceIsDependentLoadPlusFlushPerAggressorPerRound) {
   for (std::size_t i = 0; i < trace.size(); i += 2) {
     EXPECT_EQ(trace[i].op, cpu::Op::kLoadDependent);
     EXPECT_EQ(trace[i + 1].op, cpu::Op::kFlush);
-    EXPECT_EQ(trace[i].addr, trace[i + 1].addr);
+    EXPECT_EQ(trace[i].addr(), trace[i + 1].addr());
     // Every access decodes to an aggressor row of bank 0.
-    const dram::DramAddress a = mapper.to_dram(trace[i].addr);
+    const dram::DramAddress a = mapper.to_dram(trace[i].addr());
     EXPECT_EQ(a.bank, p.bank);
     EXPECT_TRUE(a.row == 1030u || a.row == 1032u) << a.row;
   }
@@ -442,8 +444,8 @@ TEST(StreamSweepTest, ArraysAreDisjointAndLineAligned) {
   std::set<std::uint64_t> touched;
   for (const auto& r : make_stream_trace(p)) {
     if (r.op == cpu::Op::kMarker) continue;
-    EXPECT_EQ(r.addr % 64, 0u);
-    touched.insert(r.addr / 64);
+    EXPECT_EQ(r.addr() % 64, 0u);
+    touched.insert(r.addr() / 64);
   }
   // 3 arrays x lines distinct cache lines, contiguous from base_addr.
   EXPECT_EQ(touched.size(), 3 * lines);
@@ -459,7 +461,7 @@ TEST(StreamSweepTest, Deterministic) {
   const auto b = make_stream_trace(p);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].addr, b[i].addr);
+    EXPECT_EQ(a[i].addr(), b[i].addr());
     EXPECT_EQ(a[i].op, b[i].op);
   }
 }
@@ -494,7 +496,7 @@ TEST(LatencySweepTest, TraceCountsAndEveryLoadIsDependent) {
       continue;
     }
     EXPECT_EQ(r.op, cpu::Op::kLoadDependent);
-    EXPECT_EQ(r.addr % 64, 0u);
+    EXPECT_EQ(r.addr() % 64, 0u);
   }
   EXPECT_EQ(markers, 2);
 }
@@ -505,7 +507,9 @@ TEST(LatencySweepTest, SeedDeterminesTheChaseOrder) {
   const auto a = make_latency_trace(p);
   const auto b = make_latency_trace(p);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].addr, b[i].addr);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].addr(), b[i].addr());
+  }
 
   LatencySweepParams q = p;
   q.seed = p.seed + 1;
@@ -513,7 +517,7 @@ TEST(LatencySweepTest, SeedDeterminesTheChaseOrder) {
   ASSERT_EQ(a.size(), c.size());
   bool any_different = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    any_different = any_different || a[i].addr != c[i].addr;
+    any_different = any_different || a[i].addr() != c[i].addr();
   }
   EXPECT_TRUE(any_different);
 }
