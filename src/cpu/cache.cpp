@@ -14,118 +14,69 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   EASYDRAM_EXPECTS(cfg.line_bytes > 0 && is_pow2(cfg.line_bytes));
   EASYDRAM_EXPECTS(cfg.ways > 0);
   EASYDRAM_EXPECTS(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes) == 0);
-  num_sets_ = cfg.size_bytes / (static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes);
-  EASYDRAM_EXPECTS(num_sets_ > 0 && is_pow2(num_sets_));
-  // Both divisors are powers of two; shifts keep the per-access cost to a
-  // couple of ALU ops (this is the hottest function in both simulators).
+  const std::uint64_t sets =
+      cfg.size_bytes / (static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes);
+  EASYDRAM_EXPECTS(sets > 0 && is_pow2(sets));
+  // Both divisors are powers of two, so a lookup splits the line address
+  // with a shift and a mask.
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
-  sets_shift_ = static_cast<std::uint32_t>(
-      std::countr_zero(static_cast<std::uint64_t>(num_sets_)));
-  ways_.assign(num_sets_ * cfg.ways, Way{});
+  tag_shift_ = line_shift_ + static_cast<std::uint32_t>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  // A zero shift would let a tag equal the kInvalid sentinel.
+  EASYDRAM_EXPECTS(tag_shift_ > 0);
+  tags_.assign(sets * cfg.ways, kInvalid);
+  stamps_.assign(sets * cfg.ways, 0);
+  dirty_.assign(sets * cfg.ways, 0);
 }
 
-std::size_t Cache::set_of(std::uint64_t line) const {
-  return static_cast<std::size_t>((line >> line_shift_) & (num_sets_ - 1));
-}
-
-std::uint64_t Cache::tag_of(std::uint64_t line) const {
-  return line >> (line_shift_ + sets_shift_);
-}
-
-std::uint64_t Cache::line_of(std::size_t set, std::uint64_t tag) const {
-  return ((tag << sets_shift_) + set) << line_shift_;
-}
-
-bool Cache::access(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++lru_clock_;
-      ++hits_;
-      return true;
-    }
-  }
-  ++misses_;
-  return false;
-}
-
-bool Cache::probe(std::uint64_t line) const {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    const Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) return true;
-  }
-  return false;
-}
-
-FillResult Cache::fill(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
+FillResult Cache::fill(std::uint64_t line, bool dirty) {
+  const std::uint64_t set = set_of(line);
+  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
   const std::uint64_t tag = tag_of(line);
 
-  Way* victim = nullptr;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
+  // One pass finds the line or the victim. Empty ways hold stamp 0 and
+  // valid ways hold distinct stamps >= 1, so the last way with the
+  // smallest stamp is the last empty way if there is one, else the LRU way.
+  std::size_t victim = base;
+  std::uint64_t oldest = stamps_[base];
+  for (std::size_t way = base; way < base + cfg_.ways; ++way) {
+    if (tags_[way] == tag) {
       // Already present (e.g. racing fills); just refresh LRU.
-      way.lru = ++lru_clock_;
+      stamps_[way] = ++lru_clock_;
+      if (dirty) dirty_[way] = 1;
       return FillResult{};
     }
-    if (!way.valid) {
-      victim = &way;
-    }
+    const bool older = stamps_[way] <= oldest;
+    victim = older ? way : victim;
+    oldest = older ? stamps_[way] : oldest;
   }
   FillResult result;
-  if (victim == nullptr) {
-    victim = &ways_[set * cfg_.ways];
-    for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
-      Way& way = ways_[set * cfg_.ways + w];
-      if (way.lru < victim->lru) victim = &way;
-    }
+  if (tags_[victim] != kInvalid) {
     result.evicted = true;
-    result.evicted_dirty = victim->dirty;
-    result.evicted_line = line_of(set, victim->tag);
+    result.evicted_dirty = dirty_[victim] != 0;
+    result.evicted_line =
+        ((tags_[victim] << (tag_shift_ - line_shift_)) | set) << line_shift_;
   }
-  victim->valid = true;
-  victim->dirty = false;
-  victim->tag = tag;
-  victim->lru = ++lru_clock_;
+  tags_[victim] = tag;
+  stamps_[victim] = ++lru_clock_;
+  dirty_[victim] = dirty ? 1 : 0;
   return result;
 }
 
 void Cache::mark_dirty(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      way.dirty = true;
-      return;
-    }
-  }
-  EASYDRAM_EXPECTS(!"mark_dirty on a line that is not present");
+  const std::size_t way = find(line);
+  EASYDRAM_EXPECTS(way != kNoWay && "mark_dirty on a line that is not present");
+  dirty_[way] = 1;
 }
 
 Cache::FlushResult Cache::flush(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      FlushResult r{true, way.dirty};
-      way.valid = false;
-      way.dirty = false;
-      return r;
-    }
-  }
-  return FlushResult{};
+  const std::size_t way = find(line);
+  if (way == kNoWay) return FlushResult{};
+  const FlushResult r{true, dirty_[way] != 0};
+  tags_[way] = kInvalid;
+  stamps_[way] = 0;
+  dirty_[way] = 0;
+  return r;
 }
 
 }  // namespace easydram::cpu

@@ -31,28 +31,22 @@ void Core::evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem) 
   }
 }
 
-bool Core::allocate_line(std::uint64_t line, MemoryBackend& mem,
-                         std::uint64_t& mem_id) {
-  bool from_memory = false;
-  if (!l2_.probe(line)) {
-    from_memory = true;
-    const FillResult l2fill = l2_.fill(line);
-    if (l2fill.evicted) evict_from_l2(l2fill.evicted_line, l2fill.evicted_dirty, mem);
-    mem_id = mem.submit_read(line, cycle_);
-    ++result_.mem_reads;
-  }
-  const FillResult l1fill = l1_.fill(line);
-  if (l1fill.evicted && l1fill.evicted_dirty) {
-    // Dirty L1 victim folds back into the (inclusive) L2.
-    if (l2_.probe(l1fill.evicted_line)) {
-      l2_.mark_dirty(l1fill.evicted_line);
-    } else {
-      reserve_store_slot(mem);
-      store_slots_.push_back(mem.submit_write(l1fill.evicted_line, cycle_));
-      ++result_.mem_writes;
-    }
-  }
-  return from_memory;
+void Core::fill_l1(std::uint64_t line, bool dirty) {
+  const FillResult l1fill = l1_.fill(line, dirty);
+  // A dirty L1 victim folds back into L2. The hierarchy is inclusive (an
+  // L2 eviction back-invalidates L1; flushes and streaming stores clear
+  // both levels), so the victim is always still in L2 and mark_dirty's
+  // precondition enforces that.
+  if (l1fill.evicted && l1fill.evicted_dirty) l2_.mark_dirty(l1fill.evicted_line);
+}
+
+std::uint64_t Core::fetch_line(std::uint64_t line, bool dirty, MemoryBackend& mem) {
+  const FillResult l2fill = l2_.fill(line);
+  if (l2fill.evicted) evict_from_l2(l2fill.evicted_line, l2fill.evicted_dirty, mem);
+  const std::uint64_t id = mem.submit_read(line, cycle_);
+  ++result_.mem_reads;
+  fill_l1(line, dirty);
+  return id;
 }
 
 void Core::wait_oldest_load(MemoryBackend& mem) {
@@ -111,16 +105,13 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
         }
         ++result_.l1_misses;
         if (l2_.access(line)) {
-          std::uint64_t unused = 0;
-          allocate_line(line, mem, unused);
+          fill_l1(line, false);
           if (dependent) cycle_ += cfg_.l2_latency;
           break;
         }
         ++result_.l2_misses;
         if (outstanding_loads_.size() >= cfg_.mlp) wait_oldest_load(mem);
-        std::uint64_t id = 0;
-        const bool from_mem = allocate_line(line, mem, id);
-        EASYDRAM_ENSURES(from_mem);
+        const std::uint64_t id = fetch_line(line, false, mem);
         if (dependent) {
           const Completion c = mem.wait(id);
           cycle_ = std::max(cycle_, c.release_cycle + cfg_.fill_to_use);
@@ -147,26 +138,17 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
 
       case Op::kStore: {
         ++result_.stores;
-        if (l1_.access(line)) {
-          l1_.mark_dirty(line);
-          break;
-        }
+        if (l1_.access_store(line)) break;
         ++result_.l1_misses;
         if (l2_.access(line)) {
-          std::uint64_t unused = 0;
-          allocate_line(line, mem, unused);
-          l1_.mark_dirty(line);
+          fill_l1(line, true);
           break;
         }
         ++result_.l2_misses;
         // Write-allocate: the read-for-ownership occupies a store-buffer
         // slot; the core stalls only when the buffer is full.
         reserve_store_slot(mem);
-        std::uint64_t id = 0;
-        const bool from_mem = allocate_line(line, mem, id);
-        EASYDRAM_ENSURES(from_mem);
-        l1_.mark_dirty(line);
-        store_slots_.push_back(id);
+        store_slots_.push_back(fetch_line(line, true, mem));
         break;
       }
 

@@ -75,10 +75,11 @@ class Core {
 
  private:
   void advance_for_instructions(std::uint32_t count);
-  /// Brings `line` into L1 (and L2), submitting writebacks for dirty
-  /// victims; returns true when the line had to come from main memory, and
-  /// then `mem_id` holds the backend request id.
-  bool allocate_line(std::uint64_t line, MemoryBackend& mem, std::uint64_t& mem_id);
+  /// Brings `line`, which L2 holds, into L1 (dirty when `dirty`).
+  void fill_l1(std::uint64_t line, bool dirty);
+  /// L2 miss: allocates `line` in L2, writing back what that evicts, reads
+  /// it from memory and fills L1; returns the backend read id.
+  std::uint64_t fetch_line(std::uint64_t line, bool dirty, MemoryBackend& mem);
   void evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem);
   void wait_oldest_load(MemoryBackend& mem);
   void reserve_store_slot(MemoryBackend& mem);

@@ -327,10 +327,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
         case cpu::Op::kStoreStream:  // The simple core has no streaming mode.
         case cpu::Op::kStore: {
           ++stats_.stores;
-          if (llc.access(line)) {
-            llc.mark_dirty(line);
-            break;
-          }
+          if (llc.access_store(line)) break;
           ++stats_.llc_misses;
           if (inflight >= cfg_.mshrs ||
               read_queue_.size() >= cfg_.read_queue_depth ||
@@ -340,10 +337,9 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
             consumed = false;
             break;
           }
-          const cpu::FillResult fill = llc.fill(line);
+          const cpu::FillResult fill = llc.fill(line, /*dirty=*/true);
           if (fill.evicted && fill.evicted_dirty) enqueue_write(map(fill.evicted_line));
           enqueue_read(map(line));  // RFO, non-blocking.
-          llc.mark_dirty(line);
           break;
         }
 

@@ -170,10 +170,11 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
   const bool ecc_on = ep != nullptr && ep->config().enabled;
 
   const Picoseconds trcd = trcd_for(target, api);
-  bool first_access = true;
-  for (const TableEntry& e : batch) {
+  overwritten_scratch_.clear();
+  for (std::size_t pos = 0; pos < batch.size(); ++pos) {
+    const TableEntry& e = batch[pos];
     if (e.request.kind == tile::RequestKind::kRead) {
-      if (first_access && trcd < api.timing().tRCD) {
+      if (pos == 0 && trcd < api.timing().tRCD) {
         api.read_sequence_reduced(e.dram_addr, trcd);
       } else {
         api.read_sequence(e.dram_addr);
@@ -185,12 +186,12 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
         // physical (post-retirement-remap) location the data lands on.
         const dram::DramAddress& a = e.dram_addr;
         const std::uint32_t fbank = api.geometry().flat_bank(a.rank, a.bank);
+        const std::uint32_t prow = ep->retirement().remap(fbank, a.row);
         api.charge(api.tile().meter().costs().command_push);
-        ep->note_write(fbank, ep->retirement().remap(fbank, a.row), a.col,
-                       e.request.wdata);
+        note_overwritten_reads(api, *ep, pos, prow);
+        ep->note_write(fbank, prow, a.col, e.request.wdata);
       }
     }
-    first_access = false;
   }
   api.flush_commands();
 
@@ -207,7 +208,8 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
   // from the processor's perspective, but the ack lets drains/barriers
   // (and the system engine) observe completion.
   std::size_t rd = 0;
-  for (const TableEntry& e : batch) {
+  for (std::size_t pos = 0; pos < batch.size(); ++pos) {
+    const TableEntry& e = batch[pos];
     streams_.note_service(e.request.stream_id);
     tile::Response resp;
     resp.id = e.request.id;
@@ -215,7 +217,11 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
     if (e.request.kind == tile::RequestKind::kRead) {
       bender::ReadbackEntry& rb = rdback_scratch_[rd++];
       if (ecc_on) {
-        resp.error = serve_read_ecc(api, *ep, e.dram_addr, rb);
+        const OverwrittenRead* seen = nullptr;
+        for (const OverwrittenRead& o : overwritten_scratch_) {
+          if (o.batch_pos == pos) seen = &o;
+        }
+        resp.error = serve_read_ecc(api, *ep, e.dram_addr, rb, seen);
         resp.ok = resp.error == RequestError::kNone;
       }
       resp.has_data = true;
@@ -226,9 +232,53 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
   }
 }
 
+void MemoryController::note_overwritten_reads(EasyApi& api,
+                                              const ErrorPolicy& ep,
+                                              std::size_t pos,
+                                              std::uint32_t prow) {
+  // Walk back to the previous write of the line: the reads in between see
+  // that write's cells, or the cells from before the batch if there is
+  // none. Earlier reads were recorded by that write already.
+  const std::vector<TableEntry>& batch = batch_scratch_;
+  const std::uint32_t col = batch[pos].dram_addr.col;
+  const std::size_t first = overwritten_scratch_.size();
+  const TableEntry* prev_write = nullptr;
+  for (std::size_t i = pos; i-- > 0;) {
+    const TableEntry& e = batch[i];
+    if (e.dram_addr.col != col) continue;
+    if (e.request.kind != tile::RequestKind::kRead) {
+      prev_write = &e;
+      break;
+    }
+    overwritten_scratch_.emplace_back().batch_pos = i;
+  }
+  if (overwritten_scratch_.size() == first) return;
+
+  // No command of the batch has run yet, so the check bits stored now are
+  // those of the previous write, and the device still holds the cells
+  // from before the batch.
+  dram::DramAddress pa = batch[pos].dram_addr;
+  pa.row = prow;
+  const std::uint32_t fbank = api.geometry().flat_bank(pa.rank, pa.bank);
+  const ErrorPolicy::LineChecks checks = ep.line_checks(fbank, prow, col);
+  std::array<std::uint8_t, 64> cells{};
+  if (api.device_for_setup().fault_model() != nullptr) {
+    if (prev_write != nullptr) {
+      std::memcpy(cells.data(), prev_write->request.wdata.data(), 64);
+    } else {
+      api.device_for_setup().backdoor_read(pa, cells);
+    }
+  }
+  for (std::size_t i = first; i < overwritten_scratch_.size(); ++i) {
+    overwritten_scratch_[i].checks = checks;
+    overwritten_scratch_[i].cells = cells;
+  }
+}
+
 RequestError MemoryController::serve_read_ecc(EasyApi& api, ErrorPolicy& ep,
                                               const dram::DramAddress& addr,
-                                              bender::ReadbackEntry& rb) {
+                                              bender::ReadbackEntry& rb,
+                                              const OverwrittenRead* seen) {
   ApiStats& stats = api.stats_mutable();
   const std::uint32_t fbank = api.geometry().flat_bank(addr.rank, addr.bank);
 
@@ -245,11 +295,14 @@ RequestError MemoryController::serve_read_ecc(EasyApi& api, ErrorPolicy& ep,
   };
 
   // The decode itself: one charge per line, against the physical
-  // (post-remap) location the check bits are keyed by.
+  // (post-remap) location the check bits are keyed by, or against the
+  // check bits an overwritten read saw.
   const auto decode = [&]() {
     api.charge(api.tile().meter().costs().command_push);
     const std::uint32_t prow = ep.retirement().remap(fbank, addr.row);
-    const EccStatus st = ep.decode_line(fbank, prow, addr.col, rb.data);
+    const EccStatus st = seen != nullptr
+                             ? ErrorPolicy::decode_line(seen->checks, rb.data)
+                             : ep.decode_line(fbank, prow, addr.col, rb.data);
     if (st == EccStatus::kCorrected) on_corrected(prow);
     return st;
   };
@@ -268,6 +321,9 @@ RequestError MemoryController::serve_read_ecc(EasyApi& api, ErrorPolicy& ep,
     api.flush_commands();
     EASYDRAM_ENSURES(!api.rdback_empty());
     rb = api.rdback_cacheline();
+    // The re-read runs after the whole batch: it returns the line's
+    // latest cells, which the stored check bits cover.
+    seen = nullptr;
     st = decode();
   }
 
@@ -295,6 +351,13 @@ RequestError MemoryController::serve_read_ecc(EasyApi& api, ErrorPolicy& ep,
   // fault model no read can ever diverge from the stored bytes, so the
   // audit (a backdoor line compare per read) is skipped entirely.
   if (api.device_for_setup().fault_model() != nullptr) {
+    if (seen != nullptr) {
+      if (seen->checks.present &&
+          std::memcmp(seen->cells.data(), rb.data.data(), 64) != 0) {
+        ++stats.ecc_escaped;
+      }
+      return RequestError::kNone;
+    }
     dram::DramAddress pa = addr;
     pa.row = ep.retirement().remap(fbank, addr.row);
     if (ep.line_protected(fbank, pa.row, pa.col)) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -7,6 +8,7 @@
 
 #include "smc/bloom.hpp"
 #include "smc/easyapi.hpp"
+#include "smc/ecc.hpp"
 #include "smc/mitigation/mitigator.hpp"
 #include "smc/request_table.hpp"
 #include "smc/rowclone_map.hpp"
@@ -95,6 +97,19 @@ class MemoryController final : public Controller, public ActSink {
   void on_refresh_skipped(std::uint32_t rank) override;
 
  private:
+  /// A read of the current column batch whose line a later write in the
+  /// same batch replaces. The batch's commands run in order at the flush,
+  /// so the read returns the replaced cells, while the write's check bits
+  /// are stored as it is built. The read is decoded first against the
+  /// check bits it saw, and audited against the cells it saw.
+  struct OverwrittenRead {
+    std::size_t batch_pos = 0;
+    ErrorPolicy::LineChecks checks;
+    /// The line's stored cells at the read; kept only under a fault model,
+    /// the only case the escape audit runs.
+    std::array<std::uint8_t, 64> cells{};
+  };
+
   /// Injects one targeted-refresh program per collected victim row and
   /// flushes it (charged — mitigation work delays real requests).
   void flush_mitigation(EasyApi& api);
@@ -108,10 +123,17 @@ class MemoryController final : public Controller, public ActSink {
   /// SEC-DED decode + CE bookkeeping, bounded nominal-timing retries for
   /// UEs and unreliable reads, retirement of hard-faulted rows, and escape
   /// verification. Mutates `rb` to the data the response should carry;
-  /// returns the typed verdict.
+  /// returns the typed verdict. `seen` is non-null when a later write in
+  /// the batch replaced the line (see OverwrittenRead).
   RequestError serve_read_ecc(EasyApi& api, ErrorPolicy& ep,
                               const dram::DramAddress& addr,
-                              bender::ReadbackEntry& rb);
+                              bender::ReadbackEntry& rb,
+                              const OverwrittenRead* seen);
+  /// Before the write at batch position `pos` (physical row `prow`) stores
+  /// its check bits: records the batch's earlier reads of the same line
+  /// that no earlier write already covers as overwritten.
+  void note_overwritten_reads(EasyApi& api, const ErrorPolicy& ep,
+                              std::size_t pos, std::uint32_t prow);
 
   /// Chooses the tRCD for opening the row addressed by `a` per the Bloom
   /// filter (keyed by dram::row_key, so distinct ranks/channels never
@@ -129,6 +151,9 @@ class MemoryController final : public Controller, public ActSink {
   /// Readbacks of the current column batch, captured before the error
   /// pipeline's retry flushes invalidate the api's readback buffer.
   std::vector<bender::ReadbackEntry> rdback_scratch_;
+  /// Overwritten reads of the current column batch; empty unless the
+  /// batch reads and then writes one line.
+  std::vector<OverwrittenRead> overwritten_scratch_;
 
   /// Victim rows the mitigator asked to refresh, pending injection.
   std::vector<dram::DramAddress> pending_victims_;

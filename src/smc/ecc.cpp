@@ -253,9 +253,33 @@ EccStatus ErrorPolicy::decode_line(std::uint32_t fbank, std::uint32_t row,
   EASYDRAM_EXPECTS(data.size() == 64);
   const RowChecks* rc = row_checks(fbank, row);
   if (rc == nullptr || !col_present(*rc, col)) return EccStatus::kOk;
+  return decode_words(rc->ck[col], data);
+}
+
+ErrorPolicy::LineChecks ErrorPolicy::line_checks(std::uint32_t fbank,
+                                                 std::uint32_t row,
+                                                 std::uint32_t col) const {
+  LineChecks snap;
+  const RowChecks* rc = row_checks(fbank, row);
+  if (rc != nullptr && col_present(*rc, col)) {
+    snap.present = true;
+    snap.ck = rc->ck[col];
+  }
+  return snap;
+}
+
+EccStatus ErrorPolicy::decode_line(const LineChecks& checks,
+                                   std::span<std::uint8_t> data) {
+  EASYDRAM_EXPECTS(data.size() == 64);
+  if (!checks.present) return EccStatus::kOk;
+  return decode_words(checks.ck, data);
+}
+
+EccStatus ErrorPolicy::decode_words(const std::array<std::uint8_t, 8>& ck,
+                                    std::span<std::uint8_t> data) {
   EccStatus worst = EccStatus::kOk;
   for (std::uint32_t w = 0; w < 8; ++w) {
-    const EccCodec::Decode d = EccCodec::decode(load_word(data, w), rc->ck[col][w]);
+    const EccCodec::Decode d = EccCodec::decode(load_word(data, w), ck[w]);
     if (d.status == EccStatus::kCorrected) store_word(data, w, d.data);
     if (d.status > worst) worst = d.status;
   }

@@ -134,6 +134,18 @@ class ErrorPolicy {
   EccStatus decode_line(std::uint32_t fbank, std::uint32_t row,
                         std::uint32_t col, std::span<std::uint8_t> data) const;
 
+  /// One line's check bits as they stood at some moment: what a read that
+  /// ran then decodes against once a later write has replaced them.
+  struct LineChecks {
+    bool present = false;  ///< False for a never-written line.
+    std::array<std::uint8_t, 8> ck{};
+  };
+  LineChecks line_checks(std::uint32_t fbank, std::uint32_t row,
+                         std::uint32_t col) const;
+  /// decode_line against a snapshot instead of the stored check bits.
+  static EccStatus decode_line(const LineChecks& checks,
+                               std::span<std::uint8_t> data);
+
   /// CE bookkeeping; true when the row just crossed the retirement
   /// threshold (and should be retired by the caller).
   bool note_ce(std::uint32_t fbank, std::uint32_t row);
@@ -171,6 +183,10 @@ class ErrorPolicy {
   const RowChecks* row_checks(std::uint32_t fbank, std::uint32_t row) const;
   RowChecks& ensure_row(std::uint32_t fbank, std::uint32_t row);
   bool col_present(const RowChecks& rc, std::uint32_t col) const;
+  /// SEC-DED over the line's eight words, correcting CEs in place; returns
+  /// the worst per-word status.
+  static EccStatus decode_words(const std::array<std::uint8_t, 8>& ck,
+                                std::span<std::uint8_t> data);
 
   dram::Geometry geo_;
   EccConfig cfg_;

@@ -195,6 +195,23 @@ TEST(CoreTest, PureComputeRunsAtIssueWidth) {
   EXPECT_EQ(r.cycles, 500);
 }
 
+TEST(CoreTest, IssueSlotsCarryAcrossRecordsAtAnyWidth) {
+  // 28 instructions over seven records: the partial issue cycle left by
+  // one record carries into the next.
+  for (const std::uint32_t width : {1u, 2u, 3u, 4u, 5u}) {
+    CoreConfig cfg = tiny_core();
+    cfg.issue_width = width;
+    Core core(cfg, tiny_caches());
+    FixedLatencyBackend mem(100);
+    std::vector<TraceRecord> t;
+    for (std::uint32_t gap = 0; gap < 7; ++gap) t.emplace_back(Op::kDrain, 0, gap);
+    VectorTrace trace(std::move(t));
+    const RunResult r = core.run(trace, mem);
+    EXPECT_EQ(r.instructions, 28);
+    EXPECT_EQ(r.cycles, 28 / width) << "width " << width;
+  }
+}
+
 TEST(CoreTest, DependentMissExposesFullLatency) {
   Core core(tiny_core(), tiny_caches());
   FixedLatencyBackend mem(100);
@@ -311,6 +328,39 @@ TEST(CoreTest, DirtyEvictionsWriteBack) {
   VectorTrace trace(std::move(t));
   core.run(trace, mem);
   EXPECT_GT(mem.writes.size(), 0u);
+}
+
+std::vector<TraceRecord> store_then_loads(std::initializer_list<std::uint64_t> addrs) {
+  std::vector<TraceRecord> t;
+  t.emplace_back(Op::kStore, 0, 0);
+  for (const std::uint64_t a : addrs) t.emplace_back(Op::kLoad, a, 0);
+  return t;
+}
+
+TEST(CoreTest, DirtyL1VictimStaysInL2UntilL2EvictsIt) {
+  // tiny_caches(): L1 has 8 sets of 2 ways, L2 16 sets of 4 ways. Lines
+  // 512 and 1536 share L1 set 0 with line 0 but sit in L2 set 8, so they
+  // push the dirty line 0 out of L1 while L2 keeps it.
+  {
+    Core core(tiny_core(), tiny_caches());
+    FixedLatencyBackend mem(10);
+    VectorTrace trace(store_then_loads({512, 1536}));
+    const RunResult r = core.run(trace, mem);
+    EXPECT_FALSE(core.l1().probe(0));
+    EXPECT_TRUE(core.l2().probe(0));
+    EXPECT_EQ(r.mem_writes, 0);
+    EXPECT_TRUE(mem.writes.empty());
+  }
+  // Four more lines of L2 set 0 then evict line 0 from L2: the dirty data
+  // folded back from L1 reaches memory exactly once, at that eviction.
+  Core core(tiny_core(), tiny_caches());
+  FixedLatencyBackend mem(10);
+  VectorTrace trace(store_then_loads({512, 1536, 1024, 2048, 3072, 4096}));
+  const RunResult r = core.run(trace, mem);
+  EXPECT_FALSE(core.l2().probe(0));
+  EXPECT_EQ(r.mem_writes, 1);
+  ASSERT_EQ(mem.writes.size(), 1u);
+  EXPECT_EQ(mem.writes[0], 0u);
 }
 
 TEST(CoreTest, FlushWritesBackDirtyLine) {

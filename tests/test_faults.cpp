@@ -8,10 +8,13 @@
 #include "common/rng.hpp"
 #include "dram/device.hpp"
 #include "dram/faults.hpp"
+#include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
+#include "smc/controller.hpp"
 #include "smc/easyapi.hpp"
 #include "smc/ecc.hpp"
 #include "sys/system.hpp"
+#include "workloads/mixed.hpp"
 
 namespace easydram {
 namespace {
@@ -380,6 +383,184 @@ TEST(UnreliablePropagationTest, EccRetriesReplaceUnreliableData) {
     }
   }
   EXPECT_GT(sysm.smc_stats().retries_issued, 0);
+}
+
+// --------------------------------------------------------------------------
+// Check bits in batch order
+// --------------------------------------------------------------------------
+
+/// Two stream-copy tenants whose footprints overlap: tenant 1 reads the
+/// lines tenant 0 writes, so a row batch can hold a read and a later write
+/// of the same line.
+smc::ApiStats run_overlapping_tenants(const sys::SystemConfig& cfg) {
+  std::vector<workloads::TenantSpec> tenants(2);
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    tenants[i].kind = workloads::TenantKind::kStreamCopy;
+    tenants[i].stream = static_cast<std::uint32_t>(i);
+    tenants[i].base_addr = i * 1024 * 1024;
+    tenants[i].footprint_bytes = 2 * 1024 * 1024;
+    tenants[i].passes = 2;
+  }
+  const smc::LinearMapper mapper(cfg.geometry);
+  cpu::VectorTrace trace(workloads::make_mixed_trace(tenants, mapper).interleaved);
+  sys::EasyDramSystem sysm(cfg);
+  sysm.run(trace);
+  return sysm.smc_stats();
+}
+
+sys::SystemConfig ecc_with_faults(double transient_read_rate) {
+  sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
+  cfg.ecc.enabled = true;
+  cfg.faults.enabled = true;
+  cfg.faults.transient_read_rate = transient_read_rate;
+  return cfg;
+}
+
+/// No fault is ever injected, so every read must decode clean against the
+/// check bits of the data it returned. Decoding a read against a later
+/// write's check bits turns it into a retried UE, and one such decode
+/// used to miscorrect into a silent escape.
+TEST(EccBatchOrderTest, ReadBeforeSameLineWriteInOneBatchDecodesClean) {
+  const smc::ApiStats stats = run_overlapping_tenants(ecc_with_faults(0.0));
+  EXPECT_GT(stats.responses_sent, 0);
+  EXPECT_EQ(stats.retries_issued, 0);
+  EXPECT_EQ(stats.ecc_corrected, 0);
+  EXPECT_EQ(stats.ecc_uncorrectable, 0);
+  EXPECT_EQ(stats.ecc_escaped, 0);
+}
+
+/// One ECC-on controller with a fault model, driven directly so a test can
+/// queue a read and a write of one row into a single column batch.
+struct EccController {
+  explicit EccController(const smc::EccConfig& ecc, const dram::FaultPlan& plan = {})
+      : device(geo, dram::ddr4_1333(), dram::VariationConfig{}),
+        tile(tile::TileConfig{}),
+        mapper(geo),
+        keeper(timescale::SystemMode::kTimeScaling,
+               timescale::DomainConfig{Frequency::megahertz(100),
+                                       Frequency::gigahertz(1)},
+               Frequency::megahertz(100), Cycles{24}),
+        api(tile, device, mapper, keeper),
+        policy(geo, ecc),
+        controller(smc::ControllerOptions{}) {
+    api.set_error_policy(&policy);
+    dram::FaultConfig faults;
+    faults.enabled = true;
+    faults.plan = plan;
+    device.install_fault_model(faults);
+  }
+
+  /// Queues all of `reqs` at once (one row's requests then share a batch)
+  /// and returns the responses in the order they were sent.
+  std::vector<tile::Response> serve(std::vector<tile::Request> reqs) {
+    const std::size_t n = reqs.size();
+    for (tile::Request& r : reqs) {
+      r.arrival_wall = keeper.wall();
+      tile.incoming().push(std::move(r));
+    }
+    std::vector<tile::Response> out;
+    for (int i = 0; i < 10000 && out.size() < n; ++i) {
+      controller.step(api);
+      while (!tile.outgoing().empty()) out.push_back(tile.outgoing().pop());
+    }
+    EXPECT_EQ(out.size(), n);
+    return out;
+  }
+
+  dram::Geometry geo;
+  dram::DramDevice device;
+  tile::EasyTile tile;
+  smc::LinearMapper mapper;
+  timescale::TimeKeeper keeper;
+  smc::EasyApi api;
+  smc::ErrorPolicy policy;
+  smc::MemoryController controller;
+};
+
+tile::Request read_req(std::uint64_t id, std::uint64_t paddr) {
+  tile::Request r;
+  r.id = id;
+  r.kind = tile::RequestKind::kRead;
+  r.paddr = paddr;
+  return r;
+}
+
+tile::Request write_req(std::uint64_t id, std::uint64_t paddr, std::uint8_t fill) {
+  tile::Request r = read_req(id, paddr);
+  r.kind = tile::RequestKind::kWrite;
+  r.wdata.fill(fill);
+  return r;
+}
+
+/// The response to request `id`, whose data lines must all be `fill`.
+void expect_read(const std::vector<tile::Response>& resps, std::uint64_t id,
+                 std::uint8_t fill) {
+  for (const tile::Response& r : resps) {
+    if (r.id != id) continue;
+    EXPECT_TRUE(r.ok) << "read " << id;
+    EXPECT_EQ(r.error, RequestError::kNone) << "read " << id;
+    ASSERT_TRUE(r.has_data) << "read " << id;
+    for (const std::uint8_t b : r.data) ASSERT_EQ(b, fill) << "read " << id;
+    return;
+  }
+  ADD_FAILURE() << "no response to " << id;
+}
+
+// Lines 0, 64 and 128 are columns 0-2 of one row under the linear mapper.
+
+TEST(EccBatchOrderTest, OverwrittenReadReturnsAndAuditsTheCellsItRead) {
+  EccController h{smc::EccConfig{.enabled = true}};
+  h.serve({write_req(1, 0, 0x11)});
+  const auto resps = h.serve({read_req(2, 0), write_req(3, 0, 0x22)});
+  expect_read(resps, 2, 0x11);
+  EXPECT_EQ(h.api.stats().retries_issued, 0);
+  EXPECT_EQ(h.api.stats().ecc_corrected, 0);
+  EXPECT_EQ(h.api.stats().ecc_escaped, 0);
+  // The write's check bits are the ones stored.
+  expect_read(h.serve({read_req(4, 0)}), 4, 0x22);
+}
+
+TEST(EccBatchOrderTest, RetryAfterTheBatchDecodesAgainstTheLatestCheckBits) {
+  // A double-bit upset on the batch's read: a UE against the check bits
+  // it saw, so the line is re-read after the batch, when it holds the
+  // later write's data.
+  dram::FaultPlan plan;
+  plan.transient.push_back({Picoseconds{0}, 0, 0, 0, /*byte_in_line=*/0,
+                            /*xor_mask=*/0x3});
+  EccController h{smc::EccConfig{.enabled = true}, plan};
+  h.serve({write_req(1, 0, 0x11)});
+  const auto resps = h.serve({read_req(2, 0), write_req(3, 0, 0x22)});
+  expect_read(resps, 2, 0x22);
+  EXPECT_EQ(h.api.stats().retries_issued, 1);
+  EXPECT_EQ(h.api.stats().ecc_uncorrectable, 0);
+  EXPECT_EQ(h.api.stats().rows_retired, 0);
+  EXPECT_EQ(h.api.stats().ecc_escaped, 0);
+}
+
+TEST(EccBatchOrderTest, RetirementMigratesTheBatchsLaterWrites) {
+  // A single-bit upset on the batch's read of line 0 retires the row
+  // (threshold 1) after the batch ran. The batch's later writes, a rewrite
+  // of line 64 and a first write of line 128, must reach the spare row
+  // with their own check bits.
+  dram::FaultPlan plan;
+  plan.transient.push_back({Picoseconds{0}, 0, 0, 0, /*byte_in_line=*/0,
+                            /*xor_mask=*/0x1});
+  EccController h{smc::EccConfig{.enabled = true, .ce_retire_threshold = 1}, plan};
+  h.serve({write_req(1, 0, 0x55), write_req(2, 64, 0x11)});
+  const auto resps = h.serve(
+      {read_req(3, 0), write_req(4, 64, 0x22), write_req(5, 128, 0x33)});
+  expect_read(resps, 3, 0x55);
+  EXPECT_EQ(h.api.stats().ecc_corrected, 1);
+  EXPECT_EQ(h.api.stats().rows_retired, 1);
+  EXPECT_NE(h.policy.retirement().remap(0, 0), 0u);
+
+  const auto after = h.serve({read_req(6, 0), read_req(7, 64), read_req(8, 128)});
+  expect_read(after, 6, 0x55);
+  expect_read(after, 7, 0x22);
+  expect_read(after, 8, 0x33);
+  EXPECT_EQ(h.api.stats().ecc_corrected, 1);
+  EXPECT_EQ(h.api.stats().ecc_uncorrectable, 0);
+  EXPECT_EQ(h.api.stats().ecc_escaped, 0);
 }
 
 }  // namespace

@@ -2,16 +2,20 @@
 // slot-based RequestTable must preserve FCFS/FR-FCFS pick order against a
 // reference vector implementation (the pre-overhaul design), the
 // ring-buffer BoundedFifo must match std::deque semantics under randomized
-// push/pop sequences, and the CompletionRing must behave like a map from
-// dense ids to completions.
+// push/pop sequences, the CompletionRing must behave like a map from
+// dense ids to completions, and the structure-of-arrays cpu::Cache must
+// match the array-of-structs cache it replaced, operation by operation.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "cpu/cache.hpp"
 #include "smc/request_table.hpp"
 #include "smc/scheduler.hpp"
 #include "sys/completion.hpp"
@@ -227,6 +231,180 @@ TEST(HotPathPropertyTest, RingFifoContractsStillEnforced) {
   f.push(1);
   f.push(2);
   EXPECT_THROW(f.push(3), ContractViolation);
+}
+
+// --------------------------------------------------------------------------
+// Structure-of-arrays cpu::Cache vs the array-of-structs reference
+// --------------------------------------------------------------------------
+
+/// The array-of-structs cache cpu::Cache replaced: one Way record per way,
+/// a separate valid bit, one early-exit scan per lookup. Kept here as the
+/// behavioral reference for replacement order, dirty tracking and the
+/// hit/miss counters.
+class RefCache {
+ public:
+  explicit RefCache(const cpu::CacheConfig& cfg) : cfg_(cfg) {
+    num_sets_ = cfg.size_bytes / (std::uint64_t{cfg.ways} * cfg.line_bytes);
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
+    sets_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
+    ways_.assign(num_sets_ * cfg.ways, Way{});
+  }
+
+  bool access(std::uint64_t line) {
+    Way* way = lookup(line);
+    if (way == nullptr) {
+      ++misses_;
+      return false;
+    }
+    way->lru = ++lru_clock_;
+    ++hits_;
+    return true;
+  }
+
+  bool probe(std::uint64_t line) { return lookup(line) != nullptr; }
+
+  cpu::FillResult fill(std::uint64_t line) {
+    const std::size_t set = set_of(line);
+    const std::uint64_t tag = tag_of(line);
+    Way* victim = nullptr;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Way& way = ways_[set * cfg_.ways + w];
+      if (way.valid && way.tag == tag) {
+        way.lru = ++lru_clock_;
+        return cpu::FillResult{};
+      }
+      if (!way.valid) victim = &way;
+    }
+    cpu::FillResult result;
+    if (victim == nullptr) {
+      victim = &ways_[set * cfg_.ways];
+      for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
+        Way& way = ways_[set * cfg_.ways + w];
+        if (way.lru < victim->lru) victim = &way;
+      }
+      result.evicted = true;
+      result.evicted_dirty = victim->dirty;
+      result.evicted_line = ((victim->tag << sets_shift_) + set) << line_shift_;
+    }
+    victim->valid = true;
+    victim->dirty = false;
+    victim->tag = tag;
+    victim->lru = ++lru_clock_;
+    return result;
+  }
+
+  /// The reference has no fused store paths; it marks dirty separately.
+  void mark_dirty(std::uint64_t line) { lookup(line)->dirty = true; }
+
+  cpu::Cache::FlushResult flush(std::uint64_t line) {
+    Way* way = lookup(line);
+    if (way == nullptr) return cpu::Cache::FlushResult{};
+    const cpu::Cache::FlushResult r{true, way->dirty};
+    way->valid = false;
+    way->dirty = false;
+    return r;
+  }
+
+  std::int64_t hits() const { return hits_; }
+  std::int64_t misses() const { return misses_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru = 0;
+  };
+
+  std::size_t set_of(std::uint64_t line) const {
+    return static_cast<std::size_t>((line >> line_shift_) & (num_sets_ - 1));
+  }
+  std::uint64_t tag_of(std::uint64_t line) const {
+    return line >> (line_shift_ + sets_shift_);
+  }
+  Way* lookup(std::uint64_t line) {
+    const std::size_t set = set_of(line);
+    const std::uint64_t tag = tag_of(line);
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Way& way = ways_[set * cfg_.ways + w];
+      if (way.valid && way.tag == tag) return &way;
+    }
+    return nullptr;
+  }
+
+  cpu::CacheConfig cfg_;
+  std::uint64_t num_sets_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::uint32_t sets_shift_ = 0;
+  std::vector<Way> ways_;
+  std::uint64_t lru_clock_ = 0;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
+};
+
+/// Drives cpu::Cache and the reference through identical seeded sequences
+/// of every operation (the fused store hit and dirty fill included) over
+/// 1- to 16-way geometries, and requires every return value, every
+/// FillResult and both counters to match. Addresses come from a pool of
+/// three lines per way per set, so sets fill, evict and hold holes left
+/// by flushes.
+TEST(HotPathPropertyTest, SoaCacheMatchesArrayOfStructsReference) {
+  for (std::uint32_t ways = 1; ways <= 16; ++ways) {
+    for (const std::uint64_t sets : {1u, 2u, 8u}) {
+      for (const std::uint32_t line_bytes : {32u, 64u}) {
+        const cpu::CacheConfig cfg{sets * ways * line_bytes, ways, line_bytes};
+        cpu::Cache cache(cfg);
+        RefCache ref(cfg);
+        SplitMix64 rng(ways * 1000 + sets * 10 + line_bytes);
+        const std::uint64_t pool = sets * ways * 3;
+        for (int step = 0; step < 3000; ++step) {
+          const std::uint64_t line = (rng.next() % pool) * line_bytes;
+          switch (rng.next() % 7) {
+            case 0:
+              ASSERT_EQ(cache.access(line), ref.access(line));
+              break;
+            case 1: {
+              const bool hit = ref.access(line);
+              if (hit) ref.mark_dirty(line);
+              ASSERT_EQ(cache.access_store(line), hit);
+              break;
+            }
+            case 2:
+              ASSERT_EQ(cache.probe(line), ref.probe(line));
+              break;
+            case 3:
+            case 4: {
+              const bool dirty = rng.next() % 2 == 0;
+              const cpu::FillResult got = cache.fill(line, dirty);
+              const cpu::FillResult want = ref.fill(line);
+              if (dirty) ref.mark_dirty(line);
+              ASSERT_EQ(got.evicted, want.evicted);
+              ASSERT_EQ(got.evicted_dirty, want.evicted_dirty);
+              ASSERT_EQ(got.evicted_line, want.evicted_line);
+              break;
+            }
+            case 5:
+              if (ref.probe(line)) {
+                cache.mark_dirty(line);
+                ref.mark_dirty(line);
+              } else {
+                ASSERT_THROW(cache.mark_dirty(line), ContractViolation);
+              }
+              break;
+            default: {
+              const cpu::Cache::FlushResult got = cache.flush(line);
+              const cpu::Cache::FlushResult want = ref.flush(line);
+              ASSERT_EQ(got.was_present, want.was_present);
+              ASSERT_EQ(got.was_dirty, want.was_dirty);
+              break;
+            }
+          }
+          ASSERT_EQ(cache.hits(), ref.hits());
+          ASSERT_EQ(cache.misses(), ref.misses());
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
