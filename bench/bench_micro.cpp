@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bender/interpreter.hpp"
 #include "cpu/cache.hpp"
 #include "dram/device.hpp"
@@ -80,12 +83,13 @@ void BM_FrfcfsPick(benchmark::State& state) {
     e.dram_addr = dram::DramAddress{i % 16, i * 7 % 1024, 0};
     table.insert(std::move(e));
   }
-  struct AlternatingBanks final : smc::BankStateView {
-    std::optional<std::uint32_t> open_row(const dram::DramAddress& a) const override {
-      return a.bank % 2 == 0 ? std::optional<std::uint32_t>{7} : std::nullopt;
-    }
-  };
-  const AlternatingBanks banks;
+  // Row 7 open in the even banks, odd banks closed: no entry hits, so
+  // every pick walks all 32 entries.
+  std::vector<std::uint64_t> open_rows(16, smc::BankStateView::kClosed);
+  for (std::size_t bank = 0; bank < open_rows.size(); bank += 2) {
+    open_rows[bank] = 7;
+  }
+  const smc::BankStateView banks(open_rows, 16);
   smc::FrfcfsScheduler sched;
   std::size_t scanned = 0;
   for (auto _ : state) {

@@ -19,14 +19,13 @@ class StrictArrivalOrder final : public smc::Scheduler {
  public:
   std::optional<std::size_t> pick(const smc::PickContext& ctx,
                                   std::size_t& scanned) override {
-    const smc::RequestTable& table = ctx.table;
-    scanned = table.size();
+    scanned = ctx.table.size();
     std::optional<std::size_t> oldest;
-    for (std::size_t slot = table.first(); slot != smc::RequestTable::kNull;
-         slot = table.next(slot)) {
-      if (!oldest.has_value() ||
-          table.at(slot).arrival_seq < table.at(*oldest).arrival_seq) {
-        oldest = slot;
+    std::uint64_t oldest_seq = 0;
+    for (const smc::TableRecord& r : ctx.table.arrival_order()) {
+      if (!oldest.has_value() || r.arrival_seq < oldest_seq) {
+        oldest = r.slot;
+        oldest_seq = r.arrival_seq;
       }
     }
     return oldest;

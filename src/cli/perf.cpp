@@ -232,16 +232,24 @@ Json qos_scheduler_overhead_detail(const PerfOptions& opts) {
        {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kParbs,
         smc::SchedulerKind::kBliss, smc::SchedulerKind::kAtlas,
         smc::SchedulerKind::kTcm}) {
-    const std::vector<double> secs =
-        time_reps(opts.reps, [&] { qos_sched_burst(opts, kind); });
-    const double best = best_of(secs);
-    if (kind == smc::SchedulerKind::kFrfcfs) frfcfs_best = best;
+    // Warmup reps are timed and discarded, as for the benches themselves.
+    const std::vector<double> secs = time_reps(
+        opts.warmup + opts.reps, [&] { qos_sched_burst(opts, kind); });
+    const RepStats r = reduce_reps(secs, opts.warmup);
+    const auto first_measured = secs.begin() + opts.warmup;
+    if (kind == smc::SchedulerKind::kFrfcfs) frfcfs_best = r.best;
     Json p = Json::object();
     p["sched"] = smc::to_string(kind);
-    p["host_seconds_per_rep"] = to_json(secs);
-    p["host_seconds_best"] = best;
+    p["warmup_host_seconds"] =
+        to_json(std::vector<double>(secs.begin(), first_measured));
+    p["host_seconds_per_rep"] =
+        to_json(std::vector<double>(first_measured, secs.end()));
+    p["host_seconds_best"] = r.best;
+    p["host_seconds_median"] = r.median;
+    p["cv"] = r.cv;
     p["overhead_vs_frfcfs_percent"] =
-        frfcfs_best > 0.0 ? (best - frfcfs_best) / frfcfs_best * 100.0 : 0.0;
+        frfcfs_best > 0.0 ? (r.best - frfcfs_best) / frfcfs_best * 100.0
+                          : 0.0;
     points.push_back(std::move(p));
   }
   d["points"] = std::move(points);

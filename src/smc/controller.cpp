@@ -1,5 +1,6 @@
 #include "smc/controller.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.hpp"
@@ -47,10 +48,11 @@ bool MemoryController::step(EasyApi& api) {
     return worked;
   }
 
-  // (ii) Make a scheduling decision. The api itself is the scheduler's
-  // bank-state view (one virtual call per scanned entry, no closures).
+  // (ii) Make a scheduling decision against the api's open-row array (one
+  // inline load per scanned entry).
   std::size_t scanned = 0;
-  const PickContext ctx{table_, api, &streams_};
+  const BankStateView banks = api.bank_view();
+  const PickContext ctx{table_, banks, &streams_};
   const auto pick = options_.scheduler->pick(ctx, scanned);
   api.charge(api.tile().meter().costs().schedule_scan_entry *
              static_cast<std::int64_t>(scanned));
@@ -65,7 +67,7 @@ bool MemoryController::step(EasyApi& api) {
   stats.sched_entries_scanned += scanned;
   {
     const dram::DramAddress& a = table_.at(*pick).dram_addr;
-    const auto open = api.open_row(a);
+    const auto open = banks.open_row(a);
     if (open.has_value()) {
       if (*open == a.row) {
         ++stats.sched_row_hits;
@@ -143,23 +145,20 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
   // Drain further column requests to the same row into this batch: the
   // row opens once and the remaining accesses are back-to-back column
   // commands — write streaming / row-hit read draining. One pass over the
-  // arrival-ordered table, unlinking matches in place (the traversal order
-  // is the arrival order the old index scan produced).
+  // arrival-ordered records, removing matches in place, oldest first, until
+  // the batch holds row_batch_limit requests. Each match costs one scan
+  // charge.
   std::vector<TableEntry>& batch = batch_scratch_;
   batch.clear();
   batch.push_back(std::move(first));
-  for (std::size_t slot = table_.first();
-       slot != RequestTable::kNull && batch.size() < options_.row_batch_limit;) {
-    const TableEntry& e = table_.at(slot);
-    const std::size_t next = table_.next(slot);
-    const bool column_op = e.request.kind == tile::RequestKind::kRead ||
-                           e.request.kind == tile::RequestKind::kWrite;
-    if (column_op && dram::row_key(e.dram_addr) == dram::row_key(target)) {
-      api.charge(api.tile().meter().costs().schedule_scan_entry);
-      batch.push_back(table_.remove(slot));
-    }
-    slot = next;
-  }
+  const std::uint64_t key = dram::row_key(target);
+  table_.remove_if(
+      [key](const TableRecord& r) { return r.column_op && r.row_key == key; },
+      std::max<std::size_t>(options_.row_batch_limit, 1) - 1,
+      [&](TableEntry&& e) {
+        api.charge(api.tile().meter().costs().schedule_scan_entry);
+        batch.push_back(std::move(e));
+      });
 
   // Open the row once, choosing the tRCD per the weak-row filter. The
   // lookup overlaps the previous batch's execution on the Bender engine.

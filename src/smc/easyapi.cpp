@@ -16,7 +16,17 @@ EasyApi::EasyApi(tile::EasyTile& tile, dram::DramDevice& device,
       keeper_(&keeper),
       channel_(channel),
       interpreter_(device),
-      pending_row_(device.geometry().banks_per_channel()) {}
+      open_rows_(device.geometry().banks_per_channel(),
+                 BankStateView::kClosed) {
+  const std::uint32_t banks = device.geometry().num_banks();
+  for (std::uint32_t rank = 0; rank < device.num_ranks(); ++rank) {
+    for (std::uint32_t bank = 0; bank < banks; ++bank) {
+      if (const auto row = device.open_row(bank, rank)) {
+        open_rows_[flat(rank, bank)] = *row;
+      }
+    }
+  }
+}
 
 void EasyApi::sync_meter() {
   keeper_->account_smc_cycles(tile_->meter().take());
@@ -88,22 +98,19 @@ void EasyApi::note_service_start(std::int64_t issue_proc_cycle) {
   keeper_->account_schedule_decision();
 }
 
-std::optional<std::uint32_t> EasyApi::open_row(std::uint32_t bank,
-                                               std::uint32_t rank) const {
-  return effective_open_row(bank, rank);
-}
-
-std::optional<std::uint32_t> EasyApi::effective_open_row(std::uint32_t bank,
-                                                         std::uint32_t rank) const {
+void EasyApi::set_open_row(std::uint32_t bank, std::uint32_t rank,
+                           std::uint64_t row) {
   const std::uint32_t idx = flat(rank, bank);
-  EASYDRAM_EXPECTS(idx < pending_row_.size());
-  if (pending_row_[idx].has_value()) return *pending_row_[idx];
-  return device_->open_row(bank, rank);
+  EASYDRAM_EXPECTS(bank < device_->geometry().num_banks() &&
+                   idx < open_rows_.size());
+  open_rows_[idx] = row;
+  touched_.push_back(idx);
 }
 
-void EasyApi::set_pending_row(std::uint32_t bank, std::uint32_t rank,
-                              std::optional<std::uint32_t> row) {
-  pending_row_[flat(rank, bank)] = row;
+void EasyApi::touch_rank(std::uint32_t rank) {
+  for (std::uint32_t bank = 0; bank < device_->geometry().num_banks(); ++bank) {
+    touched_.push_back(flat(rank, bank));
+  }
 }
 
 dram::DramAddress EasyApi::get_addr_mapping(std::uint64_t paddr) {
@@ -116,14 +123,14 @@ void EasyApi::ddr_activate(std::uint32_t bank, std::uint32_t row,
   charge_service(tile_->meter().costs().command_push);
   const dram::DramAddress a{bank, row, 0, channel_, rank};
   program_.ddr(dram::Command::kAct, a);
-  set_pending_row(bank, rank, row);
+  set_open_row(bank, rank, row);
   if (act_sink_ != nullptr && !setup_mode_) act_sink_->on_act(a);
 }
 
 void EasyApi::ddr_precharge(std::uint32_t bank, std::uint32_t rank) {
   charge_service(tile_->meter().costs().command_push);
   program_.ddr(dram::Command::kPre, dram::DramAddress{bank, 0, 0, channel_, rank});
-  set_pending_row(bank, rank, std::nullopt);
+  set_open_row(bank, rank, BankStateView::kClosed);
 }
 
 void EasyApi::ddr_read(const dram::DramAddress& a, bool capture) {
@@ -141,6 +148,7 @@ void EasyApi::ddr_write(const dram::DramAddress& a,
 void EasyApi::ddr_refresh(std::uint32_t rank) {
   charge_service(tile_->meter().costs().command_push);
   program_.ddr(dram::Command::kRef, dram::DramAddress{0, 0, 0, channel_, rank});
+  touch_rank(rank);
   if (act_sink_ != nullptr) act_sink_->on_refresh(rank);
 }
 
@@ -149,10 +157,15 @@ void EasyApi::ddr_exact(dram::Command cmd, const dram::DramAddress& a,
   charge_service(tile_->meter().costs().command_push);
   program_.ddr_exact(cmd, a, gap, capture);
   if (cmd == dram::Command::kAct) {
-    set_pending_row(a.bank, a.rank, a.row);
+    set_open_row(a.bank, a.rank, a.row);
     if (act_sink_ != nullptr && !setup_mode_) act_sink_->on_act(a);
   }
-  if (cmd == dram::Command::kPre) set_pending_row(a.bank, a.rank, std::nullopt);
+  if (cmd == dram::Command::kPre) {
+    set_open_row(a.bank, a.rank, BankStateView::kClosed);
+  }
+  if (cmd == dram::Command::kPreAll || cmd == dram::Command::kRef) {
+    touch_rank(a.rank);
+  }
 }
 
 void EasyApi::ddr_wait(Picoseconds duration) {
@@ -171,7 +184,7 @@ dram::DramAddress EasyApi::remap_retired(const dram::DramAddress& a) const {
 
 void EasyApi::read_sequence(const dram::DramAddress& addr) {
   const dram::DramAddress a = remap_retired(addr);
-  const auto open = effective_open_row(a.bank, a.rank);
+  const auto open = open_row(a.bank, a.rank);
   if (!open || *open != a.row) {
     if (open) ddr_precharge(a.bank, a.rank);
     ddr_activate(a.bank, a.row, a.rank);
@@ -182,7 +195,7 @@ void EasyApi::read_sequence(const dram::DramAddress& addr) {
 void EasyApi::read_sequence_reduced(const dram::DramAddress& addr,
                                     Picoseconds trcd) {
   const dram::DramAddress a = remap_retired(addr);
-  const auto open = effective_open_row(a.bank, a.rank);
+  const auto open = open_row(a.bank, a.rank);
   if (open && *open == a.row) {
     // Row already open: tRCD does not apply; a plain read suffices.
     ddr_read(a, /*capture=*/true);
@@ -199,7 +212,7 @@ void EasyApi::read_sequence_reduced(const dram::DramAddress& addr,
 void EasyApi::write_sequence(const dram::DramAddress& addr,
                              std::span<const std::uint8_t> data) {
   const dram::DramAddress a = remap_retired(addr);
-  const auto open = effective_open_row(a.bank, a.rank);
+  const auto open = open_row(a.bank, a.rank);
   if (!open || *open != a.row) {
     if (open) ddr_precharge(a.bank, a.rank);
     ddr_activate(a.bank, a.row, a.rank);
@@ -223,7 +236,7 @@ void EasyApi::rowclone(std::uint32_t bank, std::uint32_t src_row,
 }
 
 void EasyApi::close_row(std::uint32_t bank, std::uint32_t rank) {
-  if (effective_open_row(bank, rank)) ddr_precharge(bank, rank);
+  if (open_row(bank, rank)) ddr_precharge(bank, rank);
 }
 
 bender::ExecutionResult EasyApi::flush_commands(bool charge) {
@@ -258,7 +271,14 @@ bender::ExecutionResult EasyApi::flush_commands(bool charge) {
   readback_ = std::move(result.readback);
   rdback_cursor_ = 0;
   program_.clear();
-  for (auto& p : pending_row_) p.reset();
+  // Commands queued in the batch have now run: fold the device's state
+  // back in, for the banks the batch touched only.
+  const std::uint32_t banks = device_->geometry().num_banks();
+  for (const std::uint32_t idx : touched_) {
+    const auto row = device_->open_row(idx % banks, idx / banks);
+    open_rows_[idx] = row ? *row : BankStateView::kClosed;
+  }
+  touched_.clear();
   return result;
 }
 

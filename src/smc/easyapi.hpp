@@ -98,15 +98,16 @@ class ActSink {
 /// one controller); multi-channel systems own one per channel. Bank-level
 /// operations take the bank index within a rank plus a trailing rank
 /// argument that defaults to 0, so single-rank controller code is unchanged.
-/// EasyApi implements BankStateView so scheduling policies can query open
-/// rows through a plain virtual call with no closure indirection.
+/// EasyApi keeps the channel's effective open rows in one dense array and
+/// hands scheduling policies a BankStateView over it (bank_view()), so the
+/// per-entry open-row query is an inline load.
 ///
 /// Units: `core_cycles` arguments are programmable-core cycles (the
 /// EasyTile's 100 MHz clock); `Picoseconds` arguments are device-timeline
 /// durations; `issue_proc_cycle` tags are emulated-processor cycles.
 /// Thread-safety: none — an EasyApi belongs to its channel's
 /// (single-threaded) controller loop, like everything it fronts.
-class EasyApi final : public BankStateView {
+class EasyApi final {
  public:
   EasyApi(tile::EasyTile& tile, dram::DramDevice& device,
           const AddressMapper& mapper, timescale::TimeKeeper& keeper,
@@ -181,12 +182,15 @@ class EasyApi final : public BankStateView {
   /// Row currently open in `bank` of `rank`, accounting for commands
   /// already queued in the (unflushed) batch.
   std::optional<std::uint32_t> open_row(std::uint32_t bank,
-                                        std::uint32_t rank = 0) const;
+                                        std::uint32_t rank = 0) const {
+    return bank_view().open_row(bank, rank);
+  }
 
-  /// BankStateView: the scheduler-facing open-row query (channel is
-  /// ignored — each channel's scheduler sees its own EasyApi).
-  std::optional<std::uint32_t> open_row(const dram::DramAddress& a) const override {
-    return open_row(a.bank, a.rank);
+  /// The scheduler-facing view of the same open rows, for every bank of
+  /// this channel. Valid for this EasyApi's lifetime; it reads the live
+  /// array, so it sees later commands too.
+  BankStateView bank_view() const {
+    return BankStateView(open_rows_, device_->geometry().num_banks());
   }
 
   // --- Address translation --------------------------------------------------
@@ -309,12 +313,12 @@ class EasyApi final : public BankStateView {
     return device_->geometry().flat_bank(rank, bank);
   }
 
-  /// Effective open row seen by batch-building code: commands queued in the
-  /// current batch override device state.
-  std::optional<std::uint32_t> effective_open_row(std::uint32_t bank,
-                                                  std::uint32_t rank) const;
-  void set_pending_row(std::uint32_t bank, std::uint32_t rank,
-                       std::optional<std::uint32_t> row);
+  /// Records that the batch being built leaves `row` open in `bank` of
+  /// `rank` (BankStateView::kClosed: precharged).
+  void set_open_row(std::uint32_t bank, std::uint32_t rank, std::uint64_t row);
+  /// Marks every bank of `rank` for a re-read after the next flush (a
+  /// queued REF or precharge-all changes them all).
+  void touch_rank(std::uint32_t rank);
 
   tile::EasyTile* tile_;
   dram::DramDevice* device_;
@@ -327,10 +331,15 @@ class EasyApi final : public BankStateView {
   std::vector<bender::ReadbackEntry> readback_;
   std::size_t rdback_cursor_ = 0;
 
-  // flat (rank, bank) -> row queued to be open at the end of the current
-  // batch; the wrapped optional distinguishes "no change" (outer nullopt)
-  // from "will be closed" (inner nullopt).
-  std::vector<std::optional<std::optional<std::uint32_t>>> pending_row_;
+  // Effective open row per flat (rank, bank) bank, in BankStateView's
+  // encoding: the device's open row, overridden by the commands queued in
+  // the current batch. Invariant: after every flush_commands it equals
+  // DramDevice::open_row for every bank. It holds because only this
+  // EasyApi's interpreter issues commands to its device, and each flush
+  // re-reads the banks its batch touched.
+  std::vector<std::uint64_t> open_rows_;
+  // Flat banks the current batch touched (duplicates allowed).
+  std::vector<std::uint32_t> touched_;
 
   bool setup_mode_ = false;
   ActSink* act_sink_ = nullptr;

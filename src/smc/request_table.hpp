@@ -1,7 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -18,53 +22,72 @@ struct TableEntry {
   std::uint64_t arrival_seq = 0;
 };
 
+/// The fields of one staged request that scheduling walks read, copied out
+/// of its TableEntry at insert. rank, bank and row are stored as they are,
+/// not decoded from `row_key`, whose packed fields are narrower than the
+/// coordinates.
+struct TableRecord {
+  std::uint64_t arrival_seq = 0;
+  std::uint64_t row_key = 0;  ///< dram::row_key of the request's address.
+  std::uint32_t rank = 0;
+  std::uint32_t bank = 0;
+  std::uint32_t row = 0;
+  std::uint32_t stream = 0;  ///< The request's stream_id.
+  std::uint32_t slot = 0;    ///< Where the full TableEntry lives.
+  bool column_op = false;    ///< A read or a write.
+};
+
 /// The software request table (§4.4 step 5): a fixed-capacity scratchpad
 /// structure the SMC moves requests into before scheduling them.
 ///
-/// Storage is slot-based: entries occupy fixed slots recycled through a
-/// free list, and an intrusive doubly-linked list threads the occupied
-/// slots in arrival order. insert/remove are O(1) with no element
-/// shifting; traversal (first()/next()) visits entries oldest-first,
-/// which is the order the schedulers' age comparisons and the
-/// controller's same-row batch drain depend on. Slot indices are stable
-/// for an entry's lifetime: the value a scheduler returns from pick() can
-/// be passed to at()/remove() without any shifting caveats.
+/// Full entries occupy fixed slots recycled through a free list. Beside
+/// them, one contiguous array holds a TableRecord per entry in arrival
+/// order, oldest first: the order the schedulers' age comparisons and the
+/// controller's same-row batch drain depend on. Their walks read only that
+/// array. A slot index is stable for its entry's lifetime, so the value a
+/// scheduler returns from pick() can be passed to at()/remove(). Removing
+/// an entry shifts the younger records down one place; capacities are tens
+/// of entries, so that is a short move.
 class RequestTable {
  public:
-  /// Sentinel slot index: end of the arrival-ordered traversal.
-  static constexpr std::size_t kNull = static_cast<std::size_t>(-1);
-
-  explicit RequestTable(std::size_t capacity)
-      : capacity_(capacity), slots_(capacity) {
-    EASYDRAM_EXPECTS(capacity > 0);
+  explicit RequestTable(std::size_t capacity) : slots_(capacity) {
+    EASYDRAM_EXPECTS(capacity > 0 &&
+                     capacity <= std::numeric_limits<std::uint32_t>::max());
+    order_.reserve(capacity);
     free_.reserve(capacity);
-    for (std::size_t i = capacity; i-- > 0;) free_.push_back(i);
+    for (std::size_t i = capacity; i-- > 0;) {
+      free_.push_back(static_cast<std::uint32_t>(i));
+    }
   }
 
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ >= capacity_; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
+  bool empty() const { return order_.empty(); }
+  bool full() const { return order_.size() >= slots_.size(); }
+  std::size_t size() const { return order_.size(); }
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Stages an entry, stamping its arrival sequence number; returns the
   /// slot it was placed in.
   std::size_t insert(TableEntry entry) {
     EASYDRAM_EXPECTS(!full());
-    const std::size_t slot = free_.back();
+    const std::uint32_t slot = free_.back();
     free_.pop_back();
+    entry.arrival_seq = next_seq_++;
+    const dram::DramAddress& a = entry.dram_addr;
+    const tile::RequestKind kind = entry.request.kind;
+    order_.push_back(TableRecord{
+        .arrival_seq = entry.arrival_seq,
+        .row_key = dram::row_key(a),
+        .rank = a.rank,
+        .bank = a.bank,
+        .row = a.row,
+        .stream = entry.request.stream_id,
+        .slot = slot,
+        .column_op = kind == tile::RequestKind::kRead ||
+                     kind == tile::RequestKind::kWrite,
+    });
     Slot& s = slots_[slot];
     s.entry = std::move(entry);
-    s.entry.arrival_seq = next_seq_++;
     s.occupied = true;
-    s.prev = tail_;
-    s.next = kNull;
-    if (tail_ != kNull) {
-      slots_[tail_].next = slot;
-    } else {
-      head_ = slot;
-    }
-    tail_ = slot;
-    ++size_;
     return slot;
   }
 
@@ -75,42 +98,58 @@ class RequestTable {
 
   TableEntry remove(std::size_t slot) {
     EASYDRAM_EXPECTS(slot < slots_.size() && slots_[slot].occupied);
-    Slot& s = slots_[slot];
-    if (s.prev != kNull) slots_[s.prev].next = s.next; else head_ = s.next;
-    if (s.next != kNull) slots_[s.next].prev = s.prev; else tail_ = s.prev;
-    s.occupied = false;
-    free_.push_back(slot);
-    --size_;
-    return std::move(s.entry);
+    const auto it = std::find_if(
+        order_.begin(), order_.end(),
+        [slot](const TableRecord& r) { return r.slot == slot; });
+    order_.erase(it);
+    return release(static_cast<std::uint32_t>(slot));
   }
 
-  /// Oldest occupied slot (head of the arrival-ordered list), kNull when
-  /// empty. Because arrival sequence numbers are assigned monotonically,
-  /// this is always the entry with the minimum arrival_seq.
-  std::size_t first() const { return head_; }
+  /// One record per staged entry, oldest first. Because arrival sequence
+  /// numbers are assigned monotonically, front() is always the entry with
+  /// the minimum arrival_seq. Invalidated by insert and remove.
+  std::span<const TableRecord> arrival_order() const { return order_; }
 
-  /// Next-younger occupied slot after `slot` in arrival order, kNull at
-  /// the end.
-  std::size_t next(std::size_t slot) const {
-    EASYDRAM_EXPECTS(slot < slots_.size() && slots_[slot].occupied);
-    return slots_[slot].next;
+  /// Removes, oldest first, up to `limit` entries whose record satisfies
+  /// `pred`, handing each removed entry to `sink` as it goes. The records
+  /// left behind keep their arrival order. Returns the number removed.
+  template <typename Pred, typename Sink>
+  std::size_t remove_if(Pred pred, std::size_t limit, Sink sink) {
+    if (limit == 0) return 0;
+    // Records before the first match stay where they are.
+    auto it = std::find_if(order_.begin(), order_.end(), pred);
+    auto kept = it;
+    std::size_t removed = 0;
+    for (; it != order_.end(); ++it) {
+      if (removed < limit && pred(*it)) {
+        sink(release(it->slot));
+        ++removed;
+      } else {
+        *kept++ = *it;
+      }
+    }
+    order_.erase(kept, order_.end());
+    return removed;
   }
 
  private:
   struct Slot {
     TableEntry entry;
-    std::size_t prev = kNull;
-    std::size_t next = kNull;
     bool occupied = false;
   };
 
-  std::size_t capacity_;
+  /// Frees `slot` and moves its entry out (the caller drops its record).
+  TableEntry release(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.occupied = false;
+    free_.push_back(slot);
+    return std::move(s.entry);
+  }
+
   std::uint64_t next_seq_ = 0;
-  std::size_t size_ = 0;
-  std::size_t head_ = kNull;
-  std::size_t tail_ = kNull;
+  std::vector<TableRecord> order_;  ///< Arrival order, oldest first.
   std::vector<Slot> slots_;
-  std::vector<std::size_t> free_;  ///< Back of the vector is handed out next.
+  std::vector<std::uint32_t> free_;  ///< Back of the vector is handed out next.
 };
 
 }  // namespace easydram::smc

@@ -7,68 +7,63 @@ namespace easydram::smc {
 std::optional<std::size_t> FcfsScheduler::pick(const PickContext& ctx,
                                                std::size_t& scanned_entries) {
   // The modeled SMC program walks its whole table to find the oldest
-  // entry; the host gets it for free as the head of the arrival list.
+  // entry; the host gets it for free as the front of the arrival order.
   scanned_entries = ctx.table.size();
   if (ctx.table.empty()) return std::nullopt;
-  return ctx.table.first();
+  return ctx.table.arrival_order().front().slot;
 }
 
 namespace {
 
-/// Oldest row-buffer-hit entry among those with arrival_seq < limit, else
-/// the oldest such entry; kNoLimit disables the age cut.
+using Records = std::span<const TableRecord>;
+
+/// kNoLimit disables frfcfs_pick_below's age cut.
 constexpr std::uint64_t kNoLimit = ~0ull;
 
-bool is_row_hit(const BankStateView& banks, const dram::DramAddress& a) {
-  const auto open = banks.open_row(a);
-  return open.has_value() && *open == a.row;
+/// Slot of a record a walk chose; nullopt for none.
+std::optional<std::size_t> slot_of(const TableRecord* r) {
+  if (r == nullptr) return std::nullopt;
+  return r->slot;
 }
 
-std::optional<std::size_t> frfcfs_pick_below(const RequestTable& table,
-                                             const BankStateView& banks,
-                                             std::uint64_t seq_limit) {
-  // Traversal is oldest-first, so the first in-limit entry is the oldest
-  // and the first row hit found is the oldest row hit; entries at or past
-  // the limit form a suffix of the list and end the walk.
-  std::optional<std::size_t> oldest;
-  for (std::size_t s = table.first(); s != RequestTable::kNull;
-       s = table.next(s)) {
-    const TableEntry& e = table.at(s);
-    if (e.arrival_seq >= seq_limit) break;
-    if (!oldest) oldest = s;
-    if (is_row_hit(banks, e.dram_addr)) return s;
+/// Oldest row-buffer-hit record among those with arrival_seq < seq_limit,
+/// else the oldest such record; null when none qualifies. Records are
+/// oldest-first, so the first row hit found is the oldest one, and records
+/// at or past the limit form a suffix that ends the walk.
+const TableRecord* frfcfs_pick_below(Records records, BankStateView banks,
+                                     std::uint64_t seq_limit) {
+  if (records.empty() || records.front().arrival_seq >= seq_limit) {
+    return nullptr;
   }
-  return oldest;
+  for (const TableRecord& r : records) {
+    if (r.arrival_seq >= seq_limit) break;
+    if (banks.row_hit(r.bank, r.row, r.rank)) return &r;
+  }
+  return &records.front();
 }
 
-/// FR-FCFS restricted to entries whose stream satisfies `pred`: the oldest
-/// row hit among them, else the oldest; nullopt when no entry qualifies.
+/// FR-FCFS restricted to records whose stream satisfies `pred`: the oldest
+/// row hit among them, else the oldest; null when no record qualifies.
 template <typename StreamPredicate>
-std::optional<std::size_t> frfcfs_pick_if(const RequestTable& table,
-                                          const BankStateView& banks,
-                                          StreamPredicate pred) {
-  std::optional<std::size_t> oldest;
-  for (std::size_t s = table.first(); s != RequestTable::kNull;
-       s = table.next(s)) {
-    const TableEntry& e = table.at(s);
-    if (!pred(e.request.stream_id)) continue;
-    if (!oldest) oldest = s;
-    if (is_row_hit(banks, e.dram_addr)) return s;
+const TableRecord* frfcfs_pick_if(Records records, BankStateView banks,
+                                  StreamPredicate pred) {
+  const TableRecord* oldest = nullptr;
+  for (const TableRecord& r : records) {
+    if (!pred(r.stream)) continue;
+    if (oldest == nullptr) oldest = &r;
+    if (banks.row_hit(r.bank, r.row, r.rank)) return &r;
   }
   return oldest;
 }
 
-/// Fills `streams` with the distinct stream ids outstanding in `table`,
+/// Fills `streams` with the distinct stream ids outstanding in `records`,
 /// ascending, and returns it. The table is small (tens of slots), so a
 /// sorted vector beats any set; callers pass a scratch buffer they own so
 /// picks do not allocate.
 const std::vector<std::uint32_t>& distinct_streams(
-    const RequestTable& table, std::vector<std::uint32_t>& streams) {
+    Records records, std::vector<std::uint32_t>& streams) {
   streams.clear();
-  for (std::size_t s = table.first(); s != RequestTable::kNull;
-       s = table.next(s)) {
-    streams.push_back(table.at(s).request.stream_id);
-  }
+  for (const TableRecord& r : records) streams.push_back(r.stream);
   std::sort(streams.begin(), streams.end());
   streams.erase(std::unique(streams.begin(), streams.end()), streams.end());
   return streams;
@@ -79,8 +74,8 @@ const std::vector<std::uint32_t>& distinct_streams(
 std::optional<std::size_t> FrfcfsScheduler::pick(const PickContext& ctx,
                                                  std::size_t& scanned_entries) {
   scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
-  return frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
+  return slot_of(
+      frfcfs_pick_below(ctx.table.arrival_order(), ctx.banks, kNoLimit));
 }
 
 BatchScheduler::BatchScheduler(std::size_t batch_size) : batch_size_(batch_size) {
@@ -89,20 +84,21 @@ BatchScheduler::BatchScheduler(std::size_t batch_size) : batch_size_(batch_size)
 
 std::optional<std::size_t> BatchScheduler::pick(const PickContext& ctx,
                                                 std::size_t& scanned_entries) {
-  const RequestTable& table = ctx.table;
-  scanned_entries = table.size();
-  if (table.empty()) return std::nullopt;
+  const Records records = ctx.table.arrival_order();
+  scanned_entries = records.size();
+  if (records.empty()) return std::nullopt;
 
   // Serve FR-FCFS *within* the current batch; open a new batch only when
   // the current one is fully drained.
-  auto in_batch = frfcfs_pick_below(table, ctx.banks, batch_boundary_);
-  if (!in_batch) {
+  const TableRecord* in_batch =
+      frfcfs_pick_below(records, ctx.banks, batch_boundary_);
+  if (in_batch == nullptr) {
     // Current batch drained: the next batch covers the next batch_size_
     // arrivals starting from the oldest outstanding request.
-    batch_boundary_ = table.at(table.first()).arrival_seq + batch_size_;
-    in_batch = frfcfs_pick_below(table, ctx.banks, batch_boundary_);
+    batch_boundary_ = records.front().arrival_seq + batch_size_;
+    in_batch = frfcfs_pick_below(records, ctx.banks, batch_boundary_);
   }
-  return in_batch;
+  return slot_of(in_batch);
 }
 
 BlacklistScheduler::BlacklistScheduler(int streak_limit,
@@ -114,38 +110,38 @@ BlacklistScheduler::BlacklistScheduler(int streak_limit,
 
 std::optional<std::size_t> BlacklistScheduler::pick(
     const PickContext& ctx, std::size_t& scanned_entries) {
-  scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
+  const Records records = ctx.table.arrival_order();
+  scanned_entries = records.size();
+  if (records.empty()) return std::nullopt;
 
   // Per-stream blacklisting needs at least two streams to arbitrate
   // between; a single-stream table uses the original bounded-row-streak
   // simplification so legacy single-source traffic sees identical
   // decisions.
-  if (distinct_streams(ctx.table, streams_).size() >= 2) {
-    return pick_multi_stream(ctx);
+  if (distinct_streams(records, streams_).size() >= 2) {
+    return pick_multi_stream(records, ctx.banks).slot;
   }
-  return pick_single_source(ctx);
+  return pick_single_source(records, ctx.banks).slot;
 }
 
-std::optional<std::size_t> BlacklistScheduler::pick_single_source(
-    const PickContext& ctx) {
-  std::optional<std::size_t> choice;
-  if (row_streak_ < streak_limit_) {
-    choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-  } else {
-    // Streak limit reached: break it with the oldest request.
-    choice = ctx.table.first();
-  }
+const TableRecord& BlacklistScheduler::pick_single_source(
+    Records records, BankStateView banks) {
+  // Below the streak limit FR-FCFS decides; at the limit the streak is
+  // broken with the oldest request.
+  const TableRecord& choice = row_streak_ < streak_limit_
+                                  ? *frfcfs_pick_below(records, banks, kNoLimit)
+                                  : records.front();
 
-  const std::uint64_t row_key = dram::row_key(ctx.table.at(*choice).dram_addr);
-  row_streak_ = has_last_row_ && row_key == last_row_key_ ? row_streak_ + 1 : 1;
+  row_streak_ = has_last_row_ && choice.row_key == last_row_key_
+                    ? row_streak_ + 1
+                    : 1;
   has_last_row_ = true;
-  last_row_key_ = row_key;
+  last_row_key_ = choice.row_key;
   return choice;
 }
 
-std::optional<std::size_t> BlacklistScheduler::pick_multi_stream(
-    const PickContext& ctx) {
+const TableRecord& BlacklistScheduler::pick_multi_stream(
+    Records records, BankStateView banks) {
   // Clearing interval: periodically forgive everyone so a blacklisted
   // stream is not starved forever (counted in picks, not cycles, to stay
   // invariant under time scaling).
@@ -159,12 +155,11 @@ std::optional<std::size_t> BlacklistScheduler::pick_multi_stream(
   // Non-blacklisted requests outrank blacklisted ones; within a rank class
   // FR-FCFS applies. When every outstanding stream is blacklisted there is
   // nothing to protect, so plain FR-FCFS decides.
-  auto choice = frfcfs_pick_if(ctx.table, ctx.banks, [this](std::uint32_t s) {
-    return !blacklisted(s);
-  });
-  if (!choice) choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
+  const TableRecord* choice = frfcfs_pick_if(
+      records, banks, [this](std::uint32_t s) { return !blacklisted(s); });
+  if (choice == nullptr) choice = frfcfs_pick_below(records, banks, kNoLimit);
 
-  const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
+  const std::uint32_t stream = choice->stream;
   stream_streak_ =
       has_last_stream_ && stream == last_stream_ ? stream_streak_ + 1 : 1;
   has_last_stream_ = true;
@@ -176,21 +171,22 @@ std::optional<std::size_t> BlacklistScheduler::pick_multi_stream(
     has_last_stream_ = false;
   }
   ++picks_since_clear_;
-  return choice;
+  return *choice;
 }
 
 std::optional<std::size_t> AtlasScheduler::pick(const PickContext& ctx,
                                                 std::size_t& scanned_entries) {
-  scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
+  const Records records = ctx.table.arrival_order();
+  scanned_entries = records.size();
+  if (records.empty()) return std::nullopt;
   if (ctx.streams == nullptr) {
-    return frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
+    return slot_of(frfcfs_pick_below(records, ctx.banks, kNoLimit));
   }
 
   // Rank outstanding streams by long-term attained service, least first
   // (ties to the lower stream id), and serve FR-FCFS within the winner.
   const std::vector<std::uint32_t>& present =
-      distinct_streams(ctx.table, streams_);
+      distinct_streams(records, streams_);
   std::uint32_t best = present.front();
   std::uint64_t best_service = ctx.streams->attained_service(best);
   for (const std::uint32_t s : present) {
@@ -200,8 +196,8 @@ std::optional<std::size_t> AtlasScheduler::pick(const PickContext& ctx,
       best_service = service;
     }
   }
-  return frfcfs_pick_if(ctx.table, ctx.banks,
-                        [best](std::uint32_t s) { return s == best; });
+  return slot_of(frfcfs_pick_if(records, ctx.banks,
+                                [best](std::uint32_t s) { return s == best; }));
 }
 
 TcmScheduler::TcmScheduler(std::uint64_t window_size)
@@ -233,33 +229,37 @@ void TcmScheduler::roll_window() {
 
 std::optional<std::size_t> TcmScheduler::pick(const PickContext& ctx,
                                               std::size_t& scanned_entries) {
-  scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
+  const Records records = ctx.table.arrival_order();
+  scanned_entries = records.size();
+  if (records.empty()) return std::nullopt;
   if (picks_in_window_ >= window_size_) roll_window();
 
   // Latency cluster strictly first.
-  auto choice = frfcfs_pick_if(ctx.table, ctx.banks, [this](std::uint32_t s) {
-    return !bandwidth_cluster(s);
-  });
-  if (!choice) {
+  const TableRecord* choice =
+      frfcfs_pick_if(records, ctx.banks, [this](std::uint32_t s) {
+        return !bandwidth_cluster(s);
+      });
+  if (choice == nullptr) {
     // Only bandwidth-heavy streams outstanding: the shuffle offset picks
     // which of them owns top priority this window.
     const std::vector<std::uint32_t>& present =
-        distinct_streams(ctx.table, streams_);
+        distinct_streams(records, streams_);
     const std::uint32_t first =
         present[static_cast<std::size_t>(shuffle_offset_ % present.size())];
-    choice = frfcfs_pick_if(ctx.table, ctx.banks,
+    choice = frfcfs_pick_if(records, ctx.banks,
                             [first](std::uint32_t s) { return s == first; });
-    if (!choice) choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
+    if (choice == nullptr) {
+      choice = frfcfs_pick_below(records, ctx.banks, kNoLimit);
+    }
   }
 
-  const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
+  const std::uint32_t stream = choice->stream;
   if (stream >= served_in_window_.size()) {
     served_in_window_.resize(stream + 1, 0);
   }
   ++served_in_window_[stream];
   ++picks_in_window_;
-  return choice;
+  return choice->slot;
 }
 
 std::string_view to_string(SchedulerKind kind) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -60,13 +61,14 @@ class StreamTable {
 };
 
 /// Everything a scheduling policy may consult for one decision, bundled so
-/// the `pick` signature stops growing as policies get richer. `streams` is
+/// the `pick` signature stops growing as policies get richer. `banks` is a
+/// value: copying a view copies a span and a bank count. `streams` is
 /// nullable: callers without per-stream bookkeeping (unit tests, benches)
 /// pass nullptr and stream-aware policies degrade to their single-source
 /// behavior.
 struct PickContext {
   const RequestTable& table;
-  const BankStateView& banks;
+  BankStateView banks;
   const StreamTable* streams = nullptr;
 };
 
@@ -155,8 +157,10 @@ class BlacklistScheduler final : public Scheduler {
   }
 
  private:
-  std::optional<std::size_t> pick_single_source(const PickContext& ctx);
-  std::optional<std::size_t> pick_multi_stream(const PickContext& ctx);
+  const TableRecord& pick_single_source(std::span<const TableRecord> records,
+                                        BankStateView banks);
+  const TableRecord& pick_multi_stream(std::span<const TableRecord> records,
+                                       BankStateView banks);
 
   int streak_limit_;
   std::uint64_t clear_interval_;

@@ -1,16 +1,21 @@
 // Property tests for the host-performance hot-path structures: the
-// slot-based RequestTable must preserve FCFS/FR-FCFS pick order against a
-// reference vector implementation (the pre-overhaul design), the
-// ring-buffer BoundedFifo must match std::deque semantics under randomized
-// push/pop sequences, the CompletionRing must behave like a map from
-// dense ids to completions, and the structure-of-arrays cpu::Cache must
-// match the array-of-structs cache it replaced, operation by operation.
+// arrival-ordered RequestTable, with every scheduling policy and the
+// same-row drain walking it through a BankStateView value, must make the
+// same decisions as the linked-list table and virtual bank-state walks it
+// replaced; the ring-buffer BoundedFifo must match std::deque semantics
+// under randomized push/pop sequences; the CompletionRing must behave like
+// a map from dense ids to completions; and the structure-of-arrays
+// cpu::Cache must match the array-of-structs cache it replaced, operation
+// by operation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -25,158 +30,471 @@ namespace easydram {
 namespace {
 
 // --------------------------------------------------------------------------
-// RequestTable vs the reference vector implementation
+// Request table and scheduler walks vs the linked-list reference
 // --------------------------------------------------------------------------
 
-/// The pre-overhaul request table: a dense vector with shifting erase.
-/// Kept here as the behavioral reference the slot design must match.
-class VectorTable {
+/// The request table the arrival-ordered records replaced: full entries in
+/// fixed slots, threaded oldest-first by an intrusive doubly-linked list.
+class RefTable {
  public:
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
+  static constexpr std::size_t kNull = static_cast<std::size_t>(-1);
 
-  void insert(smc::TableEntry e) {
-    e.arrival_seq = next_seq_++;
-    entries_.push_back(std::move(e));
+  explicit RefTable(std::size_t capacity)
+      : capacity_(capacity), slots_(capacity) {
+    for (std::size_t i = capacity; i-- > 0;) free_.push_back(i);
   }
 
-  const smc::TableEntry& at(std::size_t i) const { return entries_[i]; }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ >= capacity_; }
+  std::size_t size() const { return size_; }
 
-  smc::TableEntry remove(std::size_t i) {
-    smc::TableEntry e = std::move(entries_[i]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    return e;
+  std::size_t insert(smc::TableEntry entry) {
+    const std::size_t slot = free_.back();
+    free_.pop_back();
+    Slot& s = slots_[slot];
+    s.entry = std::move(entry);
+    s.entry.arrival_seq = next_seq_++;
+    s.prev = tail_;
+    s.next = kNull;
+    if (tail_ != kNull) {
+      slots_[tail_].next = slot;
+    } else {
+      head_ = slot;
+    }
+    tail_ = slot;
+    ++size_;
+    return slot;
+  }
+
+  const smc::TableEntry& at(std::size_t slot) const {
+    return slots_[slot].entry;
+  }
+
+  smc::TableEntry remove(std::size_t slot) {
+    Slot& s = slots_[slot];
+    if (s.prev != kNull) slots_[s.prev].next = s.next; else head_ = s.next;
+    if (s.next != kNull) slots_[s.next].prev = s.prev; else tail_ = s.prev;
+    free_.push_back(slot);
+    --size_;
+    return std::move(s.entry);
+  }
+
+  std::size_t first() const { return head_; }
+  std::size_t next(std::size_t slot) const { return slots_[slot].next; }
+
+ private:
+  struct Slot {
+    smc::TableEntry entry;
+    std::size_t prev = kNull;
+    std::size_t next = kNull;
+  };
+
+  std::size_t capacity_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t size_ = 0;
+  std::size_t head_ = kNull;
+  std::size_t tail_ = kNull;
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> free_;
+};
+
+/// The virtual bank-state interface the value view replaced.
+class RefBankStateView {
+ public:
+  virtual std::optional<std::uint32_t> open_row(
+      const dram::DramAddress& a) const = 0;
+
+ protected:
+  ~RefBankStateView() = default;
+};
+
+struct RefBanks final : RefBankStateView {
+  std::optional<std::uint32_t> open_row(
+      const dram::DramAddress& a) const override {
+    return rows[a.rank * banks_per_rank + a.bank];
+  }
+  std::vector<std::optional<std::uint32_t>> rows;
+  std::uint32_t banks_per_rank = 0;
+};
+
+struct RefPickContext {
+  const RefTable& table;
+  const RefBankStateView& banks;
+  const smc::StreamTable* streams = nullptr;
+};
+
+/// The reference walks, as the schedulers ran them over the linked list.
+constexpr std::uint64_t kNoLimit = ~0ull;
+
+bool ref_row_hit(const RefBankStateView& banks, const dram::DramAddress& a) {
+  const auto open = banks.open_row(a);
+  return open.has_value() && *open == a.row;
+}
+
+std::optional<std::size_t> ref_frfcfs_below(const RefTable& table,
+                                             const RefBankStateView& banks,
+                                             std::uint64_t seq_limit) {
+  std::optional<std::size_t> oldest;
+  for (std::size_t s = table.first(); s != RefTable::kNull;
+       s = table.next(s)) {
+    const smc::TableEntry& e = table.at(s);
+    if (e.arrival_seq >= seq_limit) break;
+    if (!oldest) oldest = s;
+    if (ref_row_hit(banks, e.dram_addr)) return s;
+  }
+  return oldest;
+}
+
+template <typename StreamPredicate>
+std::optional<std::size_t> ref_frfcfs_if(const RefTable& table,
+                                         const RefBankStateView& banks,
+                                         StreamPredicate pred) {
+  std::optional<std::size_t> oldest;
+  for (std::size_t s = table.first(); s != RefTable::kNull;
+       s = table.next(s)) {
+    const smc::TableEntry& e = table.at(s);
+    if (!pred(e.request.stream_id)) continue;
+    if (!oldest) oldest = s;
+    if (ref_row_hit(banks, e.dram_addr)) return s;
+  }
+  return oldest;
+}
+
+std::vector<std::uint32_t> ref_distinct_streams(const RefTable& table) {
+  std::vector<std::uint32_t> streams;
+  for (std::size_t s = table.first(); s != RefTable::kNull;
+       s = table.next(s)) {
+    streams.push_back(table.at(s).request.stream_id);
+  }
+  std::sort(streams.begin(), streams.end());
+  streams.erase(std::unique(streams.begin(), streams.end()), streams.end());
+  return streams;
+}
+
+/// One reference policy per smc::SchedulerKind, with the pick logic and
+/// state each policy had over the linked list.
+class RefScheduler {
+ public:
+  explicit RefScheduler(smc::SchedulerKind kind) : kind_(kind) {}
+
+  std::optional<std::size_t> pick(const RefPickContext& ctx,
+                                  std::size_t& scanned) {
+    scanned = ctx.table.size();
+    if (ctx.table.empty()) return std::nullopt;
+    switch (kind_) {
+      case smc::SchedulerKind::kFcfs:
+        return ctx.table.first();
+      case smc::SchedulerKind::kParbs:
+        return pick_parbs(ctx);
+      case smc::SchedulerKind::kBliss:
+        return ref_distinct_streams(ctx.table).size() >= 2
+                   ? pick_bliss_multi(ctx)
+                   : pick_bliss_single(ctx);
+      case smc::SchedulerKind::kAtlas:
+        return pick_atlas(ctx);
+      case smc::SchedulerKind::kTcm:
+        return pick_tcm(ctx);
+      default:
+        return ref_frfcfs_below(ctx.table, ctx.banks, kNoLimit);
+    }
   }
 
  private:
-  std::uint64_t next_seq_ = 0;
-  std::vector<smc::TableEntry> entries_;
-};
-
-/// Reference FCFS pick (old implementation): dense index of the oldest.
-std::optional<std::size_t> ref_fcfs(const VectorTable& t) {
-  if (t.empty()) return std::nullopt;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    if (t.at(i).arrival_seq < t.at(best).arrival_seq) best = i;
-  }
-  return best;
-}
-
-/// Reference FR-FCFS pick (old implementation) over an open-row table.
-std::optional<std::size_t> ref_frfcfs(
-    const VectorTable& t,
-    const std::vector<std::optional<std::uint32_t>>& open_rows) {
-  if (t.empty()) return std::nullopt;
-  std::optional<std::size_t> oldest_hit;
-  std::size_t oldest = 0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const smc::TableEntry& e = t.at(i);
-    if (e.arrival_seq < t.at(oldest).arrival_seq) oldest = i;
-    const auto& open = open_rows[e.dram_addr.bank];
-    const bool hit = open.has_value() && *open == e.dram_addr.row;
-    if (hit && (!oldest_hit ||
-                e.arrival_seq < t.at(*oldest_hit).arrival_seq)) {
-      oldest_hit = i;
+  std::optional<std::size_t> pick_parbs(const RefPickContext& ctx) {
+    auto in_batch = ref_frfcfs_below(ctx.table, ctx.banks, batch_boundary_);
+    if (!in_batch) {
+      batch_boundary_ = ctx.table.at(ctx.table.first()).arrival_seq + 8;
+      in_batch = ref_frfcfs_below(ctx.table, ctx.banks, batch_boundary_);
     }
+    return in_batch;
   }
-  return oldest_hit ? oldest_hit : oldest;
-}
 
-/// BankStateView over a plain open-row vector (per-rank bank index).
-struct TableBanks final : smc::BankStateView {
-  std::optional<std::uint32_t> open_row(
-      const dram::DramAddress& a) const override {
-    return rows[a.bank];
+  std::optional<std::size_t> pick_bliss_single(const RefPickContext& ctx) {
+    const std::optional<std::size_t> choice =
+        row_streak_ < 4 ? ref_frfcfs_below(ctx.table, ctx.banks, kNoLimit)
+                        : ctx.table.first();
+    const std::uint64_t key = dram::row_key(ctx.table.at(*choice).dram_addr);
+    row_streak_ = has_last_row_ && key == last_row_key_ ? row_streak_ + 1 : 1;
+    has_last_row_ = true;
+    last_row_key_ = key;
+    return choice;
   }
-  std::vector<std::optional<std::uint32_t>> rows;
+
+  std::optional<std::size_t> pick_bliss_multi(const RefPickContext& ctx) {
+    if (picks_since_clear_ >= 128) {
+      std::fill(blacklist_.begin(), blacklist_.end(), false);
+      picks_since_clear_ = 0;
+      stream_streak_ = 0;
+      has_last_stream_ = false;
+    }
+    auto choice = ref_frfcfs_if(ctx.table, ctx.banks, [this](std::uint32_t s) {
+      return s >= blacklist_.size() || !blacklist_[s];
+    });
+    if (!choice) choice = ref_frfcfs_below(ctx.table, ctx.banks, kNoLimit);
+    const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
+    stream_streak_ =
+        has_last_stream_ && stream == last_stream_ ? stream_streak_ + 1 : 1;
+    has_last_stream_ = true;
+    last_stream_ = stream;
+    if (stream_streak_ >= 4) {
+      if (stream >= blacklist_.size()) blacklist_.resize(stream + 1, false);
+      blacklist_[stream] = true;
+      stream_streak_ = 0;
+      has_last_stream_ = false;
+    }
+    ++picks_since_clear_;
+    return choice;
+  }
+
+  std::optional<std::size_t> pick_atlas(const RefPickContext& ctx) {
+    if (ctx.streams == nullptr) {
+      return ref_frfcfs_below(ctx.table, ctx.banks, kNoLimit);
+    }
+    const std::vector<std::uint32_t> present = ref_distinct_streams(ctx.table);
+    std::uint32_t best = present.front();
+    std::uint64_t best_service = ctx.streams->attained_service(best);
+    for (const std::uint32_t s : present) {
+      const std::uint64_t service = ctx.streams->attained_service(s);
+      if (service < best_service) {
+        best = s;
+        best_service = service;
+      }
+    }
+    return ref_frfcfs_if(ctx.table, ctx.banks,
+                         [best](std::uint32_t s) { return s == best; });
+  }
+
+  std::optional<std::size_t> pick_tcm(const RefPickContext& ctx) {
+    if (picks_in_window_ >= 64) {
+      std::uint64_t active = 0;
+      for (const std::uint64_t served : served_in_window_) {
+        if (served > 0) ++active;
+      }
+      bandwidth_.assign(served_in_window_.size(), false);
+      if (active > 0) {
+        const std::uint64_t fair_share = picks_in_window_ / active;
+        for (std::size_t s = 0; s < served_in_window_.size(); ++s) {
+          bandwidth_[s] = served_in_window_[s] > fair_share;
+        }
+      }
+      std::fill(served_in_window_.begin(), served_in_window_.end(), 0);
+      picks_in_window_ = 0;
+      ++shuffle_offset_;
+    }
+    const auto in_bandwidth = [this](std::uint32_t s) {
+      return s < bandwidth_.size() && bandwidth_[s];
+    };
+    auto choice = ref_frfcfs_if(ctx.table, ctx.banks, [&](std::uint32_t s) {
+      return !in_bandwidth(s);
+    });
+    if (!choice) {
+      const std::vector<std::uint32_t> present =
+          ref_distinct_streams(ctx.table);
+      const std::uint32_t first =
+          present[static_cast<std::size_t>(shuffle_offset_ % present.size())];
+      choice = ref_frfcfs_if(ctx.table, ctx.banks,
+                             [first](std::uint32_t s) { return s == first; });
+      if (!choice) choice = ref_frfcfs_below(ctx.table, ctx.banks, kNoLimit);
+    }
+    const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
+    if (stream >= served_in_window_.size()) {
+      served_in_window_.resize(stream + 1, 0);
+    }
+    ++served_in_window_[stream];
+    ++picks_in_window_;
+    return choice;
+  }
+
+  smc::SchedulerKind kind_;
+  std::uint64_t batch_boundary_ = 0;
+  int row_streak_ = 0;
+  bool has_last_row_ = false;
+  std::uint64_t last_row_key_ = 0;
+  int stream_streak_ = 0;
+  bool has_last_stream_ = false;
+  std::uint32_t last_stream_ = 0;
+  std::uint64_t picks_since_clear_ = 0;
+  std::vector<bool> blacklist_;
+  std::uint64_t picks_in_window_ = 0;
+  std::uint64_t shuffle_offset_ = 0;
+  std::vector<std::uint64_t> served_in_window_;
+  std::vector<bool> bandwidth_;
 };
 
-smc::TableEntry random_entry(SplitMix64& rng) {
+bool is_column_op(const smc::TableEntry& e) {
+  return e.request.kind == tile::RequestKind::kRead ||
+         e.request.kind == tile::RequestKind::kWrite;
+}
+
+/// A drained request: its arrival_seq and stream.
+using Drained = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+
+/// The reference same-row drain: the controller's walk over the linked
+/// list, unlinking column requests to `target`'s row until the batch holds
+/// `limit` requests (the picked one included).
+Drained ref_drain(RefTable& table, const dram::DramAddress& target,
+                  std::size_t limit) {
+  Drained out;
+  std::size_t batch = 1;
+  for (std::size_t slot = table.first();
+       slot != RefTable::kNull && batch < limit;) {
+    const smc::TableEntry& e = table.at(slot);
+    const std::size_t next = table.next(slot);
+    if (is_column_op(e) &&
+        dram::row_key(e.dram_addr) == dram::row_key(target)) {
+      const smc::TableEntry removed = table.remove(slot);
+      out.emplace_back(removed.arrival_seq, removed.request.stream_id);
+      ++batch;
+    }
+    slot = next;
+  }
+  return out;
+}
+
+/// The same drain as MemoryController::serve_column_batch runs it.
+Drained drain(smc::RequestTable& table, const dram::DramAddress& target,
+              std::size_t limit) {
+  Drained out;
+  const std::uint64_t key = dram::row_key(target);
+  table.remove_if(
+      [key](const smc::TableRecord& r) {
+        return r.column_op && r.row_key == key;
+      },
+      std::max<std::size_t>(limit, 1) - 1,
+      [&out](smc::TableEntry&& e) {
+        out.emplace_back(e.arrival_seq, e.request.stream_id);
+      });
+  return out;
+}
+
+/// One randomized scenario of the equivalence property.
+struct WalkCase {
+  smc::SchedulerKind kind;
+  bool multi_stream;  ///< Streams 0..3; otherwise every request is stream 0.
+  bool stream_table;  ///< Pass per-stream bookkeeping in the context.
+};
+
+constexpr std::uint32_t kRanks = 2;
+constexpr std::uint32_t kBanksPerRank = 4;
+/// Rows the random requests and open rows draw from: a few small rows plus
+/// the all-ones row, which a closed-bank marker must never alias.
+constexpr std::uint32_t kRows[] = {0, 1, 2, 3, 0xFFFFFFFFu};
+
+std::uint32_t random_row(SplitMix64& rng) {
+  return kRows[rng.next() % std::size(kRows)];
+}
+
+smc::TableEntry random_entry(SplitMix64& rng, bool multi_stream) {
   smc::TableEntry e;
-  e.dram_addr.bank = static_cast<std::uint32_t>(rng.next() % 4);
-  e.dram_addr.row = static_cast<std::uint32_t>(rng.next() % 8);
+  e.dram_addr.rank = static_cast<std::uint32_t>(rng.next() % kRanks);
+  e.dram_addr.bank = static_cast<std::uint32_t>(rng.next() % kBanksPerRank);
+  e.dram_addr.row = random_row(rng);
+  e.dram_addr.col = static_cast<std::uint32_t>(rng.next() % 4);
   e.request.id = rng.next();
+  e.request.stream_id =
+      multi_stream ? static_cast<std::uint32_t>(rng.next() % 4) : 0;
+  switch (rng.next() % 8) {
+    case 0: e.request.kind = tile::RequestKind::kRowClone; break;
+    case 1:
+    case 2: e.request.kind = tile::RequestKind::kWrite; break;
+    default: e.request.kind = tile::RequestKind::kRead; break;
+  }
   return e;
 }
 
-/// Drives the slot table and the vector reference through an identical
-/// randomized insert / pick+remove schedule and requires every pick to
-/// name the same entry (same arrival_seq → same request), for both
-/// schedulers and random bank states.
-TEST(HotPathPropertyTest, SlotTablePreservesPickOrder) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    SplitMix64 rng(seed);
-    smc::RequestTable table(32);
-    VectorTable ref;
-    TableBanks banks;
-    banks.rows.assign(4, std::nullopt);
-    smc::FcfsScheduler fcfs;
-    smc::FrfcfsScheduler frfcfs;
-    const bool use_frfcfs = seed % 2 == 0;
+/// Drives the arrival-ordered table with the policy under test and the
+/// linked-list reference through one seeded sequence of inserts, picks,
+/// same-row drains and open-row changes. Every pick must name the same
+/// request with the same scanned count, every drain must remove the same
+/// requests in the same order, and the records must stay arrival-ordered.
+void check_walks(const WalkCase& c, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << smc::to_string(c.kind) << " multi_stream=" << c.multi_stream
+               << " stream_table=" << c.stream_table << " seed=" << seed);
+  SplitMix64 rng(seed);
+  smc::RequestTable table(32);
+  RefTable ref(32);
+  std::vector<std::uint64_t> rows(kRanks * kBanksPerRank,
+                                  smc::BankStateView::kClosed);
+  const smc::BankStateView banks(rows, kBanksPerRank);
+  RefBanks ref_banks;
+  ref_banks.rows.assign(rows.size(), std::nullopt);
+  ref_banks.banks_per_rank = kBanksPerRank;
+  smc::StreamTable streams;
+  const smc::StreamTable* st = c.stream_table ? &streams : nullptr;
+  const std::unique_ptr<smc::Scheduler> sched = smc::make_scheduler(c.kind);
+  RefScheduler ref_sched(c.kind);
+  const std::size_t batch_limit = 1 + rng.next() % 16;
 
-    for (int step = 0; step < 400; ++step) {
-      // Shuffle the open rows now and then.
-      if (rng.next() % 8 == 0) {
-        for (auto& r : banks.rows) {
-          r = rng.next() % 2 ? std::optional<std::uint32_t>(
-                                   static_cast<std::uint32_t>(rng.next() % 8))
-                             : std::nullopt;
-        }
+  for (int step = 0; step < 600; ++step) {
+    if (rng.next() % 6 == 0) {
+      for (std::size_t b = 0; b < rows.size(); ++b) {
+        const bool open = rng.next() % 3 != 0;
+        const std::uint32_t row = random_row(rng);
+        rows[b] = open ? row : smc::BankStateView::kClosed;
+        ref_banks.rows[b] =
+            open ? std::optional<std::uint32_t>(row) : std::nullopt;
       }
+    }
 
-      const bool do_insert =
-          !table.full() && (table.empty() || rng.next() % 3 != 0);
-      if (do_insert) {
-        smc::TableEntry e = random_entry(rng);
-        ref.insert(e);  // Stamps its own (identical) arrival_seq.
-        table.insert(std::move(e));
-        continue;
-      }
-
+    if (!table.full() && (table.empty() || rng.next() % 2 == 0)) {
+      smc::TableEntry e = random_entry(rng, c.multi_stream);
+      streams.note_arrival(e.request.stream_id);
+      ref.insert(e);
+      table.insert(std::move(e));
+    } else {
       std::size_t scanned = 0;
-      const auto pick = use_frfcfs ? frfcfs.pick({table, banks}, scanned)
-                                   : fcfs.pick({table, banks}, scanned);
+      std::size_t ref_scanned = 0;
+      const auto pick = sched->pick({table, banks, st}, scanned);
       const auto ref_pick =
-          use_frfcfs ? ref_frfcfs(ref, banks.rows) : ref_fcfs(ref);
-      ASSERT_EQ(pick.has_value(), ref_pick.has_value());
+          ref_sched.pick({ref, ref_banks, st}, ref_scanned);
+      ASSERT_EQ(pick.has_value(), ref_pick.has_value()) << "step " << step;
+      ASSERT_EQ(scanned, ref_scanned) << "step " << step;
       ASSERT_EQ(scanned, table.size());
       if (!pick) continue;
       const smc::TableEntry got = table.remove(*pick);
       const smc::TableEntry want = ref.remove(*ref_pick);
-      ASSERT_EQ(got.arrival_seq, want.arrival_seq);
+      ASSERT_EQ(got.arrival_seq, want.arrival_seq) << "step " << step;
       ASSERT_EQ(got.request.id, want.request.id);
+      streams.note_service(got.request.stream_id);
+      if (is_column_op(got)) {
+        const auto drained = drain(table, got.dram_addr, batch_limit);
+        ASSERT_EQ(drained, ref_drain(ref, got.dram_addr, batch_limit))
+            << "step " << step;
+        for (const auto& [seq, stream] : drained) {
+          streams.note_service(stream);
+        }
+      }
     }
+
+    ASSERT_EQ(table.size(), ref.size());
+    const auto records = table.arrival_order();
+    std::size_t s = ref.first();
+    for (std::size_t i = 0; i < records.size(); ++i, s = ref.next(s)) {
+      ASSERT_NE(s, RefTable::kNull);
+      ASSERT_EQ(records[i].arrival_seq, ref.at(s).arrival_seq);
+      ASSERT_EQ(table.at(records[i].slot).arrival_seq, records[i].arrival_seq);
+    }
+    ASSERT_EQ(s, RefTable::kNull);
   }
 }
 
-TEST(HotPathPropertyTest, SlotTableTraversalIsArrivalOrdered) {
-  SplitMix64 rng(7);
-  smc::RequestTable table(16);
-  // Interleave inserts and removals so slots recycle out of order.
-  for (int step = 0; step < 200; ++step) {
-    if (!table.full() && rng.next() % 3 != 0) {
-      table.insert(random_entry(rng));
-    } else if (!table.empty()) {
-      // Remove a random occupied slot (walk a random number of links).
-      std::size_t slot = table.first();
-      const std::size_t hops = rng.next() % table.size();
-      for (std::size_t i = 0; i < hops; ++i) slot = table.next(slot);
-      table.remove(slot);
+TEST(HotPathPropertyTest, ArrivalOrderedWalksMatchLinkedListReference) {
+  const WalkCase cases[] = {
+      {smc::SchedulerKind::kFcfs, true, false},
+      {smc::SchedulerKind::kFrfcfs, true, false},
+      {smc::SchedulerKind::kParbs, true, false},
+      {smc::SchedulerKind::kBliss, false, false},
+      {smc::SchedulerKind::kBliss, true, false},
+      {smc::SchedulerKind::kAtlas, true, true},
+      {smc::SchedulerKind::kAtlas, true, false},
+      {smc::SchedulerKind::kTcm, true, false},
+  };
+  for (const WalkCase& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      check_walks(c, seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    std::uint64_t prev_seq = 0;
-    bool first = true;
-    std::size_t count = 0;
-    for (std::size_t s = table.first(); s != smc::RequestTable::kNull;
-         s = table.next(s)) {
-      if (!first) {
-        EXPECT_GT(table.at(s).arrival_seq, prev_seq);
-      }
-      prev_seq = table.at(s).arrival_seq;
-      first = false;
-      ++count;
-    }
-    EXPECT_EQ(count, table.size());
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/controller.hpp"
 #include "smc/easyapi.hpp"
@@ -275,6 +278,195 @@ TEST(MultiRankController, CrossRankRowClonePairFallsBack) {
   for (int i = 0; i < 10000 && h.tile.outgoing().empty(); ++i) c.step(h.api);
   ASSERT_FALSE(h.tile.outgoing().empty());
   EXPECT_FALSE(h.tile.outgoing().pop().ok);  // CPU fallback, no aliasing.
+}
+
+// --------------------------------------------------------------------------
+// EasyApi's open-row array: after every flush it must equal the device's
+// open rows, for every (rank, bank), whatever the batch did.
+// --------------------------------------------------------------------------
+
+/// Asserts that `api`'s effective open rows (the array its bank view
+/// reads) equal `device`'s for every bank of every rank.
+void expect_open_rows_match(const smc::EasyApi& api,
+                            const dram::DramDevice& device,
+                            const std::string& where) {
+  const smc::BankStateView view = api.bank_view();
+  for (std::uint32_t rank = 0; rank < device.num_ranks(); ++rank) {
+    for (std::uint32_t bank = 0; bank < device.geometry().num_banks(); ++bank) {
+      ASSERT_EQ(api.open_row(bank, rank), device.open_row(bank, rank))
+          << where << ": rank " << rank << " bank " << bank;
+      ASSERT_EQ(view.open_row(bank, rank), device.open_row(bank, rank))
+          << where << ": rank " << rank << " bank " << bank;
+    }
+  }
+}
+
+TEST(OpenRowArray, MatchesDeviceAfterEveryDirectFlush) {
+  Harness h(two_rank_geometry());
+  SplitMix64 rng(11);
+  const std::array<std::uint8_t, 64> data{};
+  expect_open_rows_match(h.api, h.device, "construction");
+  for (int step = 0; step < 300; ++step) {
+    // A batch of random sequences, including REF and precharge-all over
+    // whatever rows the batch left open, which close a whole rank.
+    const int n = 1 + static_cast<int>(rng.next() % 6);
+    for (int i = 0; i < n; ++i) {
+      dram::DramAddress a{static_cast<std::uint32_t>(rng.next() % 4),
+                          static_cast<std::uint32_t>(rng.next() % 4), 0};
+      a.rank = static_cast<std::uint32_t>(rng.next() % 2);
+      switch (rng.next() % 8) {
+        case 0:
+          h.api.ddr_refresh(a.rank);
+          break;
+        case 1:
+          h.api.ddr_exact(dram::Command::kPreAll, a, h.device.timing().tRP);
+          break;
+        case 2:
+          h.api.rowclone(a.bank, a.row, a.row + 8, a.rank);
+          break;
+        case 3:
+          h.api.close_row(a.bank, a.rank);
+          break;
+        case 4:
+          h.api.write_sequence(a, data);
+          break;
+        default:
+          h.api.read_sequence(a);
+          break;
+      }
+    }
+    h.api.flush_commands();
+    expect_open_rows_match(h.api, h.device, "step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(OpenRowArray, MatchesDeviceAcrossControllerPaths) {
+  // A 2-rank channel driven through reads and writes, refresh catch-up,
+  // RowClone, PARA victim refreshes and ECC retries. Every controller step
+  // ends in a flush, so the array is compared after each one.
+  const dram::Geometry geo = two_rank_geometry();
+  Harness h(geo);
+
+  smc::EccConfig ecc;
+  ecc.enabled = true;
+  smc::ErrorPolicy ep(geo, ecc);
+  h.api.set_error_policy(&ep);
+
+  // Lines live in rows 0-3 of banks 0-3, columns 0-3, on both ranks;
+  // RowClone copies rows 0-3 to rows 8-11, which demand traffic never
+  // touches.
+  std::vector<std::uint64_t> lines;
+  smc::RowCloneMap map;
+  for (std::uint32_t rank = 0; rank < 2; ++rank) {
+    for (std::uint32_t bank = 0; bank < 4; ++bank) {
+      for (std::uint32_t row = 0; row < 4; ++row) {
+        dram::DramAddress a{bank, row, 0};
+        a.rank = rank;
+        map.record(geo.system_bank(a), row, row + 8, true);
+        for (std::uint32_t col = 0; col < 4; ++col) {
+          a.col = col;
+          lines.push_back(h.mapper.to_physical(a));
+        }
+      }
+    }
+  }
+
+  // Double-bit upsets on a few lines: each decodes uncorrectable once and
+  // is re-read.
+  dram::FaultConfig faults;
+  faults.enabled = true;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const dram::DramAddress a = h.mapper.to_dram(lines[i * 13 % lines.size()]);
+    faults.plan.transient.push_back({Picoseconds{0}, geo.flat_bank(a.rank, a.bank),
+                                     a.row, a.col, 0, 0x3});
+  }
+  h.device.install_fault_model(faults);
+
+  smc::mitigation::MitigationConfig para;
+  para.kind = smc::mitigation::MitigationKind::kPara;
+  para.para_probability = 0.25;
+  const auto mitigator = smc::mitigation::make_mitigator(para, geo, 0);
+  smc::ControllerOptions opt;
+  opt.clonable = &map;
+  opt.mitigator = mitigator.get();
+  smc::MemoryController c(std::move(opt));
+  h.api.set_act_sink(&c);
+
+  SplitMix64 rng(5);
+  std::uint64_t next_id = 1;
+  std::size_t outstanding = 0;
+  const auto push = [&](tile::Request r) {
+    r.id = next_id++;
+    r.arrival_wall = h.keeper.wall();
+    h.tile.incoming().push(std::move(r));
+    ++outstanding;
+  };
+  const auto run = [&](const std::string& phase) {
+    for (int i = 0; i < 10000 && outstanding > 0; ++i) {
+      c.step(h.api);
+      while (!h.tile.outgoing().empty()) {
+        h.tile.outgoing().pop();
+        --outstanding;
+      }
+      expect_open_rows_match(h.api, h.device,
+                             phase + " step " + std::to_string(i));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(outstanding, 0u) << phase;
+  };
+
+  // Write every line first, so the reads below decode against check bits.
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    tile::Request w;
+    w.kind = tile::RequestKind::kWrite;
+    w.paddr = lines[i];
+    w.wdata.fill(static_cast<std::uint8_t>(i));
+    push(std::move(w));
+    if (h.tile.incoming().full() || i + 1 == lines.size()) run("writes");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  for (int round = 0; round < 60; ++round) {
+    // Jump the emulated clock now and then: the next step catches up on
+    // the refreshes that fell due, over whatever rows are open.
+    if (round % 4 == 3) h.keeper.counters().advance_mc(20'000);
+    const int n = 1 + static_cast<int>(rng.next() % 12);
+    for (int i = 0; i < n; ++i) {
+      tile::Request r;
+      r.paddr = lines[rng.next() % lines.size()];
+      switch (rng.next() % 8) {
+        case 0: {
+          r.kind = tile::RequestKind::kRowClone;
+          const dram::DramAddress src = h.mapper.to_dram(r.paddr);
+          dram::DramAddress dst = src;
+          dst.row += 8;
+          dst.col = 0;
+          r.paddr2 = h.mapper.to_physical(dst);
+          break;
+        }
+        case 1:
+        case 2:
+          r.kind = tile::RequestKind::kWrite;
+          r.wdata.fill(static_cast<std::uint8_t>(round));
+          break;
+        default:
+          r.kind = tile::RequestKind::kRead;
+          break;
+      }
+      push(std::move(r));
+    }
+    run("round " + std::to_string(round));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // Every path the test is about actually ran.
+  const smc::ApiStats& s = h.api.stats();
+  EXPECT_GT(s.refreshes_issued, 0);
+  EXPECT_GT(s.rowclone_successes, 0);
+  EXPECT_GT(s.retries_issued, 0);
+  EXPECT_GT(mitigator->stats().neighbor_refreshes, 0);
+  EXPECT_EQ(s.ecc_escaped, 0);
 }
 
 TEST(MultiChannelRowClone, PairTesterRecordsUnderTheControllersKeyNamespace) {

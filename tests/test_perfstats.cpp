@@ -124,9 +124,10 @@ Json fixture_bench(const std::string& name, double median, double cv) {
 }
 
 /// A complete passing document: every bench the gate requires, with the
-/// detail payloads it validates.
+/// detail payloads it validates. Without `qos_spread` the QoS policy points
+/// lack their median and CV, which the gate must reject.
 Json fixture_doc(int host_cores, double median_scale = 1.0,
-                 double cv = 0.01) {
+                 double cv = 0.01, bool qos_spread = true) {
   Json doc = Json::object();
   doc["schema"] = "easydram-bench-v2";
   doc["generator"] = "test_perfstats fixture";
@@ -162,6 +163,10 @@ Json fixture_doc(int host_cores, double median_scale = 1.0,
     Json p = Json::object();
     p["sched"] = sched;
     p["host_seconds_best"] = 0.4;
+    if (qos_spread) {
+      p["host_seconds_median"] = 0.4;
+      p["cv"] = 0.01;
+    }
     p["overhead_vs_frfcfs_percent"] = 1.0;
     qpoints.push_back(std::move(p));
   }
@@ -255,6 +260,12 @@ TEST_F(CheckBenchTest, MissingRequiredBenchFails) {
   }
   doc["benches"] = std::move(pruned);
   const std::string p = write_fixture("missing.json", doc);
+  EXPECT_EQ(run_gate(p), 1);
+}
+
+TEST_F(CheckBenchTest, QosPointsWithoutMedianAndCvFail) {
+  const std::string p = write_fixture(
+      "qos.json", fixture_doc(4, 1.0, 0.01, /*qos_spread=*/false));
   EXPECT_EQ(run_gate(p), 1);
 }
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -28,19 +27,6 @@ using smc::RequestTable;
 using smc::StreamTable;
 using smc::TableEntry;
 
-/// Bank-state fake over the full DRAM coordinate (the schedulers key row
-/// hits on channel/rank/bank, so the lambda sees the whole address).
-struct AddrBanks final : BankStateView {
-  explicit AddrBanks(
-      std::function<std::optional<std::uint32_t>(const dram::DramAddress&)> f)
-      : fn(std::move(f)) {}
-  std::optional<std::uint32_t> open_row(
-      const dram::DramAddress& a) const override {
-    return fn(a);
-  }
-  std::function<std::optional<std::uint32_t>(const dram::DramAddress&)> fn;
-};
-
 TableEntry entry(std::uint32_t stream, std::uint32_t bank, std::uint32_t row) {
   TableEntry e;
   e.request.stream_id = stream;
@@ -48,13 +34,18 @@ TableEntry entry(std::uint32_t stream, std::uint32_t bank, std::uint32_t row) {
   return e;
 }
 
-/// Banks fake with exactly `row` open in `bank` (everything else closed).
-AddrBanks open_row_banks(std::uint32_t bank, std::uint32_t row) {
-  return AddrBanks(
-      [bank, row](const dram::DramAddress& a) -> std::optional<std::uint32_t> {
-        if (a.bank == bank) return row;
-        return std::nullopt;
-      });
+/// Open rows in BankStateView's encoding for `ranks` ranks of
+/// `banks_per_rank` banks: exactly `row` open in `bank` of `rank`, every
+/// other bank precharged.
+std::vector<std::uint64_t> open_rows(std::uint32_t bank, std::uint32_t row,
+                                     std::uint32_t rank = 0,
+                                     std::uint32_t ranks = 1,
+                                     std::uint32_t banks_per_rank = 16) {
+  std::vector<std::uint64_t> rows(
+      static_cast<std::size_t>(ranks) * banks_per_rank,
+      BankStateView::kClosed);
+  rows[static_cast<std::size_t>(rank) * banks_per_rank + bank] = row;
+  return rows;
 }
 
 // --------------------------------------------------------------------------
@@ -86,7 +77,8 @@ TEST(QosSchedulerTest, ParbsServesStarvedStreamWithinItsBatch) {
   RequestTable t(16);
   t.insert(entry(0, 0, 99));                                // Miss, seq 0.
   for (int i = 0; i < 10; ++i) t.insert(entry(1, 1, 20));   // Hit train.
-  AddrBanks banks = open_row_banks(1, 20);
+  const std::vector<std::uint64_t> rows = open_rows(1, 20);
+  const BankStateView banks(rows, 16);
   smc::BatchScheduler parbs(4);
   std::size_t scanned = 0;
 
@@ -113,7 +105,8 @@ TEST(QosSchedulerTest, BlissBlacklistsHogStreamAfterStreak) {
   RequestTable t(16);
   t.insert(entry(0, 0, 99));                                // Victim miss.
   for (int i = 0; i < 10; ++i) t.insert(entry(1, 1, 20));   // Hog hits.
-  AddrBanks banks = open_row_banks(1, 20);
+  const std::vector<std::uint64_t> rows = open_rows(1, 20);
+  const BankStateView banks(rows, 16);
   BlacklistScheduler bliss(3);
   std::size_t scanned = 0;
 
@@ -132,7 +125,8 @@ TEST(QosSchedulerTest, BlissBlacklistsHogStreamAfterStreak) {
 }
 
 TEST(QosSchedulerTest, BlissBlacklistClearsAfterInterval) {
-  AddrBanks banks = open_row_banks(1, 20);
+  const std::vector<std::uint64_t> rows = open_rows(1, 20);
+  const BankStateView banks(rows, 16);
   BlacklistScheduler bliss(/*streak_limit=*/2, /*clear_interval=*/4);
   std::size_t scanned = 0;
 
@@ -178,11 +172,11 @@ std::vector<std::uint64_t> bliss_single_source_pick_sequence(
     hit.dram_addr.rank = rank;
     t.insert(hit);
   }
-  AddrBanks banks(
-      [bank, row](const dram::DramAddress& a) -> std::optional<std::uint32_t> {
-        if (a.bank == bank) return row;
-        return std::nullopt;
-      });
+  // Exactly `row` open in `bank` of `rank`; the miss's bank is one past
+  // it, so the view must be sized to cover both.
+  const std::vector<std::uint64_t> rows =
+      open_rows(bank, row, rank, rank + 1, bank + 2);
+  const BankStateView banks(rows, bank + 2);
   BlacklistScheduler bliss(2);
   std::size_t scanned = 0;
   std::vector<std::uint64_t> seqs;
@@ -211,7 +205,8 @@ TEST(QosSchedulerTest, AtlasRankInvertsAfterServiceImbalance) {
   RequestTable t(8);
   t.insert(entry(0, 1, 20));  // Older, and a row hit: FR-FCFS's choice.
   t.insert(entry(1, 0, 7));   // Younger row miss from the light stream.
-  AddrBanks banks = open_row_banks(1, 20);
+  const std::vector<std::uint64_t> rows = open_rows(1, 20);
+  const BankStateView banks(rows, 16);
   smc::AtlasScheduler atlas;
   std::size_t scanned = 0;
 
@@ -239,7 +234,8 @@ TEST(QosSchedulerTest, TcmDeprioritizesBandwidthClusterAfterWindow) {
 
   // Window 1: stream 1 takes 7 of 8 picks, stream 0 one — above vs below
   // the fair share of 4.
-  AddrBanks banks = open_row_banks(1, 20);
+  const std::vector<std::uint64_t> rows = open_rows(1, 20);
+  const BankStateView banks(rows, 16);
   for (int i = 0; i < 7; ++i) {
     RequestTable t(4);
     t.insert(entry(1, 1, 20));

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
+#include <vector>
 
 #include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
@@ -116,17 +116,14 @@ TableEntry entry_at(std::uint32_t bank, std::uint32_t row) {
   return e;
 }
 
-/// Test fake for the scheduler-facing bank-state interface: open rows are
-/// described by a lambda over the per-rank bank index.
-struct LambdaBanks final : BankStateView {
-  explicit LambdaBanks(
-      std::function<std::optional<std::uint32_t>(std::uint32_t)> f)
-      : fn(std::move(f)) {}
-  std::optional<std::uint32_t> open_row(const dram::DramAddress& a) const override {
-    return fn(a.bank);
-  }
-  std::function<std::optional<std::uint32_t>(std::uint32_t)> fn;
-};
+/// Open rows of a 1-rank, 16-bank channel in BankStateView's encoding:
+/// bank 1 holds row 20 open when `bank1_row20`, every other bank is
+/// precharged.
+std::vector<std::uint64_t> open_rows(bool bank1_row20) {
+  std::vector<std::uint64_t> rows(16, BankStateView::kClosed);
+  if (bank1_row20) rows[1] = 20;
+  return rows;
+}
 
 TEST(RequestTableTest, InsertRemoveAndCapacity) {
   RequestTable t(2);
@@ -150,7 +147,8 @@ TEST(SchedulerTest, FcfsPicksOldest) {
   RequestTable t(4);
   t.insert(entry_at(3, 10));
   t.insert(entry_at(1, 20));
-  LambdaBanks banks([](std::uint32_t) { return std::optional<std::uint32_t>{}; });
+  const std::vector<std::uint64_t> rows = open_rows(false);
+  const BankStateView banks(rows, 16);
   FcfsScheduler fcfs;
   std::size_t scanned = 0;
   EXPECT_EQ(fcfs.pick({t, banks}, scanned).value(), 0u);
@@ -161,10 +159,8 @@ TEST(SchedulerTest, FrfcfsPrefersRowHit) {
   RequestTable t(4);
   t.insert(entry_at(0, 10));  // oldest, row closed
   t.insert(entry_at(1, 20));  // row hit
-  LambdaBanks banks([](std::uint32_t bank) -> std::optional<std::uint32_t> {
-    if (bank == 1) return 20;
-    return std::nullopt;
-  });
+  const std::vector<std::uint64_t> rows = open_rows(true);
+  const BankStateView banks(rows, 16);
   FrfcfsScheduler frfcfs;
   std::size_t scanned = 0;
   EXPECT_EQ(frfcfs.pick({t, banks}, scanned).value(), 1u);
@@ -174,7 +170,8 @@ TEST(SchedulerTest, FrfcfsFallsBackToOldest) {
   RequestTable t(4);
   t.insert(entry_at(0, 10));
   t.insert(entry_at(1, 20));
-  LambdaBanks banks([](std::uint32_t) { return std::optional<std::uint32_t>{}; });
+  const std::vector<std::uint64_t> rows = open_rows(false);
+  const BankStateView banks(rows, 16);
   FrfcfsScheduler frfcfs;
   std::size_t scanned = 0;
   EXPECT_EQ(frfcfs.pick({t, banks}, scanned).value(), 0u);
@@ -187,10 +184,8 @@ TEST(SchedulerTest, BatchSchedulerBoundsQueueingDelay) {
   RequestTable t(16);
   t.insert(entry_at(0, 99));                       // Old row miss (seq 0).
   for (int i = 0; i < 10; ++i) t.insert(entry_at(1, 20));  // Row hits.
-  LambdaBanks banks([](std::uint32_t bank) -> std::optional<std::uint32_t> {
-    if (bank == 1) return 20;
-    return std::nullopt;
-  });
+  const std::vector<std::uint64_t> rows = open_rows(true);
+  const BankStateView banks(rows, 16);
   std::size_t scanned = 0;
 
   FrfcfsScheduler frfcfs;
@@ -222,10 +217,8 @@ TEST(SchedulerTest, BlacklistSchedulerBreaksRowHitStreaks) {
   RequestTable t(16);
   t.insert(entry_at(0, 99));                       // Old row miss.
   for (int i = 0; i < 10; ++i) t.insert(entry_at(1, 20));  // Hit stream.
-  LambdaBanks banks([](std::uint32_t bank) -> std::optional<std::uint32_t> {
-    if (bank == 1) return 20;
-    return std::nullopt;
-  });
+  const std::vector<std::uint64_t> rows = open_rows(true);
+  const BankStateView banks(rows, 16);
   std::size_t scanned = 0;
   BlacklistScheduler bliss(3);
   int picks_before_miss = 0;
@@ -240,7 +233,8 @@ TEST(SchedulerTest, BlacklistSchedulerBreaksRowHitStreaks) {
 
 TEST(SchedulerTest, EmptyTableYieldsNothing) {
   RequestTable t(4);
-  LambdaBanks banks([](std::uint32_t) { return std::optional<std::uint32_t>{}; });
+  const std::vector<std::uint64_t> rows = open_rows(false);
+  const BankStateView banks(rows, 16);
   FrfcfsScheduler frfcfs;
   FcfsScheduler fcfs;
   BatchScheduler parbs;

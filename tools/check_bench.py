@@ -126,7 +126,9 @@ def check_structure(doc, failures):
                             f"{sorted(qpoints)}, expected {expected}")
         else:
             for p in qpoints.values():
-                if not finite_pos(p.get("host_seconds_best")):
+                if not (finite_pos(p.get("host_seconds_best"))
+                        and finite_pos(p.get("host_seconds_median"))
+                        and finite(p.get("cv"))):
                     failures.append(
                         f"qos_scheduler_overhead: bad timing point {p}")
                 if not finite(p.get("overhead_vs_frfcfs_percent")):
