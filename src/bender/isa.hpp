@@ -7,44 +7,24 @@
 
 namespace easydram::bender {
 
-/// DRAM Bender register file size. Registers hold row/column operands so a
-/// compact program can sweep thousands of addresses (e.g. the tRCD profiler).
-inline constexpr std::uint32_t kNumRegisters = 8;
-
 /// Opcodes of the modelled DRAM Bender ISA.
 ///
 /// The real DRAM Bender executes programs in an FPGA pipeline that issues
 /// one DDR command (or idles) per DRAM cycle; SLEEP provides cycle-exact
-/// inter-command delays and LOOP_BEGIN/LOOP_END give counted loops with
-/// register arithmetic. This subset covers every program the paper's case
-/// studies need.
+/// inter-command delays. The modelled subset is DDR + SLEEP, which is
+/// everything EasyAPI emits (its `ddr_*` calls and `flush_commands` build
+/// straight lists of timed commands): a program is a flat instruction list.
+/// The real engine's counted loops and register file are not modelled.
 enum class Opcode : std::uint8_t {
-  kDdr,        ///< Issue a DDR command; occupies one DRAM cycle slot.
-  kSleep,      ///< Idle for `imm` DRAM cycles.
-  kSetReg,     ///< reg[a] = imm.
-  kAddReg,     ///< reg[a] += imm (wrapping).
-  kLoopBegin,  ///< Execute the loop body `imm` times; bodies may nest.
-  kLoopEnd,    ///< Close the innermost loop.
-  kEnd,        ///< Stop execution.
+  kDdr,    ///< Issue a DDR command; occupies one DRAM cycle slot.
+  kSleep,  ///< Idle for `sleep` DRAM cycles.
 };
 
-/// Operand source for a DDR instruction field: an immediate or a register.
-struct Operand {
-  std::uint32_t value = 0;
-  bool from_register = false;
-
-  static constexpr Operand imm(std::uint32_t v) { return Operand{v, false}; }
-  static constexpr Operand reg(std::uint32_t r) { return Operand{r, true}; }
-};
-
-/// One DRAM Bender instruction (fixed-size encoding, like the real ISA).
+/// One DRAM Bender instruction.
 struct Instruction {
-  Opcode op = Opcode::kEnd;
+  Opcode op = Opcode::kDdr;
   dram::Command cmd = dram::Command::kNop;  ///< kDdr only.
-  Operand bank;                             ///< kDdr only.
-  Operand row;                              ///< kDdr only.
-  Operand col;                              ///< kDdr only.
-  Operand rank;                             ///< kDdr only (multi-rank channels).
+  dram::DramAddress addr{};                 ///< kDdr only.
   /// kDdr+kWrite: index into the program's write-data table.
   std::uint32_t wdata_index = 0;
   /// kDdr+kRead: capture returned data into the readback buffer.
@@ -60,10 +40,8 @@ struct Instruction {
   /// placement for techniques (e.g. a reduced-tRCD read sets min_gap =
   /// tRCD_reduced after its ACT with respect_nominal=false).
   Picoseconds min_gap{};
-  /// kSleep: cycles; kSetReg/kAddReg: value; kLoopBegin: trip count.
-  std::uint64_t imm = 0;
-  /// kSetReg/kAddReg: destination register.
-  std::uint32_t reg = 0;
+  /// kSleep: idle length in DRAM cycles.
+  Cycles sleep{};
 };
 
 }  // namespace easydram::bender

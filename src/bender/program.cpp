@@ -13,42 +13,21 @@ void Program::push(const Instruction& inst) {
 
 void Program::ddr(dram::Command cmd, const dram::DramAddress& a, bool capture,
                   std::uint32_t wdata_index) {
-  Instruction inst;
-  inst.op = Opcode::kDdr;
-  inst.cmd = cmd;
-  inst.bank = Operand::imm(a.bank);
-  inst.row = Operand::imm(a.row);
-  inst.col = Operand::imm(a.col);
-  inst.rank = Operand::imm(a.rank);
-  inst.capture = capture;
-  inst.wdata_index = wdata_index;
-  push(inst);
+  push({.op = Opcode::kDdr, .cmd = cmd, .addr = a, .wdata_index = wdata_index,
+        .capture = capture});
 }
 
 void Program::ddr_exact(dram::Command cmd, const dram::DramAddress& a,
                         Picoseconds min_gap, bool capture,
                         std::uint32_t wdata_index) {
   EASYDRAM_EXPECTS(min_gap.count >= 0);
-  Instruction inst;
-  inst.op = Opcode::kDdr;
-  inst.cmd = cmd;
-  inst.bank = Operand::imm(a.bank);
-  inst.row = Operand::imm(a.row);
-  inst.col = Operand::imm(a.col);
-  inst.rank = Operand::imm(a.rank);
-  inst.capture = capture;
-  inst.wdata_index = wdata_index;
-  inst.respect_nominal = false;
-  inst.min_gap = min_gap;
-  push(inst);
+  push({.op = Opcode::kDdr, .cmd = cmd, .addr = a, .wdata_index = wdata_index,
+        .capture = capture, .respect_nominal = false, .min_gap = min_gap});
 }
 
 void Program::sleep(std::uint64_t cycles) {
   if (cycles == 0) return;
-  Instruction inst;
-  inst.op = Opcode::kSleep;
-  inst.imm = cycles;
-  push(inst);
+  push({.op = Opcode::kSleep, .sleep = Cycles{static_cast<std::int64_t>(cycles)}});
 }
 
 void Program::sleep_at_least(Picoseconds duration, Picoseconds tck) {
@@ -56,40 +35,6 @@ void Program::sleep_at_least(Picoseconds duration, Picoseconds tck) {
   if (duration.count <= 0) return;
   const std::int64_t cycles = (duration.count + tck.count - 1) / tck.count;
   sleep(static_cast<std::uint64_t>(cycles));
-}
-
-void Program::set_reg(std::uint32_t reg, std::uint64_t value) {
-  EASYDRAM_EXPECTS(reg < kNumRegisters);
-  Instruction inst;
-  inst.op = Opcode::kSetReg;
-  inst.reg = reg;
-  inst.imm = value;
-  push(inst);
-}
-
-void Program::add_reg(std::uint32_t reg, std::uint64_t delta) {
-  EASYDRAM_EXPECTS(reg < kNumRegisters);
-  Instruction inst;
-  inst.op = Opcode::kAddReg;
-  inst.reg = reg;
-  inst.imm = delta;
-  push(inst);
-}
-
-void Program::loop_begin(std::uint64_t count) {
-  Instruction inst;
-  inst.op = Opcode::kLoopBegin;
-  inst.imm = count;
-  push(inst);
-  ++open_loops_;
-}
-
-void Program::loop_end() {
-  EASYDRAM_EXPECTS(open_loops_ > 0);
-  Instruction inst;
-  inst.op = Opcode::kLoopEnd;
-  push(inst);
-  --open_loops_;
 }
 
 std::uint32_t Program::add_wdata(std::span<const std::uint8_t> data) {
@@ -103,7 +48,6 @@ std::uint32_t Program::add_wdata(std::span<const std::uint8_t> data) {
 void Program::clear() {
   instructions_.clear();
   wdata_.clear();
-  open_loops_ = 0;
 }
 
 }  // namespace easydram::bender

@@ -17,17 +17,15 @@ namespace easydram::bender {
 /// before it must call execute (flush_commands in EasyAPI terms).
 inline constexpr std::size_t kCommandBufferCapacity = 16384;
 
-/// A DRAM Bender program: instruction stream plus the write-data table
+/// A DRAM Bender program: flat instruction list plus the write-data table
 /// referenced by WR instructions. Built by the software memory controller,
 /// transferred into the command buffer, and executed by the interpreter.
+/// Every append throws ContractViolation when the command buffer capacity
+/// would be exceeded.
 class Program {
  public:
-  /// Appends a raw instruction. Throws ContractViolation when the command
-  /// buffer capacity would be exceeded.
-  void push(const Instruction& inst);
-
-  /// Appends a DDR command with immediate address operands that waits for
-  /// nominal timings (regular accesses).
+  /// Appends a DDR command that waits for nominal timings (regular
+  /// accesses).
   void ddr(dram::Command cmd, const dram::DramAddress& a, bool capture = false,
            std::uint32_t wdata_index = 0);
 
@@ -43,11 +41,6 @@ class Program {
   /// Appends SLEEP long enough to cover `duration` at clock period `tck`.
   void sleep_at_least(Picoseconds duration, Picoseconds tck);
 
-  void set_reg(std::uint32_t reg, std::uint64_t value);
-  void add_reg(std::uint32_t reg, std::uint64_t delta);
-  void loop_begin(std::uint64_t count);
-  void loop_end();
-
   /// Registers a 64-byte write payload; returns its wdata index.
   std::uint32_t add_wdata(std::span<const std::uint8_t> data);
 
@@ -58,9 +51,10 @@ class Program {
   void clear();
 
  private:
+  void push(const Instruction& inst);
+
   std::vector<Instruction> instructions_;
   std::vector<std::array<std::uint8_t, 64>> wdata_;
-  int open_loops_ = 0;
 };
 
 }  // namespace easydram::bender

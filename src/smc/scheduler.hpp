@@ -136,12 +136,16 @@ class BatchScheduler final : public Scheduler {
 /// interval, counted in scheduling decisions rather than cycles so the
 /// behavior is identical at any time-scaling factor).
 ///
-/// With a single stream (or no stream metadata) there is nobody to favor
-/// over the hog, so the policy falls back to the original single-source
-/// simplification: a *row-hit streak* longer than `streak_limit` is broken
-/// by serving the oldest request. Single-stream decisions are bit-identical
-/// to the pre-stream-identity implementation, which the golden scenario
-/// hashes pin.
+/// Whenever the request table holds fewer than two distinct streams there
+/// is nobody to favor over the hog, so that pick falls back to the original
+/// single-source simplification: a *row-hit streak* longer than
+/// `streak_limit` is broken by serving the oldest request. The test is made
+/// per pick on the table's contents, not on the run's stream count: it
+/// covers single-stream runs and runs without stream metadata, and also the
+/// stretches of a multi-stream run when only one stream has requests
+/// queued. Single-source decisions are bit-identical to the
+/// pre-stream-identity implementation, which the golden scenario hashes
+/// pin.
 class BlacklistScheduler final : public Scheduler {
  public:
   explicit BlacklistScheduler(int streak_limit = 4,

@@ -24,11 +24,9 @@ struct CoreCostModel {
   Cycles poll_iteration{4};        ///< One empty main-loop iteration.
   Cycles receive_request{4};       ///< FIFO -> scratchpad (TCL-assisted).
   Cycles address_map{3};           ///< Physical -> DRAM translation.
-  Cycles schedule_fcfs{8};         ///< FCFS pick.
   Cycles schedule_scan_entry{2};   ///< FR-FCFS per-scanned-entry cost.
   Cycles command_push{2};          ///< Append one Bender instruction.
   Cycles batch_kickoff{10};        ///< Trigger DRAM Bender + sync.
-  Cycles batch_wait_poll{2};       ///< Poll Bender busy flag once.
   Cycles readback_line{4};         ///< Readback buffer -> scratchpad.
   Cycles enqueue_response{4};      ///< Scratchpad -> FIFO (TCL-assisted).
   Cycles timescale_update{4};      ///< Advance a time-scaling counter.

@@ -13,15 +13,14 @@ namespace easydram::tile {
 struct TileConfig {
   std::size_t incoming_fifo_depth = 32;
   std::size_t outgoing_fifo_depth = 32;
-  std::size_t scratchpad_bytes = 128 * 1024;
   Frequency core_clock = Frequency::megahertz(100);
   CoreCostModel costs{};
 };
 
 /// Transaction-level model of EasyTile (§5.1): the incoming/outgoing request
-/// FIFOs, the scratchpad, and the programmable core's cycle meter. The
-/// command and readback buffers live with the Bender program/interpreter;
-/// the tile control logic's transfer costs are charged through the meter.
+/// FIFOs and the programmable core's cycle meter. The command and readback
+/// buffers live with the Bender program/interpreter; the tile control
+/// logic's transfer costs are charged through the meter.
 class EasyTile {
  public:
   explicit EasyTile(const TileConfig& cfg)
@@ -37,20 +36,11 @@ class EasyTile {
   CycleMeter& meter() { return meter_; }
   const CycleMeter& meter() const { return meter_; }
 
-  /// Scratchpad allocation bookkeeping: the SMC's request table and staging
-  /// buffers must fit in on-tile memory.
-  void reserve_scratchpad(std::size_t bytes) {
-    EASYDRAM_EXPECTS(scratchpad_used_ + bytes <= config_.scratchpad_bytes);
-    scratchpad_used_ += bytes;
-  }
-  std::size_t scratchpad_used() const { return scratchpad_used_; }
-
  private:
   TileConfig config_;
   BoundedFifo<Request> incoming_;
   BoundedFifo<Response> outgoing_;
   CycleMeter meter_;
-  std::size_t scratchpad_used_ = 0;
 };
 
 }  // namespace easydram::tile

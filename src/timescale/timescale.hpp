@@ -15,12 +15,6 @@ struct DomainConfig {
   Frequency emulated_clock = Frequency::gigahertz(1);
 };
 
-/// Time-scaling mode of a system build.
-enum class Mode : std::uint8_t {
-  kTimeScaling,    ///< Full §4.3 machinery: counters, clock gating, tags.
-  kNoTimeScaling,  ///< FPGA wall time is the truth (PiDRAM-style emulation).
-};
-
 /// The three time-scaling counters of Fig. 5 plus critical-mode state.
 ///
 /// Units: `global` counts FPGA clock cycles since power-on; `proc` and `mc`

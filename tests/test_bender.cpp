@@ -89,14 +89,7 @@ TEST_F(BenderTest, WriteReadRoundTripThroughPrograms) {
   Program w;
   const std::uint32_t idx = w.add_wdata(data);
   w.ddr(Command::kAct, {1, 9, 0});
-  Instruction wr;
-  wr.op = Opcode::kDdr;
-  wr.cmd = Command::kWrite;
-  wr.bank = Operand::imm(1);
-  wr.row = Operand::imm(9);
-  wr.col = Operand::imm(4);
-  wr.wdata_index = idx;
-  w.push(wr);
+  w.ddr(Command::kWrite, {1, 9, 4}, /*capture=*/false, idx);
   w.ddr(Command::kPre, {1, 0, 0});
   interp_.execute(w, 0_ns);
 
@@ -106,57 +99,6 @@ TEST_F(BenderTest, WriteReadRoundTripThroughPrograms) {
   const ExecutionResult res = interp_.execute(r, dev_.now());
   ASSERT_EQ(res.readback.size(), 1u);
   EXPECT_EQ(std::memcmp(res.readback[0].data.data(), data.data(), 64), 0);
-}
-
-TEST_F(BenderTest, LoopRepeatsBody) {
-  Program p;
-  p.loop_begin(5);
-  p.ddr(Command::kAct, {0, 1, 0});
-  p.ddr(Command::kPre, {0, 0, 0});
-  p.loop_end();
-  const ExecutionResult r = interp_.execute(p, 0_ns);
-  EXPECT_EQ(r.commands_issued, 10);
-  EXPECT_EQ(dev_.commands_issued(Command::kAct), 5);
-}
-
-TEST_F(BenderTest, NestedLoops) {
-  Program p;
-  p.loop_begin(3);
-  p.loop_begin(4);
-  p.sleep(1);
-  p.loop_end();
-  p.loop_end();
-  const ExecutionResult r = interp_.execute(p, 0_ns);
-  EXPECT_EQ(r.elapsed, timing_.tCK * 12);
-}
-
-TEST_F(BenderTest, ZeroTripLoopIsSkipped) {
-  Program p;
-  p.loop_begin(0);
-  p.ddr(Command::kAct, {0, 1, 0});
-  p.loop_end();
-  p.sleep(2);
-  const ExecutionResult r = interp_.execute(p, 0_ns);
-  EXPECT_EQ(r.commands_issued, 0);
-  EXPECT_EQ(r.elapsed, timing_.tCK * 2);
-}
-
-TEST_F(BenderTest, RegistersDriveAddresses) {
-  Program p;
-  p.set_reg(0, 100);  // row register
-  p.loop_begin(3);
-  Instruction act;
-  act.op = Opcode::kDdr;
-  act.cmd = Command::kAct;
-  act.bank = Operand::imm(2);
-  act.row = Operand::reg(0);
-  p.push(act);
-  p.ddr(Command::kPre, {2, 0, 0});
-  p.add_reg(0, 1);
-  p.loop_end();
-  interp_.execute(p, 0_ns);
-  // Rows 100, 101, 102 were activated; the last one was 102.
-  EXPECT_EQ(dev_.commands_issued(Command::kAct), 3);
 }
 
 TEST_F(BenderTest, RowCloneProgram) {
@@ -191,11 +133,6 @@ TEST_F(BenderTest, CommandBufferCapacityEnforced) {
   Program p;
   for (std::size_t i = 0; i < kCommandBufferCapacity; ++i) p.sleep(1);
   EXPECT_THROW(p.sleep(1), ContractViolation);
-}
-
-TEST_F(BenderTest, UnbalancedLoopEndRejected) {
-  Program p;
-  EXPECT_THROW(p.loop_end(), ContractViolation);
 }
 
 TEST_F(BenderTest, StartBeforeDeviceNowIsClamped) {

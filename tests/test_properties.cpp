@@ -90,35 +90,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeviceGoldenModel,
                          ::testing::Values(1ull, 42ull, 0xDEADBEEFull, 777ull));
 
 // --------------------------------------------------------------------------
-// Bender programs against the same golden model (loops + registers)
+// Bender programs against the same golden model
 // --------------------------------------------------------------------------
 
-TEST(BenderGoldenModel, RegisterLoopWritesMatchDirectIssue) {
+TEST(BenderGoldenModel, FlatRowWritesMatchDirectIssue) {
   dram::Geometry geo;
   dram::DramDevice dev(geo, dram::ddr4_1333(), strong_variation());
   bender::Interpreter interp(dev);
 
-  // Program: for row in [50, 58): ACT row; WR col 3; PRE.
+  // Program, unrolled over rows [50, 58): ACT row; WR col 3; PRE.
   bender::Program p;
   std::array<std::uint8_t, 64> data{};
   data.fill(0x6B);
   const std::uint32_t idx = p.add_wdata(data);
-  p.set_reg(0, 50);
-  p.loop_begin(8);
-  bender::Instruction act;
-  act.op = bender::Opcode::kDdr;
-  act.cmd = dram::Command::kAct;
-  act.bank = bender::Operand::imm(4);
-  act.row = bender::Operand::reg(0);
-  p.push(act);
-  bender::Instruction wr = act;
-  wr.cmd = dram::Command::kWrite;
-  wr.col = bender::Operand::imm(3);
-  wr.wdata_index = idx;
-  p.push(wr);
-  p.ddr(dram::Command::kPre, {4, 0, 0});
-  p.add_reg(0, 1);
-  p.loop_end();
+  for (std::uint32_t row = 50; row < 58; ++row) {
+    p.ddr(dram::Command::kAct, {4, row, 0});
+    p.ddr(dram::Command::kWrite, {4, row, 3}, /*capture=*/false, idx);
+    p.ddr(dram::Command::kPre, {4, 0, 0});
+  }
   const auto result = interp.execute(p, 0_ns);
   EXPECT_EQ(result.violations, dram::kNone);
 

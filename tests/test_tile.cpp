@@ -63,16 +63,6 @@ TEST(CycleMeterTest, NegativeChargeRejected) {
   EXPECT_THROW(m.charge(Cycles{-1}), ContractViolation);
 }
 
-TEST(EasyTileTest, ScratchpadBudget) {
-  TileConfig cfg;
-  cfg.scratchpad_bytes = 1024;
-  EasyTile tile(cfg);
-  tile.reserve_scratchpad(512);
-  tile.reserve_scratchpad(512);
-  EXPECT_EQ(tile.scratchpad_used(), 1024u);
-  EXPECT_THROW(tile.reserve_scratchpad(1), ContractViolation);
-}
-
 TEST(EasyTileTest, FifosRespectConfiguredDepths) {
   TileConfig cfg;
   cfg.incoming_fifo_depth = 3;
