@@ -24,12 +24,6 @@ constexpr double kRowClonePreFraction = 0.5;
 /// PRE->ACT gaps below this fraction of tRP complete the RowClone pattern.
 constexpr double kRowCloneActFraction = 0.5;
 
-Picoseconds max_ps(std::initializer_list<Picoseconds> xs) {
-  Picoseconds m = kNegInf;
-  for (Picoseconds x : xs) m = std::max(m, x);
-  return m;
-}
-
 }  // namespace
 
 std::string_view to_string(Command c) {
@@ -58,8 +52,7 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
   // Column accesses move exactly one stored line.
   EASYDRAM_EXPECTS(geo.col_bytes == sizeof(LineStore::Line));
   for (auto& b : banks_) {
-    b.act_time = b.pre_time = b.last_rd = b.last_wr = kNegInf;
-    b.wr_data_end = b.rd_data_end = b.early_pre_at = kNegInf;
+    b.act_time = b.pre_time = b.last_rd = b.wr_data_end = b.early_pre_at = kNegInf;
   }
   for (auto& r : ranks_) {
     r.last_act_in_group.assign(geo.bank_groups, kNegInf);
@@ -160,75 +153,85 @@ Picoseconds DramDevice::bus_free_for(std::uint32_t rank) const {
   return data_bus_free_ + timing_.tRTRS;
 }
 
-Picoseconds DramDevice::earliest_act(const DramAddress& a) const {
-  const BankState& b = banks_[flat(a)];
+// `inline` lets the compiler fold the switch into each caller that passes
+// a constant command (every issue case): the rules cost what hand-written
+// checks would.
+template <class F>
+inline void DramDevice::for_each_rule(Command c, const DramAddress& a, F&& f) const {
+  // REF and PREA address the whole rank and ignore a.bank.
+  const bool per_bank = c != Command::kRef && c != Command::kPreAll && c != Command::kNop;
+  EASYDRAM_EXPECTS(a.rank < num_ranks() && (!per_bank || a.bank < geo_.num_banks()));
   const RankState& r = ranks_[a.rank];
-  Picoseconds t = max_ps({b.pre_time + timing_.tRP, b.act_time + timing_.tRC,
-                          r.last_act_in_group[geo_.bank_group_of(a.bank)] + timing_.tRRD_L,
-                          r.last_act_any + timing_.tRRD_S, r.ref_busy_until});
-  if (r.act_window.full()) t = std::max(t, r.act_window.oldest() + timing_.tFAW);
-  return std::max(t, now_);
-}
-
-Picoseconds DramDevice::earliest_rdwr(const DramAddress& a, bool is_write) const {
-  const BankState& b = banks_[flat(a)];
-  const RankState& r = ranks_[a.rank];
-  const std::uint32_t group = geo_.bank_group_of(a.bank);
-  // ref_busy_until: column commands are as illegal during tRFC as ACTs —
-  // the rank's internal refresh owns every bank. Nominal schedules never
-  // hit this bound (post-refresh reads must re-ACT first, which already
-  // waits), but it keeps earliest_legal honest for direct column probes.
-  Picoseconds t = max_ps({b.act_time + timing_.tRCD,
-                          r.last_col_in_group[group] + timing_.tCCD_L,
-                          r.last_col_any + timing_.tCCD_S, r.ref_busy_until});
-  if (!is_write) {
-    t = max_ps({t, r.wr_data_end_in_group[group] + timing_.tWTR_L,
-                r.last_wr_data_end_any + timing_.tWTR_S,
-                bus_free_for(a.rank) - timing_.tCL});
-  } else {
-    t = std::max(t, bus_free_for(a.rank) - timing_.tCWL);
+  // PRE's rules; PREA applies them to every active bank of the rank.
+  auto pre_rules = [&](const BankState& b) {
+    f(b.act_time + timing_.tRAS, kTras);
+    f(b.last_rd + timing_.tRTP, kTrtp);
+    f(b.wr_data_end + timing_.tWR, kTwr);
+  };
+  switch (c) {
+    case Command::kAct: {
+      const BankState& b = banks_[flat(a)];
+      f(b.pre_time + timing_.tRP, kTrp);
+      f(b.act_time + timing_.tRC, kTrc);
+      f(r.last_act_in_group[geo_.bank_group_of(a.bank)] + timing_.tRRD_L, kTrrd);
+      f(r.last_act_any + timing_.tRRD_S, kTrrd);
+      if (r.act_window.full()) f(r.act_window.oldest() + timing_.tFAW, kTfaw);
+      f(r.ref_busy_until, kTrfc);
+      return;
+    }
+    case Command::kRead:
+    case Command::kWrite: {
+      const std::uint32_t group = geo_.bank_group_of(a.bank);
+      f(banks_[flat(a)].act_time + timing_.tRCD, kTrcd);
+      f(r.last_col_in_group[group] + timing_.tCCD_L, kTccd);
+      f(r.last_col_any + timing_.tCCD_S, kTccd);
+      // Column commands are as illegal during tRFC as ACTs: the rank's
+      // internal refresh owns every bank.
+      f(r.ref_busy_until, kTrfc);
+      if (c == Command::kRead) {
+        f(r.wr_data_end_in_group[group] + timing_.tWTR_L, kTwtr);
+        f(r.last_wr_data_end_any + timing_.tWTR_S, kTwtr);
+        f(bus_free_for(a.rank) - timing_.tCL, kBusConflict);
+      } else {
+        f(bus_free_for(a.rank) - timing_.tCWL, kBusConflict);
+      }
+      return;
+    }
+    case Command::kPre:
+      pre_rules(banks_[flat(a)]);
+      return;
+    case Command::kPreAll:
+      for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
+        const BankState& b = banks_[geo_.flat_bank(a.rank, bank)];
+        if (b.active) pre_rules(b);
+      }
+      return;
+    case Command::kRef:
+      for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
+        f(banks_[geo_.flat_bank(a.rank, bank)].pre_time + timing_.tRP, kTrp);
+      }
+      f(r.ref_busy_until, kTrfc);
+      return;
+    case Command::kNop:
+      return;
   }
-  return std::max(t, now_);
-}
-
-Picoseconds DramDevice::earliest_pre(const DramAddress& a) const {
-  const BankState& b = banks_[flat(a)];
-  return std::max(max_ps({b.act_time + timing_.tRAS, b.last_rd + timing_.tRTP,
-                          b.wr_data_end + timing_.tWR}),
-                  now_);
 }
 
 Picoseconds DramDevice::earliest_legal(Command c, const DramAddress& a) const {
-  switch (c) {
-    case Command::kAct:
-      return earliest_act(a);
-    case Command::kRead:
-      return earliest_rdwr(a, /*is_write=*/false);
-    case Command::kWrite:
-      return earliest_rdwr(a, /*is_write=*/true);
-    case Command::kPre:
-      return earliest_pre(a);
-    case Command::kPreAll: {
-      Picoseconds t = now_;
-      for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
-        DramAddress ba = a;
-        ba.bank = bank;
-        if (banks_[flat(ba)].active) t = std::max(t, earliest_pre(ba));
-      }
-      return t;
-    }
-    case Command::kRef: {
-      const RankState& r = ranks_[a.rank];
-      Picoseconds t = std::max(now_, r.ref_busy_until);
-      for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
-        t = std::max(t, banks_[geo_.flat_bank(a.rank, bank)].pre_time + timing_.tRP);
-      }
-      return t;
-    }
-    case Command::kNop:
-      return now_;
-  }
-  return now_;
+  Picoseconds t = now_;
+  for_each_rule(c, a, [&t](Picoseconds not_before, Violation) {
+    if (t < not_before) t = not_before;
+  });
+  return t;
+}
+
+std::uint32_t DramDevice::timing_violations(Command c, const DramAddress& a,
+                                            Picoseconds at) const {
+  std::uint32_t v = kNone;
+  for_each_rule(c, a, [&v, at](Picoseconds not_before, Violation bit) {
+    if (at < not_before) v |= bit;
+  });
+  return v;
 }
 
 std::int64_t DramDevice::refreshes_due(Picoseconds at) const {
@@ -271,15 +274,8 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       BankState& b = banks_[fbank];
       RankState& r = ranks_[a.rank];
       if (b.active) res.violations |= kBankNotIdle;
-      if (at < b.pre_time + timing_.tRP) res.violations |= kTrp;
-      if (at < b.act_time + timing_.tRC) res.violations |= kTrc;
+      res.violations |= timing_violations(Command::kAct, a, at);
       const std::uint32_t group = geo_.bank_group_of(a.bank);
-      if (at < r.last_act_in_group[group] + timing_.tRRD_L) res.violations |= kTrrd;
-      if (at < r.last_act_any + timing_.tRRD_S) res.violations |= kTrrd;
-      if (r.act_window.full() && at < r.act_window.oldest() + timing_.tFAW) {
-        res.violations |= kTfaw;
-      }
-      if (at < r.ref_busy_until) res.violations |= kTrfc;
 
       // RowClone: this ACT completes ACT(src) -> early PRE -> early ACT(dst).
       if (b.early_pre_pending) {
@@ -314,8 +310,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       b.active = true;
       b.row = a.row;
       b.act_time = at;
-      b.last_rd = b.last_wr = kNegInf;
-      b.wr_data_end = b.rd_data_end = kNegInf;
+      b.last_rd = b.wr_data_end = kNegInf;
       r.last_act_in_group[group] = at;
       r.last_act_any = at;
       r.act_window.push(at);
@@ -330,9 +325,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         res.violations |= kBankNotActive;
         return res;
       }
-      if (at < b.act_time + timing_.tRAS) res.violations |= kTras;
-      if (at < b.last_rd + timing_.tRTP) res.violations |= kTrtp;
-      if (at < b.wr_data_end + timing_.tWR) res.violations |= kTwr;
+      res.violations |= timing_violations(Command::kPre, a, at);
 
       const Picoseconds act_to_pre = at - b.act_time;
       const auto early_threshold = Picoseconds{static_cast<std::int64_t>(
@@ -350,12 +343,10 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
     }
 
     case Command::kPreAll: {
+      res.violations |= timing_violations(Command::kPreAll, a, at);
       for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
         BankState& b = banks_[geo_.flat_bank(a.rank, bank)];
         if (!b.active) continue;
-        if (at < b.act_time + timing_.tRAS) res.violations |= kTras;
-        if (at < b.last_rd + timing_.tRTP) res.violations |= kTrtp;
-        if (at < b.wr_data_end + timing_.tWR) res.violations |= kTwr;
         b.active = false;
         b.pre_time = at;
         b.early_pre_pending = false;
@@ -378,18 +369,10 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         for (auto& byte : res.data) byte = static_cast<std::uint8_t>(sm.next());
         return res;
       }
+      res.violations |= timing_violations(Command::kRead, a, at);
       const std::uint32_t group = geo_.bank_group_of(a.bank);
-      if (at < r.last_col_in_group[group] + timing_.tCCD_L) res.violations |= kTccd;
-      if (at < r.last_col_any + timing_.tCCD_S) res.violations |= kTccd;
-      if (at < r.wr_data_end_in_group[group] + timing_.tWTR_L) res.violations |= kTwtr;
-      if (at < r.last_wr_data_end_any + timing_.tWTR_S) res.violations |= kTwtr;
-      if (at < r.ref_busy_until) res.violations |= kTrfc;
-      if (at + timing_.tCL < bus_free_for(a.rank)) res.violations |= kBusConflict;
-
-      const Picoseconds effective_trcd = at - b.act_time;
-      if (effective_trcd < timing_.tRCD) res.violations |= kTrcd;
       res.data_reliable =
-          effective_trcd >= variation_.line_min_trcd(fbank, a.row, a.col);
+          at - b.act_time >= variation_.line_min_trcd(fbank, a.row, a.col);
       if (!res.data_reliable) {
         // The sense amplifier latched a wrong value; it is both returned and
         // restored into the cells.
@@ -407,7 +390,6 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       }
 
       b.last_rd = at;
-      b.rd_data_end = at + timing_.read_data_latency();
       r.last_col_in_group[group] = at;
       r.last_col_any = at;
       data_bus_free_ = std::max(data_bus_free_, at + timing_.read_data_latency());
@@ -426,12 +408,8 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         res.violations |= kBankNotActive;
         return res;  // Write to a closed row is dropped.
       }
+      res.violations |= timing_violations(Command::kWrite, a, at);
       const std::uint32_t group = geo_.bank_group_of(a.bank);
-      if (at < r.last_col_in_group[group] + timing_.tCCD_L) res.violations |= kTccd;
-      if (at < r.last_col_any + timing_.tCCD_S) res.violations |= kTccd;
-      if (at - b.act_time < timing_.tRCD) res.violations |= kTrcd;
-      if (at < r.ref_busy_until) res.violations |= kTrfc;
-      if (at + timing_.tCWL < bus_free_for(a.rank)) res.violations |= kBusConflict;
 
       std::memcpy(cells_.line_data(fbank, a.row, a.col).data(), wdata.data(), 64);
       if (fault_model_ != nullptr) {
@@ -439,7 +417,6 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
                                retention_epoch_of(a.rank, a.row));
       }
 
-      b.last_wr = at;
       b.wr_data_end = at + timing_.write_data_latency();
       r.wr_data_end_in_group[group] = b.wr_data_end;
       r.last_wr_data_end_any = b.wr_data_end;
@@ -452,10 +429,10 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
 
     case Command::kRef: {
       RankState& r = ranks_[a.rank];
+      res.violations |= timing_violations(Command::kRef, a, at);
       for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
         BankState& b = banks_[geo_.flat_bank(a.rank, bank)];
         if (b.active) res.violations |= kRefreshNotIdle;
-        if (at < b.pre_time + timing_.tRP) res.violations |= kTrp;
         // Post-refresh bank state is explicit: the internal refresh takes
         // over every bank of the rank, so each one leaves the tRFC window
         // precharged regardless of what it held before (a REF issued over
@@ -471,7 +448,6 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       // window, so a mitigator-injected REF can never inherit stale
       // entries that mis-flag (or mis-delay) its follow-up activations.
       r.act_window.clear();
-      if (at < r.ref_busy_until) res.violations |= kTrfc;
       r.ref_busy_until = at + timing_.tRFC;
       // The stripe this REF targets is set by the slot position (issued +
       // skipped), so a retention-aware policy skipping slots keeps the

@@ -22,7 +22,8 @@ namespace easydram::dram {
 /// techniques violate timings *on purpose*, so a violation never rejects a
 /// command; it selects the behavioural model (e.g. reduced-tRCD reads may
 /// corrupt data, an early-PRE/early-ACT pattern triggers RowClone) and is
-/// reported so tests and strict controllers can assert legality.
+/// reported in IssueResult::violations, which tests assert on and
+/// ApiStats::violations_seen counts.
 enum Violation : std::uint32_t {
   kNone = 0,
   kBankNotIdle = 1u << 0,    ///< ACT on a bank with an open row.
@@ -40,7 +41,6 @@ enum Violation : std::uint32_t {
   kTrfc = 1u << 12,
   kRefreshNotIdle = 1u << 13,  ///< REF with an open bank.
   kBusConflict = 1u << 14,     ///< Data bus occupied by an earlier burst.
-  kClToShort = 1u << 15,       ///< RD before the previous burst completed.
 };
 
 /// Result of issuing one command.
@@ -110,9 +110,12 @@ class DramDevice {
                     std::span<const std::uint8_t> wdata = {});
 
   /// Earliest absolute time (Picoseconds, >= now()) at which `c` could be
-  /// issued to `a` without violating any *nominal* timing parameter.
-  /// Schedulers use this to compose legal command sequences; techniques
-  /// ignore it deliberately. Precondition: `a` within the geometry.
+  /// issued to `a` without violating any *nominal* timing parameter: issue
+  /// at this time flags no timing bit, and one picosecond earlier flags
+  /// one. The library's caller is bender::Interpreter, for
+  /// `respect_nominal` commands; techniques ignore it deliberately.
+  /// Precondition: `a.rank` < num_ranks(), and `a.bank` < num_banks() for
+  /// per-bank commands (REF and PREA ignore `a.bank`).
   Picoseconds earliest_legal(Command c, const DramAddress& a) const;
 
   /// Open row of `bank` in `rank`, if any. Preconditions: bank <
@@ -269,9 +272,7 @@ class DramDevice {
     Picoseconds act_time;       ///< When the current/most recent ACT was issued.
     Picoseconds pre_time;       ///< When the most recent PRE was issued.
     Picoseconds last_rd;        ///< Most recent RD command time.
-    Picoseconds last_wr;        ///< Most recent WR command time.
     Picoseconds wr_data_end;    ///< End of the most recent write burst.
-    Picoseconds rd_data_end;    ///< End of the most recent read burst.
     // RowClone detection: set when the bank saw ACT(row) then an early PRE.
     bool early_pre_pending = false;
     std::uint32_t early_pre_row = 0;
@@ -385,9 +386,17 @@ class DramDevice {
   /// tRTRS turnaround on top of the previous burst's occupancy.
   Picoseconds bus_free_for(std::uint32_t rank) const;
 
-  Picoseconds earliest_act(const DramAddress& a) const;
-  Picoseconds earliest_rdwr(const DramAddress& a, bool is_write) const;
-  Picoseconds earliest_pre(const DramAddress& a) const;
+  /// The nominal DDR4 timing rules, each written once: calls
+  /// f(not_before, bit) for every constraint on issuing `c` to `a`, where
+  /// issuing before `not_before` breaks the rule that `bit` names.
+  /// earliest_legal is the latest not_before; issue flags every rule whose
+  /// not_before lies after the issue time. Checks the earliest_legal
+  /// precondition on `a`.
+  template <class F>
+  void for_each_rule(Command c, const DramAddress& a, F&& f) const;
+  /// Bits of the rules that issuing `c` to `a` at `at` breaks.
+  std::uint32_t timing_violations(Command c, const DramAddress& a,
+                                  Picoseconds at) const;
 
   /// RowHammer accounting hooks (no-ops unless tracking is enabled).
   void note_hammer_act(std::uint32_t fbank, std::uint32_t row);

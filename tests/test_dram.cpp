@@ -472,6 +472,18 @@ TEST_F(DeviceTest, TimeMustBeMonotonic) {
   EXPECT_THROW(dev_.issue(Command::kPre, {0, 0, 0}, 50_ns), ContractViolation);
 }
 
+TEST_F(DeviceTest, EarliestLegalRejectsAddressesOutsideTheGeometry) {
+  const DramAddress bad_rank{0, 1, 0, 0, 1};  // Single-rank device.
+  EXPECT_THROW(dev_.earliest_legal(Command::kAct, bad_rank), ContractViolation);
+  EXPECT_THROW(dev_.earliest_legal(Command::kRef, bad_rank), ContractViolation);
+  const DramAddress bad_bank{16, 1, 0};
+  EXPECT_THROW(dev_.earliest_legal(Command::kRead, bad_bank), ContractViolation);
+  EXPECT_THROW(dev_.earliest_legal(Command::kPre, bad_bank), ContractViolation);
+  // REF and PREA address the whole rank and ignore the bank coordinate.
+  EXPECT_EQ(dev_.earliest_legal(Command::kRef, bad_bank), dev_.now());
+  EXPECT_EQ(dev_.earliest_legal(Command::kPreAll, bad_bank), dev_.now());
+}
+
 TEST_F(DeviceTest, CommandCountsTracked) {
   dev_.issue(Command::kAct, {0, 1, 0}, 0_ns);
   dev_.issue(Command::kRead, {0, 1, 0}, 20_ns);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "bender/interpreter.hpp"
 #include "common/rng.hpp"
@@ -29,65 +32,117 @@ dram::VariationConfig strong_variation() {
 // DRAM device vs. a trivial golden store under random legal traffic
 // --------------------------------------------------------------------------
 
-class DeviceGoldenModel : public ::testing::TestWithParam<std::uint64_t> {};
+/// One command of the traffic below, kept so a sampled prefix can be
+/// replayed into a fresh device.
+struct IssuedCommand {
+  dram::Command cmd;
+  dram::DramAddress addr;
+  Picoseconds at;
+  std::array<std::uint8_t, 64> data;
+};
 
+/// (seed, ranks per channel).
+class DeviceGoldenModel
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t>> {};
+
+// Random ACT/PRE/RD/WR traffic with PREA and REF interleaved, on one or two
+// ranks (cross-rank bursts pay tRTRS), every command issued at
+// earliest_legal: nothing is ever flagged and every read matches a golden
+// store. Tightness: within the first 1500 commands, on every 25th command
+// and every PREA and REF that earliest_legal holds back, a replayed twin
+// issues the command one picosecond early and must flag a timing bit, so
+// earliest_legal never waits longer than some nominal rule demands.
 TEST_P(DeviceGoldenModel, LegalTrafficNeverCorruptsData) {
+  const auto [seed, ranks] = GetParam();
   dram::Geometry geo;
-  dram::DramDevice dev(geo, dram::ddr4_1333(), strong_variation());
-  Xoshiro256ss rng(GetParam());
+  geo.ranks_per_channel = ranks;
+  const dram::TimingParams timing = dram::ddr4_1333();
+  dram::DramDevice dev(geo, timing, strong_variation());
+  Xoshiro256ss rng(seed);
 
-  // Golden model: (bank,row,col) -> last written 64-byte value.
+  // Golden model: (rank,bank,row,col) -> last written 64-byte value.
   std::map<std::uint64_t, std::array<std::uint8_t, 64>> golden;
   auto key = [](const dram::DramAddress& a) {
-    return (static_cast<std::uint64_t>(a.bank) << 40) |
+    return (static_cast<std::uint64_t>(a.rank) << 56) |
+           (static_cast<std::uint64_t>(a.bank) << 40) |
            (static_cast<std::uint64_t>(a.row) << 8) | a.col;
   };
 
+  constexpr std::uint32_t kStateBits =
+      dram::kBankNotIdle | dram::kBankNotActive | dram::kRefreshNotIdle;
+  constexpr std::size_t kProbeEvery = 25;
+  constexpr std::size_t kProbedPrefix = 1500;  // Bounds the replay cost.
+  std::vector<IssuedCommand> history;
+  int probes = 0;
   std::uint32_t violations = 0;
+  auto issue_legal = [&](dram::Command c, const dram::DramAddress& a,
+                         const std::array<std::uint8_t, 64>& data) {
+    const Picoseconds at = dev.earliest_legal(c, a);
+    const bool sampled = history.size() % kProbeEvery == 0 ||
+                         c == dram::Command::kPreAll || c == dram::Command::kRef;
+    if (sampled && history.size() < kProbedPrefix && at > dev.now()) {
+      dram::DramDevice twin(geo, timing, strong_variation());
+      for (const IssuedCommand& h : history) twin.issue(h.cmd, h.addr, h.at, h.data);
+      const std::uint32_t early =
+          twin.issue(c, a, at - Picoseconds{1}, data).violations;
+      EXPECT_NE(early & ~kStateBits, 0u)
+          << dram::to_string(c) << " one ps before earliest_legal " << at.count;
+      ++probes;
+    }
+    history.push_back({c, a, at, data});
+    const dram::IssueResult r = dev.issue(c, a, at, data);
+    violations |= r.violations;
+    return r;
+  };
+
+  const std::array<std::uint8_t, 64> no_data{};
   for (int step = 0; step < 2000; ++step) {
+    const auto rank = static_cast<std::uint32_t>(rng.next_below(ranks));
+    if (const std::uint64_t r = rng.next_below(60); r < 2) {
+      // Close every bank of the rank; half the time refresh it as well.
+      issue_legal(dram::Command::kPreAll, {0, 0, 0, 0, rank}, no_data);
+      if (r == 1) issue_legal(dram::Command::kRef, {0, 0, 0, 0, rank}, no_data);
+      continue;
+    }
     const dram::DramAddress a{
         static_cast<std::uint32_t>(rng.next_below(geo.num_banks())),
         static_cast<std::uint32_t>(rng.next_below(256)),
-        static_cast<std::uint32_t>(rng.next_below(geo.cols_per_row()))};
+        static_cast<std::uint32_t>(rng.next_below(geo.cols_per_row())), 0, rank};
 
     // Open the right row legally.
-    const auto open = dev.open_row(a.bank);
+    const auto open = dev.open_row(a.bank, a.rank);
     if (open && *open != a.row) {
-      violations |= dev.issue(dram::Command::kPre, {a.bank, 0, 0},
-                              dev.earliest_legal(dram::Command::kPre, a))
-                        .violations;
+      issue_legal(dram::Command::kPre, {a.bank, 0, 0, 0, rank}, no_data);
     }
-    if (!dev.open_row(a.bank)) {
-      violations |= dev.issue(dram::Command::kAct, a,
-                              dev.earliest_legal(dram::Command::kAct, a))
-                        .violations;
-    }
+    if (!dev.open_row(a.bank, a.rank)) issue_legal(dram::Command::kAct, a, no_data);
 
     if (rng.next_below(2) == 0) {
       std::array<std::uint8_t, 64> data{};
       for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-      violations |= dev.issue(dram::Command::kWrite, a,
-                              dev.earliest_legal(dram::Command::kWrite, a), data)
-                        .violations;
+      issue_legal(dram::Command::kWrite, a, data);
       golden[key(a)] = data;
     } else {
-      const dram::IssueResult r = dev.issue(
-          dram::Command::kRead, a, dev.earliest_legal(dram::Command::kRead, a));
+      const dram::IssueResult r = issue_legal(dram::Command::kRead, a, no_data);
       EXPECT_TRUE(r.data_reliable);
       const auto it = golden.find(key(a));
       if (it != golden.end()) {
         EXPECT_EQ(std::memcmp(r.data.data(), it->second.data(), 64), 0)
-            << "bank " << a.bank << " row " << a.row << " col " << a.col;
+            << "rank " << a.rank << " bank " << a.bank << " row " << a.row
+            << " col " << a.col;
       } else {
         for (const std::uint8_t b : r.data) EXPECT_EQ(b, 0);
       }
     }
   }
   EXPECT_EQ(violations, dram::kNone);
+  EXPECT_GT(probes, 0);
+  EXPECT_GT(dev.commands_issued(dram::Command::kRef), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DeviceGoldenModel,
-                         ::testing::Values(1ull, 42ull, 0xDEADBEEFull, 777ull));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DeviceGoldenModel,
+    ::testing::Combine(::testing::Values(1ull, 42ull, 0xDEADBEEFull, 777ull),
+                       ::testing::Values(1u, 2u)));
 
 // --------------------------------------------------------------------------
 // Bender programs against the same golden model
