@@ -39,7 +39,6 @@ int main() {
   }
 
   // 3) Run the copy through the full system.
-  sysm.enable_rowclone();
   workloads::CopyInitParams params;
   params.kind = workloads::CopyInitParams::Kind::kCopy;
   params.use_rowclone = true;

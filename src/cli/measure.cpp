@@ -72,7 +72,6 @@ CopyInitResult run_copyinit_easydram(const sys::SystemConfig& cfg,
                                        pattern);
     }
   }
-  if (params.use_rowclone) sysm.enable_rowclone();
 
   const smc::LinearMapper mapper(sysm.device().geometry());
   workloads::CopyInitTrace trace(params, mapper, std::move(copy_plan),

@@ -1,9 +1,9 @@
 // Host-performance harness: times the throughput-sensitive paths of the
-// simulator on the *host* clock. These are the only measurements in the
-// repository (besides fig14's Ramulator column) that read a real clock —
-// they quantify how fast the simulation itself runs, not anything the
-// paper models, and they exist so every PR can diff BENCH_results.json
-// against its predecessor.
+// simulator on the *host* clock. Besides these, only fig14's Ramulator
+// column and the repository benchmark (e2ebench/) read a real clock. The
+// timings quantify how fast the simulation itself runs, not anything the
+// paper models, and they exist so every change can diff
+// BENCH_results.json against its predecessor.
 
 #include "cli/perf.hpp"
 
@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -118,14 +119,29 @@ std::vector<double> time_reps(int reps, Fn&& fn) {
   return secs;
 }
 
-Json to_json(const std::vector<double>& values) {
+Json to_json(std::span<const double> values) {
   Json a = Json::array();
   for (const double v : values) a.push_back(v);
   return a;
 }
 
-double best_of(const std::vector<double>& secs) {
-  return secs.empty() ? 0.0 : *std::min_element(secs.begin(), secs.end());
+/// One variant of a detail sweep: times `opts.warmup` discarded plus
+/// `opts.reps` measured calls of `fn`, reduced like the benches
+/// themselves, and writes the series, best, median and CV into `out` under
+/// keys starting with `prefix`. Returns the reduction.
+template <typename Fn>
+RepStats time_variant(const PerfOptions& opts, Json& out,
+                      const std::string& prefix, Fn&& fn) {
+  const std::vector<double> secs = time_reps(opts.warmup + opts.reps, fn);
+  const RepStats r = reduce_reps(secs, opts.warmup);
+  const std::span<const double> all(secs);
+  const auto wu = static_cast<std::size_t>(opts.warmup);
+  out[prefix + "warmup_host_seconds"] = to_json(all.first(wu));
+  out[prefix + "host_seconds_per_rep"] = to_json(all.subspan(wu));
+  out[prefix + "host_seconds_best"] = r.best;
+  out[prefix + "host_seconds_median"] = r.median;
+  out[prefix + "cv"] = r.cv;
+  return r;
 }
 
 /// Error-pipeline host overhead: a stride-64 write-then-read burst with
@@ -164,17 +180,11 @@ std::int64_t ecc_scrub_overhead_run(const PerfOptions& opts) {
 Json ecc_scrub_overhead_detail(const PerfOptions& opts) {
   Json d = Json::object();
   d["requests"] = 2 * scaled(opts, 8192);
-  double ecc_best = 0.0;
-  double base_best = 0.0;
-  for (const bool ecc : {true, false}) {
-    const std::vector<double> secs =
-        time_reps(opts.reps, [&] { ecc_rw_burst(opts, ecc); });
-    const double best = best_of(secs);
-    d[ecc ? "ecc_host_seconds_per_rep" : "baseline_host_seconds_per_rep"] =
-        to_json(secs);
-    d[ecc ? "ecc_host_seconds_best" : "baseline_host_seconds_best"] = best;
-    (ecc ? ecc_best : base_best) = best;
-  }
+  const double ecc_best =
+      time_variant(opts, d, "ecc_", [&] { ecc_rw_burst(opts, true); }).best;
+  const double base_best =
+      time_variant(opts, d, "baseline_", [&] { ecc_rw_burst(opts, false); })
+          .best;
   d["overhead_percent"] =
       base_best > 0.0 ? (ecc_best - base_best) / base_best * 100.0 : 0.0;
   // Modeled (emulated-time) cost of the pipeline — deterministic, unlike
@@ -232,21 +242,11 @@ Json qos_scheduler_overhead_detail(const PerfOptions& opts) {
        {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kParbs,
         smc::SchedulerKind::kBliss, smc::SchedulerKind::kAtlas,
         smc::SchedulerKind::kTcm}) {
-    // Warmup reps are timed and discarded, as for the benches themselves.
-    const std::vector<double> secs = time_reps(
-        opts.warmup + opts.reps, [&] { qos_sched_burst(opts, kind); });
-    const RepStats r = reduce_reps(secs, opts.warmup);
-    const auto first_measured = secs.begin() + opts.warmup;
-    if (kind == smc::SchedulerKind::kFrfcfs) frfcfs_best = r.best;
     Json p = Json::object();
     p["sched"] = smc::to_string(kind);
-    p["warmup_host_seconds"] =
-        to_json(std::vector<double>(secs.begin(), first_measured));
-    p["host_seconds_per_rep"] =
-        to_json(std::vector<double>(first_measured, secs.end()));
-    p["host_seconds_best"] = r.best;
-    p["host_seconds_median"] = r.median;
-    p["cv"] = r.cv;
+    const RepStats r =
+        time_variant(opts, p, "", [&] { qos_sched_burst(opts, kind); });
+    if (kind == smc::SchedulerKind::kFrfcfs) frfcfs_best = r.best;
     p["overhead_vs_frfcfs_percent"] =
         frfcfs_best > 0.0 ? (r.best - frfcfs_best) / frfcfs_best * 100.0
                           : 0.0;

@@ -20,11 +20,14 @@ struct PerfOptions {
   /// excluded from every statistic (cold caches, allocator growth — the
   /// systematic first-run cost the v2 contract discards; see docs/bench.md).
   int warmup = 1;
-  /// Multiplier on the micro benches' iteration budgets. The
-  /// scenario-wrapped benches (fig14_sim_speed, channel_scaling) always
-  /// run their full scenario — a partial scenario would not measure the
-  /// artifact the bench is named after; use --scenario to skip them when
-  /// a short run matters more than coverage.
+  /// Multiplier on the request budgets of the benches that drive the
+  /// memory system directly (the three micro bursts, ecc_scrub_overhead,
+  /// qos_scheduler_overhead). The six scenario-wrapped benches
+  /// (fig14_sim_speed, channel_scaling, mitigation_overhead,
+  /// raidr_refresh, stream_sweep, latency_sweep) always run their full
+  /// scenario — a partial scenario would not measure the artifact the
+  /// bench is named after; use --scenario to skip them when a short run
+  /// matters more than coverage.
   double scale = 1.0;
   std::vector<std::string> only;  ///< Bench-name filter; empty = all.
 };
@@ -45,8 +48,11 @@ struct PerfBenchOutcome {
   Json detail;
 };
 
-/// Runs the registered host-performance benches (micro read/write bursts,
-/// fig14_sim_speed, channel_scaling) and returns their outcomes. Throws on
+/// Runs the 11 registered host-performance benches (see
+/// list_perf_benches) and returns their outcomes: five that drive the
+/// memory system directly (micro_read_burst, micro_write_burst,
+/// micro_dependent_reads, ecc_scrub_overhead, qos_scheduler_overhead) and
+/// the six scenario-wrapped ones named under PerfOptions::scale. Throws on
 /// an unknown name in `opts.only`.
 std::vector<PerfBenchOutcome> run_perf_benches(const PerfOptions& opts);
 

@@ -176,7 +176,6 @@ Json run_interleaving(const RunOptions& opts) {
         smc::RowCloneAllocator alloc(sysm.api(), sysm.clone_map(), tester);
         const auto plan = interleaved ? alloc.plan_copy_interleaved(kRows)
                                       : alloc.plan_copy(kRows);
-        sysm.enable_rowclone();
 
         workloads::CopyInitParams params;
         params.kind = workloads::CopyInitParams::Kind::kCopy;

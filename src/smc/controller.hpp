@@ -39,12 +39,15 @@ struct ControllerOptions {
 
   /// tRCD reduction (§8): when `weak_rows` is set, rows absent from the
   /// filter are accessed with `reduced_trcd`; rows (possibly falsely)
-  /// flagged weak use the nominal value.
+  /// flagged weak use the nominal value. Non-owning; a live controller
+  /// takes a filter installed later through set_weak_rows().
   const BloomFilter* weak_rows = nullptr;
   Picoseconds reduced_trcd{9000};
 
-  /// RowClone (§7): when set, kRowClone requests whose pair is verified
-  /// clonable run in DRAM; others get a fallback response (ok = false).
+  /// RowClone (§7): kRowClone requests whose pair this map records as
+  /// verified clonable run in DRAM; others (every one, when null or empty)
+  /// get a fallback response (ok = false). Non-owning; the map may gain
+  /// pairs while the controller lives.
   const RowCloneMap* clonable = nullptr;
 
   /// Row-hit drain limit: after the scheduler picks a request, up to this
@@ -55,13 +58,11 @@ struct ControllerOptions {
   std::size_t row_batch_limit = 16;
 
   /// RowHammer mitigation policy (null = unmitigated). Non-owning: the
-  /// policy must outlive the controller. The system layer owns one
-  /// instance per channel precisely so policy state (Graphene tables,
-  /// PARA's RNG position) and accumulated stats survive controller
-  /// rebuilds (enable_rowclone, install_weak_row_filter). The controller
-  /// feeds it every demand ACT (wire the controller as the EasyApi's
-  /// ActSink) and injects the targeted neighbor refreshes it requests as
-  /// charged Bender batches right after the triggering request's batch.
+  /// policy must outlive the controller (the system layer's channel slice
+  /// owns both). The controller feeds it every demand ACT (wire the
+  /// controller as the EasyApi's ActSink) and injects the targeted
+  /// neighbor refreshes it requests as charged Bender batches right after
+  /// the triggering request's batch.
   mitigation::RowHammerMitigator* mitigator = nullptr;
 };
 
@@ -76,6 +77,10 @@ class MemoryController final : public Controller, public ActSink {
   bool idle() const override { return table_.empty(); }
 
   const RequestTable& table() const { return table_; }
+
+  /// Installs (or clears, with null) the weak-row filter; rows opened from
+  /// here on pick their tRCD by it.
+  void set_weak_rows(const BloomFilter* filter) { options_.weak_rows = filter; }
 
   /// Per-stream arrival/service bookkeeping (fed to stream-aware
   /// schedulers through PickContext).

@@ -73,8 +73,8 @@ struct EccConfig {
 };
 
 /// Per-bank PPR-style row retirement: retired rows remap to spare rows
-/// reserved at the top of the bank. Per channel, system-owned (survives
-/// controller rebuilds, like the mitigators and refresh policies).
+/// reserved at the top of the bank. One per channel, owned by the system
+/// layer's channel slice through its ErrorPolicy.
 class RowRetirementMap {
  public:
   RowRetirementMap(const dram::Geometry& geo, std::uint32_t spare_rows_per_bank);

@@ -44,8 +44,7 @@ struct RaidrBinStats {
 /// Per-channel refresh-skipping decision, consulted by EasyApi once per
 /// refresh slot (one per tREFI per rank). Implementations must be
 /// deterministic pure functions of (construction state, rank, slot): the
-/// scenario runner relies on bit-identical results at any --threads value,
-/// and a slot's decision may be re-evaluated after a controller rebuild.
+/// scenario runner relies on bit-identical results at any --threads value.
 /// Instances are owned by the system layer and must outlive the EasyApi
 /// they are installed on; they are not thread-safe and belong to their
 /// channel's (single-threaded) controller loop.

@@ -42,26 +42,85 @@ SystemConfig validation_reference() {
 
 namespace {
 
-/// Per-channel chip seed: channel 0 keeps the configured seed (so the 1x1
-/// default reproduces the original synthetic chip bit for bit); further
-/// channels model physically distinct modules.
-dram::VariationConfig channel_variation(const SystemConfig& cfg,
-                                        std::uint32_t channel) {
+/// The channel's device with the ground-truth trackers and the fault model
+/// the configuration asks for. Channel 0 keeps the configured variation and
+/// fault seeds (so the 1x1 default reproduces the original synthetic chip
+/// bit for bit); further channels model physically distinct modules.
+dram::DramDevice make_device(const SystemConfig& cfg, std::uint32_t channel) {
   dram::VariationConfig v = cfg.variation;
   if (channel != 0) v.seed = hash_mix(v.seed, channel);
-  return v;
+  dram::DramDevice device(cfg.geometry, cfg.timing, v);
+  if (cfg.track_row_hammer) device.set_hammer_tracking(true);
+  if (cfg.track_retention) device.set_retention_tracking(true);
+  if (cfg.faults.enabled) {
+    // The fault model reads the ground-truth bookkeeping its triggers
+    // need, so those trackers come on with it.
+    if (cfg.faults.hammer_flip_threshold > 0) device.set_hammer_tracking(true);
+    if (cfg.faults.retention_flips) device.set_retention_tracking(true);
+    dram::FaultConfig f = cfg.faults;
+    if (channel != 0) f.seed = hash_mix(f.seed, channel);
+    device.install_fault_model(f);
+  }
+  return device;
+}
+
+/// Retention-aware refresh: profiles the channel's (independently seeded)
+/// chip once at power-on and returns its binning. An offline setup pass,
+/// so it charges no timeline — matching how the weak-row and RowClone
+/// characterizations run before emulation begins.
+std::unique_ptr<smc::RefreshPolicy> make_refresh_policy(
+    const SystemConfig& cfg, const dram::DramDevice& device,
+    smc::RaidrBinStats& stats) {
+  if (cfg.refresh != smc::RefreshKind::kRaidr) return nullptr;
+  return std::make_unique<smc::RaidrRefreshPolicy>(
+      smc::profile_retention_bins(device, cfg.retention_profiler, &stats));
+}
+
+smc::ControllerOptions controller_options(
+    const SystemConfig& cfg, smc::mitigation::RowHammerMitigator* mitigator,
+    const smc::RowCloneMap& clone_map) {
+  smc::ControllerOptions options;
+  // A null scheduler leaves the controller's default, FR-FCFS.
+  if (cfg.scheduler_factory) {
+    options.scheduler = cfg.scheduler_factory();
+    EASYDRAM_EXPECTS(options.scheduler != nullptr);
+  } else if (cfg.sched != smc::SchedulerKind::kAuto) {
+    options.scheduler = smc::make_scheduler(cfg.sched);
+  } else if (!cfg.use_frfcfs) {
+    options.scheduler = std::make_unique<smc::FcfsScheduler>();
+  }
+  options.reduced_trcd = cfg.reduced_trcd;
+  options.row_batch_limit = cfg.row_batch_limit;
+  options.clonable = &clone_map;
+  options.mitigator = mitigator;
+  return options;
 }
 
 }  // namespace
 
 EasyDramSystem::ChannelSlice::ChannelSlice(const SystemConfig& cfg,
                                            const smc::AddressMapper& mapper,
+                                           const smc::RowCloneMap& clone_map,
                                            std::uint32_t channel)
-    : device(cfg.geometry, cfg.timing, channel_variation(cfg, channel)),
+    : device(make_device(cfg, channel)),
       tile(cfg.tile),
       keeper(cfg.mode, cfg.proc_domain, cfg.tile.core_clock,
              cfg.mc_sched_latency, cfg.hardware_mc),
-      api(tile, device, mapper, keeper, channel) {}
+      api(tile, device, mapper, keeper, channel),
+      error_policy(cfg.ecc.enabled
+                       ? std::make_unique<smc::ErrorPolicy>(cfg.geometry, cfg.ecc)
+                       : nullptr),
+      mitigator(smc::mitigation::make_mitigator(cfg.mitigation, cfg.geometry,
+                                                channel)),
+      refresh_policy(make_refresh_policy(cfg, device, refresh_bin_stats)),
+      controller(controller_options(cfg, mitigator.get(), clone_map)) {
+  api.set_error_policy(error_policy.get());
+  api.set_refresh_policy(refresh_policy.get());
+  // The controller observes its own command stream: ACTs feed the
+  // mitigation policy. Without a policy the sink stays unset (zero
+  // virtual-call cost on the batch-building path).
+  if (mitigator != nullptr) api.set_act_sink(&controller);
+}
 
 EasyDramSystem::EasyDramSystem(const SystemConfig& cfg)
     : cfg_(cfg),
@@ -70,50 +129,10 @@ EasyDramSystem::EasyDramSystem(const SystemConfig& cfg)
   EASYDRAM_EXPECTS(cfg.geometry.channels >= 1);
   EASYDRAM_EXPECTS(cfg.geometry.ranks_per_channel >= 1);
   channels_.reserve(cfg.geometry.channels);
-  mitigators_.reserve(cfg.geometry.channels);
-  refresh_policies_.reserve(cfg.geometry.channels);
-  error_policies_.reserve(cfg.geometry.channels);
   for (std::uint32_t ch = 0; ch < cfg.geometry.channels; ++ch) {
-    channels_.push_back(std::make_unique<ChannelSlice>(cfg_, *mapper_, ch));
-    ChannelSlice& slice = *channels_.back();
-    if (cfg_.track_row_hammer) slice.device.set_hammer_tracking(true);
-    if (cfg_.track_retention) slice.device.set_retention_tracking(true);
-    if (cfg_.faults.enabled) {
-      // The fault model reads the ground-truth bookkeeping its triggers
-      // need, so those trackers come on with it.
-      if (cfg_.faults.hammer_flip_threshold > 0) {
-        slice.device.set_hammer_tracking(true);
-      }
-      if (cfg_.faults.retention_flips) slice.device.set_retention_tracking(true);
-      dram::FaultConfig f = cfg_.faults;
-      if (ch != 0) f.seed = hash_mix(f.seed, ch);
-      slice.device.install_fault_model(f);
-    }
-    if (cfg_.ecc.enabled) {
-      error_policies_.push_back(
-          std::make_unique<smc::ErrorPolicy>(cfg_.geometry, cfg_.ecc));
-    } else {
-      error_policies_.push_back(nullptr);
-    }
-    slice.api.set_error_policy(error_policies_.back().get());
-    mitigators_.push_back(
-        smc::mitigation::make_mitigator(cfg_.mitigation, cfg_.geometry, ch));
-    // Retention-aware refresh: profile this channel's (independently
-    // seeded) chip once at power-on and install the binning. An offline
-    // setup pass, so it charges no timeline — matching how the weak-row
-    // and RowClone characterizations run before emulation begins.
-    if (cfg_.refresh == smc::RefreshKind::kRaidr) {
-      smc::RaidrBinStats stats{};
-      refresh_policies_.push_back(std::make_unique<smc::RaidrRefreshPolicy>(
-          smc::profile_retention_bins(slice.device, cfg_.retention_profiler,
-                                      &stats)));
-      refresh_bin_stats_.push_back(stats);
-    } else {
-      refresh_policies_.push_back(nullptr);
-    }
-    slice.api.set_refresh_policy(refresh_policies_.back().get());
+    channels_.push_back(
+        std::make_unique<ChannelSlice>(cfg_, *mapper_, clone_map_, ch));
   }
-  rebuild_controllers();
 }
 
 smc::EasyApi& EasyDramSystem::api(std::uint32_t channel) {
@@ -127,8 +146,8 @@ dram::DramDevice& EasyDramSystem::device(std::uint32_t channel) {
 }
 
 smc::ErrorPolicy* EasyDramSystem::error_policy(std::uint32_t channel) {
-  EASYDRAM_EXPECTS(channel < error_policies_.size());
-  return error_policies_[channel].get();
+  EASYDRAM_EXPECTS(channel < channels_.size());
+  return channels_[channel]->error_policy.get();
 }
 
 const timescale::TimeKeeper& EasyDramSystem::keeper(std::uint32_t channel) const {
@@ -172,9 +191,9 @@ smc::ApiStats EasyDramSystem::smc_stats() const {
 
 smc::mitigation::MitigationStats EasyDramSystem::mitigation_stats() const {
   smc::mitigation::MitigationStats total;
-  for (const auto& m : mitigators_) {
-    if (m == nullptr) continue;
-    const smc::mitigation::MitigationStats& s = m->stats();
+  for (const auto& ch : channels_) {
+    if (ch->mitigator == nullptr) continue;
+    const smc::mitigation::MitigationStats& s = ch->mitigator->stats();
     total.acts_observed += s.acts_observed;
     total.triggers += s.triggers;
     total.neighbor_refreshes += s.neighbor_refreshes;
@@ -194,14 +213,15 @@ std::int64_t EasyDramSystem::max_hammer_exposure() const {
 smc::RaidrBinStats EasyDramSystem::refresh_bin_stats() const {
   smc::RaidrBinStats total{};
   double issue_acc = 0.0;
-  for (const smc::RaidrBinStats& s : refresh_bin_stats_) {
+  for (const auto& ch : channels_) {
+    const smc::RaidrBinStats& s = ch->refresh_bin_stats;
     total.stripes_total += s.stripes_total;
     total.stripes_x1 += s.stripes_x1;
     total.stripes_x2 += s.stripes_x2;
     total.stripes_x4 += s.stripes_x4;
     total.rows_profiled += s.rows_profiled;
-    // Per-channel vector order is fixed at construction, so this sum is
-    // reproducible at any thread count.
+    // Channel order is fixed at construction, so this sum is reproducible
+    // at any thread count.
     // NOLINT-easydram-next-line(float-accumulation-order)
     issue_acc += s.issue_fraction * static_cast<double>(s.stripes_total);
   }
@@ -235,46 +255,9 @@ Picoseconds EasyDramSystem::max_retention_overshoot() const {
   return m;
 }
 
-void EasyDramSystem::rebuild_controllers() {
-  for (std::uint32_t idx = 0; idx < channels_.size(); ++idx) {
-    ChannelSlice& ch = *channels_[idx];
-    EASYDRAM_EXPECTS(!ch.controller || ch.controller->idle());
-    smc::ControllerOptions options;
-    if (cfg_.scheduler_factory) {
-      options.scheduler = cfg_.scheduler_factory();
-      EASYDRAM_EXPECTS(options.scheduler != nullptr);
-    } else if (cfg_.sched != smc::SchedulerKind::kAuto) {
-      options.scheduler = smc::make_scheduler(cfg_.sched);
-    } else if (cfg_.use_frfcfs) {
-      options.scheduler = std::make_unique<smc::FrfcfsScheduler>();
-    } else {
-      options.scheduler = std::make_unique<smc::FcfsScheduler>();
-    }
-    options.reduced_trcd = cfg_.reduced_trcd;
-    options.row_batch_limit = cfg_.row_batch_limit;
-    options.weak_rows = weak_rows_ ? &*weak_rows_ : nullptr;
-    options.clonable = rowclone_enabled_ ? &clone_map_ : nullptr;
-    // The policy instance persists across rebuilds (it lives in
-    // mitigators_): a mid-run enable_rowclone/install_weak_row_filter must
-    // neither rewind PARA's RNG stream nor zero the accumulated stats.
-    options.mitigator = mitigators_[idx].get();
-    auto controller = std::make_unique<smc::MemoryController>(std::move(options));
-    // The controller observes its own command stream: ACTs feed the
-    // mitigation policy. Without a policy the sink stays unset (zero
-    // virtual-call cost on the batch-building path).
-    ch.api.set_act_sink(mitigators_[idx] != nullptr ? controller.get() : nullptr);
-    ch.controller = std::move(controller);
-  }
-}
-
-void EasyDramSystem::enable_rowclone() {
-  rowclone_enabled_ = true;
-  rebuild_controllers();
-}
-
 void EasyDramSystem::install_weak_row_filter(smc::BloomFilter filter) {
   weak_rows_ = std::move(filter);
-  rebuild_controllers();
+  for (auto& ch : channels_) ch->controller.set_weak_rows(&*weak_rows_);
 }
 
 smc::WeakRowFilterStats EasyDramSystem::characterize_and_install_weak_rows(
@@ -352,7 +335,7 @@ bool EasyDramSystem::step_channel(ChannelSlice& ch) {
   // spin time, so it must happen either way to keep timelines
   // bit-identical; in setup mode the step would not charge it either.)
   tile::EasyTile& tile = ch.tile;
-  if (ch.controller->idle() && tile.incoming().empty() &&
+  if (ch.controller.idle() && tile.incoming().empty() &&
       tile.outgoing().empty() && !ch.keeper.counters().critical() &&
       tile.meter().pending().count == 0) {
     if (!ch.api.setup_mode()) {
@@ -361,7 +344,7 @@ bool EasyDramSystem::step_channel(ChannelSlice& ch) {
     }
     return false;
   }
-  const bool worked = ch.controller->step(ch.api);
+  const bool worked = ch.controller.step(ch.api);
   ch.keeper.account_smc_cycles(tile.meter().take());
   if (!worked) {
     // Only future-tagged requests remain on this channel: let its
@@ -471,7 +454,7 @@ cpu::Completion EasyDramSystem::wait(std::uint64_t id) {
 
 bool EasyDramSystem::all_idle() const {
   for (const auto& ch : channels_) {
-    if (!ch->tile.incoming().empty() || !ch->controller->idle()) return false;
+    if (!ch->tile.incoming().empty() || !ch->controller.idle()) return false;
   }
   return true;
 }

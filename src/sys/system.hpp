@@ -75,8 +75,8 @@ struct SystemConfig {
   std::size_t row_batch_limit = 16;
 
   /// Optional custom scheduling policy. When set it overrides `use_frfcfs`;
-  /// called once per controller build — i.e. once per channel (see
-  /// examples/custom_scheduler.cpp).
+  /// called exactly once per channel, when the system builds that
+  /// channel's controller (see examples/custom_scheduler.cpp).
   std::function<std::unique_ptr<smc::Scheduler>()> scheduler_factory;
 
   /// RowHammer mitigation policy each channel's controller runs (kNone by
@@ -184,6 +184,10 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   /// for tests and scenario instrumentation (retirement-map inspection).
   smc::ErrorPolicy* error_policy(std::uint32_t channel);
 
+  /// Verified RowClone pairs. Every controller consults this map: a
+  /// kRowClone request whose pair is recorded clonable runs in DRAM, any
+  /// other gets a fallback response (so with an empty map every RowClone
+  /// falls back).
   smc::RowCloneMap& clone_map() { return clone_map_; }
   const SystemConfig& config() const { return cfg_; }
   const smc::AddressMapper& mapper() const { return *mapper_; }
@@ -192,14 +196,10 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   const timescale::TimeKeeper& keeper() const { return keeper(0); }
   const timescale::TimeKeeper& keeper(std::uint32_t channel) const;
 
-  /// Enables the RowClone request path: kRowClone requests whose pair is
-  /// verified in clone_map() run in DRAM, others get fallback responses.
-  void enable_rowclone();
-
   /// Installs the weak-row Bloom filter, turning on reduced-tRCD accesses
-  /// for rows not flagged weak. Every channel's controller consults this
-  /// one filter, so it must cover every channel's weak rows — on
-  /// multi-channel systems build it with
+  /// for rows not flagged weak from the next row opening on. Every
+  /// channel's controller consults this one filter, so it must cover every
+  /// channel's weak rows — on multi-channel systems build it with
   /// characterize_and_install_weak_rows() rather than a single channel's
   /// smc::build_weak_row_filter.
   void install_weak_row_filter(smc::BloomFilter filter);
@@ -273,16 +273,32 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   }
 
  private:
-  /// One memory channel: device + tile + timeline + API + controller.
+  /// One memory channel and its whole SMC stack, built once in this order:
+  /// device (with its tracking flags and fault model), tile, timeline, API,
+  /// error policy, mitigator, RAIDR profile, scheduler and controller. The
+  /// slice owns every piece, and the controller lives as long as the slice.
   struct ChannelSlice {
     ChannelSlice(const SystemConfig& cfg, const smc::AddressMapper& mapper,
-                 std::uint32_t channel);
+                 const smc::RowCloneMap& clone_map, std::uint32_t channel);
+    // The api holds the addresses of the slice's members.
+    ChannelSlice(const ChannelSlice&) = delete;
+    ChannelSlice& operator=(const ChannelSlice&) = delete;
 
     dram::DramDevice device;
     tile::EasyTile tile;
     timescale::TimeKeeper keeper;
     smc::EasyApi api;
-    std::unique_ptr<smc::Controller> controller;
+    /// Check-bit store, CE counts and retirement map (null unless
+    /// `ecc.enabled`).
+    std::unique_ptr<smc::ErrorPolicy> error_policy;
+    /// RowHammer policy the controller feeds (null for kNone).
+    std::unique_ptr<smc::mitigation::RowHammerMitigator> mitigator;
+    /// Bin histogram of the RAIDR profile (all-zero for kAllRows).
+    smc::RaidrBinStats refresh_bin_stats{};
+    /// RAIDR refresh pacing (null for kAllRows: EasyApi's null policy IS
+    /// the all-rows regime, at zero pacing cost).
+    std::unique_ptr<smc::RefreshPolicy> refresh_policy;
+    smc::MemoryController controller;
   };
 
   std::uint64_t submit(tile::Request req, std::uint32_t channel, std::int64_t now);
@@ -314,31 +330,14 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   void record_latency(std::uint64_t id, std::uint32_t stream,
                       std::int64_t release_proc_cycle);
   void account_cpu_progress(std::int64_t now);
-  void rebuild_controllers();
   bool all_idle() const;
 
   SystemConfig cfg_;
   std::unique_ptr<smc::AddressMapper> mapper_;
-  std::vector<std::unique_ptr<ChannelSlice>> channels_;
-  /// Per-channel mitigation policies (entries null for kNone). Owned here
-  /// — NOT by the controllers — so policy state and stats survive
-  /// controller rebuilds (enable_rowclone, install_weak_row_filter).
-  std::vector<std::unique_ptr<smc::mitigation::RowHammerMitigator>> mitigators_;
-  /// Per-channel refresh policies (entries null for kAllRows — EasyApi's
-  /// null policy IS the all-rows regime, at zero pacing cost). Owned here
-  /// for the same rebuild-survival reason as the mitigators; installed on
-  /// each channel's EasyApi at construction.
-  std::vector<std::unique_ptr<smc::RefreshPolicy>> refresh_policies_;
-  /// Per-channel error policies (entries null unless cfg.ecc.enabled).
-  /// Owned here — check-bit store, CE counts, and retirement maps must
-  /// survive controller rebuilds, like the mitigators.
-  std::vector<std::unique_ptr<smc::ErrorPolicy>> error_policies_;
-  /// Bin histograms recorded when construction profiled each channel
-  /// (empty for kAllRows).
-  std::vector<smc::RaidrBinStats> refresh_bin_stats_;
+  /// Shared by every channel's controller, so declared before the slices.
   smc::RowCloneMap clone_map_;
   std::optional<smc::BloomFilter> weak_rows_;
-  bool rowclone_enabled_ = false;
+  std::vector<std::unique_ptr<ChannelSlice>> channels_;
 
   std::uint64_t next_id_ = 1;
   std::int64_t last_cpu_cycle_ = 0;

@@ -6,9 +6,6 @@ exact finding counts per check, exit codes for the clean/finding/error
 paths, suppression behaviour, and that the linter's own output is
 run-to-run identical. Finally asserts that src/ itself lints clean — the
 repo ships with a green determinism contract, not an advisory one.
-
-The token engine is pinned so counts are reproducible with or without
-libclang installed.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ def check(name, cond, detail=""):
 
 def run_lint(*argv):
     return subprocess.run(
-        [sys.executable, str(LINT), "--repo", str(REPO), "--engine", "tokens",
-         *argv],
+        [sys.executable, str(LINT), "--repo", str(REPO), *argv],
         capture_output=True,
         text=True,
     )

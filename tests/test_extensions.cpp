@@ -271,7 +271,6 @@ TEST(RowCloneTriggerTest, TriggerCyclesChargedToCore) {
     sys::EasyDramSystem sysm(cfg);
     smc::RowClonePairTester tester(sysm.api(), 2);
     tester.test(0, 0, 1, sysm.clone_map());
-    sysm.enable_rowclone();
     std::vector<cpu::TraceRecord> recs(2);
     recs[0].op = cpu::Op::kRowClone;
     recs[0].set_addr(0);

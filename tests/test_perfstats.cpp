@@ -1,6 +1,7 @@
 // The v2 measurement contract, tested at both layers: the RepStats
 // reduction every perf bench goes through (cli/measure.hpp) and the
 // tools/check_bench.py gate that thresholds the resulting document in CI.
+// Also covers measure_sim_speed, the fig14_sim_speed measurement.
 // The gate tests build fixture documents with the same Json writer the
 // harness uses and drive the real script through python3, asserting its
 // exit-code contract (0 pass / 1 gate failure / 2 unusable input).
@@ -93,6 +94,24 @@ TEST(RepStatsTest, RejectsEmptyMeasuredSeries) {
   EXPECT_THROW(reduce_reps(std::vector<double>{1.0}, 1), StatsError);
   EXPECT_THROW(reduce_reps(std::vector<double>{1.0, 2.0}, 5), StatsError);
   EXPECT_THROW(reduce_reps(std::vector<double>{1.0}, -1), StatsError);
+}
+
+// --------------------------------------------------------------------------
+// measure_sim_speed (the fig14_sim_speed measurement)
+// --------------------------------------------------------------------------
+
+TEST(SimSpeedTest, EasyDramRateIsModeledAndRamulatorRateIsHostTimed) {
+  // trisolv is the smallest Fig. 13 kernel. The EasyDRAM rate is modeled
+  // cycles over modeled wall, so it repeats exactly; the Ramulator rate
+  // reads the host clock, so only its sign and finiteness are stable.
+  const SimSpeed a = measure_sim_speed("trisolv", 7);
+  const SimSpeed b = measure_sim_speed("trisolv", 7);
+  EXPECT_EQ(a.easy_mhz, b.easy_mhz);
+  EXPECT_GT(a.easy_mhz, 0.0);
+  for (const SimSpeed& s : {a, b}) {
+    EXPECT_TRUE(std::isfinite(s.ram_mhz) && s.ram_mhz > 0.0) << s.ram_mhz;
+    EXPECT_TRUE(std::isfinite(s.ratio) && s.ratio > 0.0) << s.ratio;
+  }
 }
 
 // --------------------------------------------------------------------------

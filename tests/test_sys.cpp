@@ -139,10 +139,10 @@ TEST(SystemTest, PostedWritesAreDrained) {
 TEST(SystemTest, RowClonePathEndToEnd) {
   SystemConfig cfg = small_ts_config();
   EasyDramSystem sysm(cfg);
-  // Verify one pair through the allocator machinery, then enable RowClone.
+  // Verify one pair through the allocator machinery: the controller serves
+  // it in DRAM from then on.
   smc::RowClonePairTester tester(sysm.api(), /*trials=*/2);
   tester.test(0, 0, 1, sysm.clone_map());
-  sysm.enable_rowclone();
 
   const std::uint64_t src = 0;
   const std::uint64_t dst = 8192;  // Row 1 of bank 0 under LinearMapper.

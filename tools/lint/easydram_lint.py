@@ -8,20 +8,11 @@ whose behaviour can differ run-to-run or thread-count-to-thread-count,
 before they ever reach a golden hash. See docs/linting.md for the check
 catalog and the invariant each check guards.
 
-Engines
--------
-Two analysis engines are available:
-
-* ``tokens`` (always available): a comment/string-aware token scanner.
-  This is the engine of record — CI pins it so finding counts are
-  reproducible on any machine, with or without clang installed.
-* ``clang`` (optional): uses clang's python bindings (libclang) for
-  AST-accurate variants of the type-sensitive checks, falling back to the
-  token engine per-file on any parse failure. Selected only when
-  ``clang.cindex`` imports and a libclang shared object resolves.
-
-``--engine auto`` (the default) prefers ``clang`` when usable, otherwise
-``tokens``.
+Analysis
+--------
+Every check runs on a comment/string-aware token scanner that needs only
+the Python standard library, so finding counts are reproducible on any
+machine.
 
 Suppressions
 ------------
@@ -480,8 +471,8 @@ def check_fault_injection_seeding(path, stripped_lines, ctx):
     through hash_mix with distinct salts. An RNG seeded from anything
     else — a literal, an address, a host counter — silently forks the
     fault stream away from the scenario seed, and the divergence only
-    surfaces as a golden-hash mismatch much later. The token engine
-    requires a `seed`/`hash_mix` reference on the construction line
+    surfaces as a golden-hash mismatch much later. The check requires a
+    `seed`/`hash_mix` reference on the construction line
     itself; route derived keys through identifiers named `*seed*`.
     """
     findings = []
@@ -564,91 +555,6 @@ def check_cross_slice_shared_state(path, stripped_lines, ctx):
 
 
 # ---------------------------------------------------------------------------
-# Optional clang (libclang) engine
-
-
-def try_load_clang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def clang_findings_for_file(cindex, path, abs_path, ctx):
-    """AST-accurate variants of the type-sensitive checks for one file.
-
-    Returns None when the file cannot be parsed, so the caller falls back
-    to the token engine for it. The banned-entropy and
-    float-accumulation-order checks are token-shaped even under clang.
-    """
-    try:
-        tu = cindex.Index.create().parse(
-            str(abs_path),
-            args=["-std=c++20", "-I", str(ctx["repo"] / "src")],
-            options=cindex.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0,
-        )
-    except Exception:
-        return None
-    if any(d.severity >= 4 for d in tu.diagnostics):  # Fatal: wrong flags.
-        return None
-    findings = []
-    K = cindex.CursorKind
-
-    def type_is_unordered(t):
-        return "unordered_map" in t.spelling or "unordered_set" in t.spelling
-
-    def type_is_raw_int(t):
-        canon = t.get_canonical().spelling
-        return canon in (
-            "int", "long", "long long", "short", "unsigned int", "unsigned long",
-            "unsigned long long", "unsigned short", "char", "signed char",
-            "unsigned char",
-        )
-
-    for cur in tu.cursor.walk_preorder():
-        if cur.location.file is None or str(cur.location.file) != str(abs_path):
-            continue
-        if cur.kind == K.CXX_FOR_RANGE_STMT:
-            children = list(cur.get_children())
-            if len(children) >= 2 and type_is_unordered(children[-2].type):
-                findings.append(
-                    Finding(
-                        path, cur.location.line, "nondeterministic-iteration",
-                        "range-for over an unordered container (clang engine): "
-                        "hash-map order is unspecified; use an ordered container "
-                        "or sort a materialized copy",
-                    )
-                )
-        if path.endswith((".hpp", ".h")):
-            if cur.kind in (K.PARM_DECL, K.FIELD_DECL):
-                name = cur.spelling or ""
-                if re.fullmatch(TIME_SUFFIX_NAME, name) and type_is_raw_int(cur.type):
-                    findings.append(
-                        Finding(
-                            path, cur.location.line, "raw-time-units",
-                            f"'{name}' is a raw integer (clang engine); use "
-                            "Picoseconds/Cycles from common/units.hpp",
-                        )
-                    )
-            if cur.kind in (K.CXX_METHOD, K.FUNCTION_DECL):
-                name = cur.spelling or ""
-                if re.fullmatch(TIME_SUFFIX_NAME, name) and type_is_raw_int(
-                    cur.result_type
-                ):
-                    findings.append(
-                        Finding(
-                            path, cur.location.line, "raw-time-units",
-                            f"function '{name}' returns a raw integer (clang "
-                            "engine); return Picoseconds/Cycles instead",
-                        )
-                    )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Registry and driver
 
 CHECKS = {
@@ -659,9 +565,6 @@ CHECKS = {
     "fault-injection-seeding": check_fault_injection_seeding,
     "cross-slice-shared-state": check_cross_slice_shared_state,
 }
-
-# Checks the clang engine replaces (the rest always run as token checks).
-CLANG_COVERED = {"nondeterministic-iteration", "raw-time-units"}
 
 SOURCE_EXTS = (".cpp", ".cc", ".cxx", ".hpp", ".h")
 
@@ -679,7 +582,7 @@ def gather_files(paths):
     return files
 
 
-def run(paths, repo, checks, engine):
+def run(paths, repo, checks):
     files = gather_files(paths)
     raw_by_file = {}
     stripped_by_file = {}
@@ -694,32 +597,18 @@ def run(paths, repo, checks, engine):
             rel_by_file[f] = f.as_posix()
 
     ctx = {
-        "repo": repo,
         "unordered_names": collect_unordered_names(stripped_by_file),
         # Raw (unstripped) lines per relative path, for checks whose
         # annotations live in comments (SLICE-SHARED).
         "raw_by_path": {rel_by_file[f]: raw_by_file[f] for f in files},
     }
 
-    cindex = try_load_clang() if engine in ("auto", "clang") else None
-    engine_used = "clang" if cindex else "tokens"
-    if engine == "clang" and not cindex:
-        print("easydram-lint: clang engine requested but clang.cindex is "
-              "unavailable; falling back to tokens", file=sys.stderr)
-
     findings = []
     for f in files:
         path = rel_by_file[f]
         stripped_lines = stripped_by_file[f].splitlines()
-        clang_results = None
-        if cindex:
-            clang_results = clang_findings_for_file(cindex, path, f, ctx)
         for name in checks:
-            if clang_results is not None and name in CLANG_COVERED:
-                per_check = [x for x in clang_results if x.check == name]
-            else:
-                per_check = CHECKS[name](path, stripped_lines, ctx)
-            for finding in per_check:
+            for finding in CHECKS[name](path, stripped_lines, ctx):
                 if not is_suppressed(raw_by_file[f], finding.line, finding.check):
                     findings.append(finding)
 
@@ -731,7 +620,7 @@ def run(paths, repo, checks, engine):
         if x.key() not in seen:
             seen.add(x.key())
             unique.append(x)
-    return unique, engine_used, len(files)
+    return unique, len(files)
 
 
 def main(argv=None):
@@ -745,8 +634,6 @@ def main(argv=None):
                     help="repository root (default: this script's grandparent)")
     ap.add_argument("--check", action="append", dest="checks", metavar="NAME",
                     help="run only NAME (repeatable; default: all checks)")
-    ap.add_argument("--engine", choices=("auto", "tokens", "clang"),
-                    default="auto", help="analysis engine (default: auto)")
     ap.add_argument("--format", choices=("human", "json"), default="human")
     ap.add_argument("--list-checks", action="store_true",
                     help="print registered check names and exit")
@@ -769,7 +656,7 @@ def main(argv=None):
     paths = args.paths or [repo / "src"]
 
     try:
-        findings, engine_used, n_files = run(paths, repo, checks, args.engine)
+        findings, n_files = run(paths, repo, checks)
     except FileNotFoundError as e:
         print(f"easydram-lint: no such path: {e}", file=sys.stderr)
         return 2
@@ -778,7 +665,6 @@ def main(argv=None):
         print(json.dumps(
             {
                 "tool": "easydram-lint",
-                "engine": engine_used,
                 "files_scanned": n_files,
                 "checks": checks,
                 "findings": [dataclasses.asdict(x) for x in findings],
@@ -790,7 +676,7 @@ def main(argv=None):
             print(f"{x.file}:{x.line}: [{x.check}] {x.message}")
         status = "clean" if not findings else f"{len(findings)} finding(s)"
         print(f"easydram-lint: {status} over {n_files} file(s) "
-              f"({engine_used} engine, checks: {', '.join(checks)})")
+              f"(checks: {', '.join(checks)})")
     return 1 if findings else 0
 
 
