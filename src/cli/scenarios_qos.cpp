@@ -44,18 +44,16 @@ struct StreamLatency {
   double p99 = 0.0;
 };
 
-StreamLatency summarize(const std::vector<std::int64_t>& samples) {
+StreamLatency summarize(const CountHistogram& samples) {
   StreamLatency s;
-  s.requests = static_cast<std::int64_t>(samples.size());
-  if (samples.empty()) return s;
-  std::vector<double> xs(samples.begin(), samples.end());
-  // The drain order of the sample vector is engine-dependent; sorting
-  // makes every reduction a pure function of the (invariant) multiset.
-  std::sort(xs.begin(), xs.end());
-  s.mean = mean(xs);
-  s.p50 = percentile(xs, 50.0);
-  s.p95 = percentile(xs, 95.0);
-  s.p99 = percentile(xs, 99.0);
+  s.requests = static_cast<std::int64_t>(samples.count());
+  if (samples.count() == 0) return s;
+  // A histogram is the multiset alone, so every reduction is independent
+  // of the order in which channels drained their completions.
+  s.mean = samples.mean();
+  s.p50 = samples.percentile(50.0);
+  s.p95 = samples.percentile(95.0);
+  s.p99 = samples.percentile(99.0);
   return s;
 }
 
@@ -74,7 +72,7 @@ QosRun run_records(const sys::SystemConfig& cfg,
   sysm.run(trace);
   QosRun r;
   const auto& samples = sysm.stream_latency_samples();
-  static const std::vector<std::int64_t> kEmpty;
+  static const CountHistogram kEmpty;
   r.streams.reserve(n_streams);
   for (std::size_t s = 0; s < n_streams; ++s) {
     r.streams.push_back(summarize(s < samples.size() ? samples[s] : kEmpty));

@@ -58,20 +58,45 @@ double stddev(std::span<const double> xs) {
 
 double percentile(std::span<const double> xs, double pct) {
   if (xs.empty()) throw StatsError("percentile: empty input");
-  EASYDRAM_EXPECTS(pct >= 0.0 && pct <= 100.0);
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  return percentile_of_sorted(sorted.size(), pct,
+                              [&sorted](std::size_t k) { return sorted[k]; });
 }
 
 double p50(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double p95(std::span<const double> xs) { return percentile(xs, 95.0); }
+
+std::vector<std::pair<std::int64_t, std::size_t>> CountHistogram::sorted_counts() const {
+  std::vector<std::pair<std::int64_t, std::size_t>> out;
+  // Negative values, then the array, then values at or above its limit.
+  const auto non_negative = sparse_.lower_bound(0);
+  out.insert(out.end(), sparse_.begin(), non_negative);
+  for (std::size_t v = 0; v < dense_.size(); ++v) {
+    if (dense_[v] != 0) out.emplace_back(static_cast<std::int64_t>(v), dense_[v]);
+  }
+  out.insert(out.end(), non_negative, sparse_.end());
+  return out;
+}
+
+double CountHistogram::mean() const {
+  if (count_ == 0) throw StatsError("mean: empty input");
+  return static_cast<double>(sum_) / static_cast<double>(count_);
+}
+
+double CountHistogram::percentile(double pct) const {
+  if (count_ == 0) throw StatsError("percentile: empty input");
+  const auto sorted = sorted_counts();
+  return percentile_of_sorted(count_, pct, [&sorted](std::size_t k) {
+    std::size_t through = 0;  // Samples at or below the current value.
+    for (const auto& [value, n] : sorted) {
+      through += n;
+      if (k < through) return static_cast<double>(value);
+    }
+    return static_cast<double>(sorted.back().first);  // Unreachable: k < count_.
+  });
+}
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {

@@ -45,7 +45,7 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
       timing_(timing),
       variation_(geo, variation),
       banks_(geo.banks_per_channel()),
-      cells_(geo.rows_per_bank, geo.cols_per_row()),
+      cells_(geo.banks_per_channel(), geo.rows_per_bank, geo.cols_per_row()),
       ranks_(geo.ranks_per_channel),
       data_bus_free_(kNegInf),
       now_(Picoseconds{0}) {
@@ -63,6 +63,15 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
     r.wr_data_end_in_group.assign(geo.bank_groups, kNegInf);
     r.ref_busy_until = kNegInf;
   }
+}
+
+DramDevice::LineStore::LineStore(std::uint32_t banks, std::uint32_t rows_per_bank,
+                                 std::uint32_t cols_per_row)
+    : rows_per_bank_(rows_per_bank),
+      chunks_per_row_((cols_per_row + kChunkLines - 1) / kChunkLines) {
+  // The largest key plus one must not wrap to the empty-slot marker.
+  EASYDRAM_EXPECTS(std::uint64_t{banks} * rows_per_bank * chunks_per_row_ <
+                   std::uint64_t{kNoRecord});
 }
 
 std::size_t DramDevice::LineStore::home(std::uint32_t key) const {
@@ -87,7 +96,7 @@ void DramDevice::LineStore::place(Slot slot) {
 }
 
 std::uint32_t DramDevice::LineStore::insert_record(std::uint32_t key) {
-  const auto record = static_cast<std::uint32_t>(line_ids_.size() / cols_per_row_);
+  const auto record = static_cast<std::uint32_t>(line_ids_.size() / kChunkLines);
   if (2 * (static_cast<std::size_t>(record) + 1) > index_.size()) {
     // Double (64 slots minimum) and rehash every record.
     std::vector<Slot> old = std::move(index_);
@@ -98,17 +107,17 @@ std::uint32_t DramDevice::LineStore::insert_record(std::uint32_t key) {
     }
   }
   place(Slot{key + 1, record});
-  line_ids_.resize(line_ids_.size() + cols_per_row_, 0);
+  line_ids_.resize(line_ids_.size() + kChunkLines, 0);
   return record;
 }
 
 DramDevice::LineStore::Line& DramDevice::LineStore::line_data(std::uint32_t fbank,
                                                               std::uint32_t row,
                                                               std::uint32_t col) {
-  const std::uint32_t k = key(fbank, row);
+  const std::uint32_t k = key(fbank, row, col);
   std::uint32_t record = find_record(k);
   if (record == kNoRecord) record = insert_record(k);
-  std::uint32_t& id = line_ids_[static_cast<std::size_t>(record) * cols_per_row_ + col];
+  std::uint32_t& id = line_ids_[id_index(record, col)];
   if (id != 0) return line_at(id);
   if (lines_ % kLinesPerBlock == 0) {
     blocks_.push_back(std::make_unique_for_overwrite<Line[]>(kLinesPerBlock));
@@ -121,10 +130,9 @@ DramDevice::LineStore::Line& DramDevice::LineStore::line_data(std::uint32_t fban
 
 const DramDevice::LineStore::Line* DramDevice::LineStore::line_if_present(
     std::uint32_t fbank, std::uint32_t row, std::uint32_t col) const {
-  const std::uint32_t record = find_record(key(fbank, row));
+  const std::uint32_t record = find_record(key(fbank, row, col));
   if (record == kNoRecord) return nullptr;
-  const std::uint32_t id =
-      line_ids_[static_cast<std::size_t>(record) * cols_per_row_ + col];
+  const std::uint32_t id = line_ids_[id_index(record, col)];
   return id == 0 ? nullptr : &line_at(id);
 }
 
@@ -371,8 +379,11 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       }
       res.violations |= timing_violations(Command::kRead, a, at);
       const std::uint32_t group = geo_.bank_group_of(a.bank);
-      res.data_reliable =
-          at - b.act_time >= variation_.line_min_trcd(fbank, a.row, a.col);
+      // At or above the field's ceiling every line reads reliably; only a
+      // reduced-tRCD read needs the per-line lookup.
+      const Picoseconds opened = at - b.act_time;
+      res.data_reliable = opened >= variation_.line_min_trcd_ceiling() ||
+                          opened >= variation_.line_min_trcd(fbank, a.row, a.col);
       if (!res.data_reliable) {
         // The sense amplifier latched a wrong value; it is both returned and
         // restored into the cells.

@@ -303,18 +303,22 @@ class DramDevice {
   };
 
   /// Sparse cell contents at cache-line granularity, in three levels: an
-  /// open-addressing index from row key (fbank * rows_per_bank + row) to a
-  /// row record; per record, cols_per_row line ids (0 = never written);
-  /// and a pool of 64-byte lines allocated in 256 KiB blocks. Blocks are
-  /// left uninitialized and each line is zeroed when it materializes, so
-  /// untouched pages never become resident and line addresses stay stable
-  /// across later inserts. Unwritten lines read as zero.
+  /// open-addressing index from chunk key to a chunk record, where a chunk
+  /// is kChunkLines adjacent lines of one row (key = (fbank * rows_per_bank
+  /// + row) * chunks_per_row + col / kChunkLines); per record, kChunkLines
+  /// line ids (0 = never written); and a pool of 64-byte lines allocated
+  /// in 256 KiB blocks. Ids therefore cost memory per touched chunk, not
+  /// per touched row. Blocks are left uninitialized and each line is
+  /// zeroed when it materializes, so untouched pages never become resident
+  /// and line addresses stay stable across later inserts. Unwritten lines
+  /// read as zero.
   class LineStore {
    public:
     using Line = std::array<std::uint8_t, 64>;
 
-    LineStore(std::uint32_t rows_per_bank, std::uint32_t cols_per_row)
-        : rows_per_bank_(rows_per_bank), cols_per_row_(cols_per_row) {}
+    /// Precondition: every chunk key of the geometry fits 32 bits.
+    LineStore(std::uint32_t banks, std::uint32_t rows_per_bank,
+              std::uint32_t cols_per_row);
 
     /// The stored line, materialized as zeros on first use.
     Line& line_data(std::uint32_t fbank, std::uint32_t row, std::uint32_t col);
@@ -324,16 +328,20 @@ class DramDevice {
     std::size_t stored_lines() const { return lines_; }
 
    private:
-    /// One index slot: key + 1 (0 = empty) and the row's record number.
+    /// One index slot: key + 1 (0 = empty) and the chunk's record number.
     struct Slot {
       std::uint32_t key_plus_one = 0;
       std::uint32_t record = 0;
     };
     static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
     static constexpr std::size_t kLinesPerBlock = 4096;  ///< 256 KiB.
+    /// Lines per chunk record. 8 ids make a 32-byte record: narrower
+    /// chunks grow the index, wider ones hold more never-written ids.
+    static constexpr std::uint32_t kChunkLines = 8;
 
-    std::uint32_t key(std::uint32_t fbank, std::uint32_t row) const {
-      return fbank * rows_per_bank_ + row;
+    std::uint32_t key(std::uint32_t fbank, std::uint32_t row,
+                      std::uint32_t col) const {
+      return (fbank * rows_per_bank_ + row) * chunks_per_row_ + col / kChunkLines;
     }
     std::size_t home(std::uint32_t key) const;  ///< First probe slot.
     std::uint32_t find_record(std::uint32_t key) const;
@@ -342,15 +350,19 @@ class DramDevice {
     /// Adds an all-unwritten record for `key`, growing the index first
     /// when the insert would lift its load above 1/2.
     std::uint32_t insert_record(std::uint32_t key);
+    /// Where `col`'s line id sits in chunk record `record`.
+    static std::size_t id_index(std::uint32_t record, std::uint32_t col) {
+      return static_cast<std::size_t>(record) * kChunkLines + col % kChunkLines;
+    }
     Line& line_at(std::uint32_t id) const {
       return blocks_[(id - 1) / kLinesPerBlock][(id - 1) % kLinesPerBlock];
     }
 
     std::uint32_t rows_per_bank_;
-    std::uint32_t cols_per_row_;
+    std::uint32_t chunks_per_row_;
     std::vector<Slot> index_;  ///< Power-of-two size, load <= 1/2.
     int index_shift_ = 64;     ///< 64 - log2(index_.size()).
-    std::vector<std::uint32_t> line_ids_;  ///< cols_per_row_ per record.
+    std::vector<std::uint32_t> line_ids_;  ///< kChunkLines per record.
     std::vector<std::unique_ptr<Line[]>> blocks_;
     std::size_t lines_ = 0;
   };

@@ -1,6 +1,8 @@
 #include "dram/variation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace easydram::dram {
 
@@ -15,6 +17,17 @@ double lattice_value(std::uint64_t seed, std::uint32_t bank, std::uint32_t u,
 }
 
 }  // namespace
+
+VariationModel::VariationModel(const Geometry& geo, const VariationConfig& cfg)
+    : geo_(geo), cfg_(cfg), trcd_ceiling_{std::numeric_limits<std::int64_t>::max()} {
+  // pow(n, shape) <= 1 for the field's n in [0, 1] needs shape >= 0 (and
+  // rules out NaN). The row value is then at most min_trcd + span, which
+  // is max(min_trcd, max_trcd) whatever the sign of the span.
+  if (cfg.shape >= 0.0) {
+    trcd_ceiling_ = std::max(cfg.min_trcd, cfg.max_trcd) +
+                    std::max(Picoseconds{0}, Picoseconds{0} - cfg.line_jitter);
+  }
+}
 
 double VariationModel::smooth_noise(std::uint32_t bank, std::uint32_t row) const {
   // Map the row to 2D physical-layout-like coordinates: position within its

@@ -74,8 +74,7 @@ struct VariationConfig {
 /// channel owns a separately seeded model.
 class VariationModel {
  public:
-  VariationModel(const Geometry& geo, const VariationConfig& cfg)
-      : geo_(geo), cfg_(cfg) {}
+  VariationModel(const Geometry& geo, const VariationConfig& cfg);
 
   const VariationConfig& config() const { return cfg_; }
 
@@ -86,6 +85,14 @@ class VariationModel {
   /// at least one line per row equals the row value.
   Picoseconds line_min_trcd(std::uint32_t bank, std::uint32_t row,
                             std::uint32_t col) const;
+
+  /// Upper bound on every line_min_trcd value: max(min_trcd, max_trcd),
+  /// plus the jitter when line_jitter is negative (lines then sit above
+  /// their row). A read whose ACT->RD distance reaches it is reliable on
+  /// any line, so the device skips the per-line lookup. The field stays
+  /// under max(min_trcd, max_trcd) only for shape >= 0; for any other
+  /// shape this is the largest Picoseconds value and every read looks up.
+  Picoseconds line_min_trcd_ceiling() const { return trcd_ceiling_; }
 
   /// Whether a RowClone from `src_row` to `dst_row` inside `bank` reliably
   /// copies data. Always false across subarray boundaries (FPM RowClone is
@@ -107,6 +114,7 @@ class VariationModel {
 
   Geometry geo_;
   VariationConfig cfg_;
+  Picoseconds trcd_ceiling_;
   /// Direct-mapped memo of row_min_trcd (a pure function of the seed and
   /// the row coordinate, but pow()-heavy): row opens dominate both
   /// simulators' hot paths and revisit the same rows constantly. Fixed

@@ -322,9 +322,8 @@ void EasyDramSystem::drain_outgoing() {
 void EasyDramSystem::record_latency(std::uint64_t id, std::uint32_t stream,
                                     std::int64_t release_proc_cycle) {
   if (!cfg_.track_stream_latency) return;
-  if (stream >= stream_samples_.size()) stream_samples_.resize(stream + 1);
-  stream_samples_[stream].push_back(release_proc_cycle -
-                                    completed_.issue_proc_cycle(id));
+  if (stream >= stream_latency_.size()) stream_latency_.resize(stream + 1);
+  stream_latency_[stream].add(release_proc_cycle - completed_.issue_proc_cycle(id));
 }
 
 bool EasyDramSystem::step_channel(ChannelSlice& ch) {

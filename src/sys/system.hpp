@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/core.hpp"
 #include "cpu/presets.hpp"
@@ -123,10 +124,10 @@ struct SystemConfig {
   smc::EccConfig ecc{};
 
   /// Records every completed request's modeled latency (release minus
-  /// issue processor cycle) into a per-stream sample vector (see
-  /// EasyDramSystem::stream_latency_samples). Off by default — the samples
-  /// cost memory proportional to the request count and single-stream
-  /// scenarios never read them.
+  /// issue processor cycle) into a per-stream exact histogram (see
+  /// EasyDramSystem::stream_latency_samples). Off by default: single-stream
+  /// scenarios never read it, and each histogram costs one entry per
+  /// distinct latency value.
   bool track_stream_latency = false;
 
   /// Ignored. The system always pumps its channels with one serial
@@ -265,11 +266,12 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   /// Worst retention overshoot over every channel device.
   Picoseconds max_retention_overshoot() const;
   /// Per-stream modeled-latency samples (emulated processor cycles, one per
-  /// completed request, indexed by stream id), recorded in completion-drain
-  /// order when `track_stream_latency` is set. Sort before computing
-  /// percentiles: the drain order interleaves channels.
-  const std::vector<std::vector<std::int64_t>>& stream_latency_samples() const {
-    return stream_samples_;
+  /// completed request) as exact count histograms indexed by stream id,
+  /// recorded when `track_stream_latency` is set. A histogram holds the
+  /// multiset alone, so it does not depend on the drain order in which
+  /// channels completed their requests.
+  const std::vector<CountHistogram>& stream_latency_samples() const {
+    return stream_latency_;
   }
 
  private:
@@ -324,8 +326,8 @@ class EasyDramSystem final : public cpu::MemoryBackend {
     }
   }
   void drain_outgoing();
-  /// Appends the completed id's modeled latency to its stream's sample
-  /// vector (no-op unless cfg_.track_stream_latency). Must run before the
+  /// Adds the completed id's modeled latency to its stream's histogram
+  /// (no-op unless cfg_.track_stream_latency). Must run before the
   /// id is consumed — it reads the issue cycle off the completion slot.
   void record_latency(std::uint64_t id, std::uint32_t stream,
                       std::int64_t release_proc_cycle);
@@ -343,8 +345,8 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   std::int64_t last_cpu_cycle_ = 0;
   /// Stream identity stamped onto submitted requests (set_stream).
   std::uint32_t current_stream_ = 0;
-  /// Per-stream latency samples (empty unless track_stream_latency).
-  std::vector<std::vector<std::int64_t>> stream_samples_;
+  /// Per-stream latency histograms (empty unless track_stream_latency).
+  std::vector<CountHistogram> stream_latency_;
   /// Responses drained from the tiles, keyed by the dense request id
   /// stream (the core waits approximately in order; see CompletionRing).
   CompletionRing completed_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -185,6 +187,76 @@ TEST(Stats, PercentileSmallSpans) {
   EXPECT_DOUBLE_EQ(p50(xs), 2.5);
   EXPECT_NEAR(percentile(xs, 100.0), 4.0, 1e-12);
   EXPECT_NEAR(p95(xs), 3.85, 1e-9);
+}
+
+// CountHistogram keeps one count per distinct value; its reductions must be
+// the ones mean()/percentile() compute over the expanded, sorted samples,
+// bit for bit. Multisets of every size class: one element, two elements,
+// heavy duplication (values from a narrow range) and wide spreads.
+TEST(Stats, CountHistogramMatchesExpandedSamplesExactly) {
+  Xoshiro256ss rng(0xC0FFEE);
+  const std::size_t sizes[] = {1, 2, 3, 7, 100, 1000, 4097};
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = sizes[trial % std::size(sizes)];
+    // Narrow ranges force duplicates; wide ones make most values distinct
+    // and reach past the dense array; a negative base adds values below it.
+    const std::uint64_t range = trial % 2 == 0 ? 1 + rng.next_below(20)
+                                               : 1 + rng.next_below(5'000'000);
+    const std::int64_t base = static_cast<std::int64_t>(rng.next_below(1000)) -
+                              (trial % 4 == 1 ? 20'000 : 0);
+    CountHistogram h;
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t v = base + static_cast<std::int64_t>(rng.next_below(range));
+      h.add(v);
+      xs.push_back(static_cast<double>(v));
+    }
+    std::sort(xs.begin(), xs.end());
+    ASSERT_EQ(h.count(), n);
+    std::size_t summed = 0;
+    std::int64_t previous = std::numeric_limits<std::int64_t>::min();
+    for (const auto& [value, count] : h.sorted_counts()) {
+      EXPECT_GT(value, previous);  // Ascending, one entry per value.
+      EXPECT_GT(count, 0u);
+      previous = value;
+      summed += count;
+    }
+    EXPECT_EQ(summed, n);
+    EXPECT_EQ(h.mean(), mean(xs)) << "trial " << trial;
+    for (const double pct : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+      EXPECT_EQ(h.percentile(pct), percentile(xs, pct))
+          << "trial " << trial << " pct " << pct;
+    }
+  }
+}
+
+TEST(Stats, CountHistogramOrdersValuesAcrossTheDenseLimit) {
+  constexpr std::int64_t kLimit = CountHistogram::kDenseLimit;
+  CountHistogram h;
+  for (const std::int64_t v : {kLimit, kLimit - 1, std::int64_t{0}, std::int64_t{-1}, kLimit,
+                               std::int64_t{5}, std::int64_t{-1}}) {
+    h.add(v);
+  }
+  const std::vector<std::pair<std::int64_t, std::size_t>> expected = {
+      {-1, 2}, {0, 1}, {5, 1}, {kLimit - 1, 1}, {kLimit, 2}};
+  EXPECT_EQ(h.sorted_counts(), expected);
+  EXPECT_EQ(h.percentile(0.0), -1.0);
+  EXPECT_EQ(h.percentile(100.0), static_cast<double>(kLimit));
+}
+
+TEST(Stats, CountHistogramEmptyAndSingleValue) {
+  CountHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_THROW(h.mean(), StatsError);
+  EXPECT_THROW(h.percentile(50.0), StatsError);
+  h.add(42);
+  h.add(42);
+  h.add(42);
+  EXPECT_EQ(h.count(), 3u);
+  ASSERT_EQ(h.sorted_counts().size(), 1u);
+  EXPECT_EQ(h.sorted_counts().front(), std::make_pair(std::int64_t{42}, std::size_t{3}));
+  EXPECT_EQ(h.mean(), 42.0);
+  EXPECT_EQ(h.percentile(99.0), 42.0);
 }
 
 TEST(Stats, HistogramBucketsAndClamping) {

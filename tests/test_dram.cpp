@@ -373,9 +373,10 @@ TEST_F(DeviceTest, StoredLinesScaleWithLinesWrittenNotRowsTouched) {
 
 TEST_F(DeviceTest, RowCloneMaterializesDestinationLinesMidCopy) {
   // Filler rows in other banks: 62 full rows plus one 64-line row. With
-  // the full source row that is 64 records and 8128 lines, 64 short of a
-  // third 256 KiB block, so the copy's first destination line grows the
-  // row index and its 65th starts a new block.
+  // the full source row that is 1016 8-line chunk records and 8128 lines,
+  // 64 short of a third 256 KiB block. The copy's ninth destination chunk
+  // (its 1025th record) grows the 2048-slot index, and its 65th line
+  // starts a new block: both happen at destination column 64.
   for (std::uint32_t f = 0; f < 63; ++f) {
     const std::uint32_t cols = f < 62 ? 128 : 64;
     for (std::uint32_t c = 0; c < cols; ++c) {
@@ -414,6 +415,174 @@ TEST_F(DeviceTest, RowCloneMaterializesDestinationLinesMidCopy) {
   ASSERT_TRUE(dev_.issue(Command::kAct, {3, dst, 0}, 206_ns).rowclone_success);
   for (std::uint32_t c = 0; c < 128; ++c) {
     EXPECT_TRUE(reads_zero(dev_, {3, dst, c})) << "col " << c;
+  }
+}
+
+// The line store keys its records by 8-line chunk. Columns on either side
+// of a chunk boundary must stay independent.
+TEST_F(DeviceTest, ChunkBoundaryColumnsReadBackAndNeighboursStayZero) {
+  const std::uint32_t cols[] = {7, 8, 15, 16, 127};
+  for (const std::uint32_t c : cols) dev_.backdoor_write({5, 777, c}, numbered_line(c));
+  EXPECT_EQ(dev_.stored_lines(), std::size(cols));
+  std::array<std::uint8_t, 64> out{};
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    if (std::find(std::begin(cols), std::end(cols), c) != std::end(cols)) {
+      dev_.backdoor_read({5, 777, c}, out);
+      EXPECT_EQ(out, numbered_line(c)) << "col " << c;
+    } else {
+      EXPECT_TRUE(reads_zero(dev_, {5, 777, c})) << "col " << c;
+    }
+  }
+  // The same columns of the neighbouring rows and banks were never written.
+  for (const std::uint32_t c : cols) {
+    EXPECT_TRUE(reads_zero(dev_, {5, 776, c}));
+    EXPECT_TRUE(reads_zero(dev_, {5, 778, c}));
+    EXPECT_TRUE(reads_zero(dev_, {4, 777, c}));
+    EXPECT_TRUE(reads_zero(dev_, {6, 777, c}));
+  }
+}
+
+TEST_F(DeviceTest, RowCloneAcrossChunksCopiesAndClearsLineByLine) {
+  const std::uint32_t src = 40;
+  const std::uint32_t dst = 41;  // Same subarray as src.
+  // Source lines in chunks 0, 1 and 15; destination data in chunk 1 (next
+  // to a source line) and in chunks 4 and 8, which the source never wrote.
+  const std::uint32_t src_cols[] = {3, 9, 120};
+  const std::uint32_t dst_cols[] = {10, 33, 70};
+  for (const std::uint32_t c : src_cols) dev_.backdoor_write({2, src, c}, numbered_line(c));
+  for (const std::uint32_t c : dst_cols) {
+    dev_.backdoor_write({2, dst, c}, numbered_line(500 + c));
+  }
+  ASSERT_EQ(dev_.stored_lines(), 6u);
+
+  dev_.issue(Command::kAct, {2, src, 0}, 0_ns);
+  dev_.issue(Command::kPre, {2, 0, 0}, 3_ns);
+  ASSERT_TRUE(dev_.issue(Command::kAct, {2, dst, 0}, 6_ns).rowclone_success);
+
+  // Three destination lines materialized; the three it held were cleared
+  // in place.
+  EXPECT_EQ(dev_.stored_lines(), 9u);
+  std::array<std::uint8_t, 64> out{};
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    const bool from_src =
+        std::find(std::begin(src_cols), std::end(src_cols), c) != std::end(src_cols);
+    dev_.backdoor_read({2, dst, c}, out);
+    if (from_src) {
+      EXPECT_EQ(out, numbered_line(c)) << "col " << c;
+      dev_.backdoor_read({2, src, c}, out);
+      EXPECT_EQ(out, numbered_line(c)) << "source col " << c;
+    } else {
+      EXPECT_TRUE(reads_zero(dev_, {2, dst, c})) << "col " << c;
+      EXPECT_TRUE(reads_zero(dev_, {2, src, c})) << "source col " << c;
+    }
+  }
+}
+
+// A failed RowClone corrupts every line of the destination row. A row held
+// as two lines in two chunks must come out exactly as the same contents
+// written densely (every column, zeros elsewhere) do.
+TEST_F(DeviceTest, CorruptRowOnSparseRowMatchesDenseRow) {
+  DramDevice dense(Geometry{}, t_, strong_variation());
+  const std::uint32_t dst = 600;  // Subarray 1: a clone from row 10 fails.
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    const auto line =
+        c == 5 || c == 100 ? numbered_line(c) : std::array<std::uint8_t, 64>{};
+    if (c == 5 || c == 100) dev_.backdoor_write({2, dst, c}, line);
+    dense.backdoor_write({2, dst, c}, line);
+  }
+  ASSERT_EQ(dev_.stored_lines(), 2u);
+  for (DramDevice* dev : {&dev_, &dense}) {
+    dev->issue(Command::kAct, {2, 10, 0}, 0_ns);
+    dev->issue(Command::kPre, {2, 0, 0}, 3_ns);
+    const IssueResult act = dev->issue(Command::kAct, {2, dst, 0}, 6_ns);
+    ASSERT_TRUE(act.rowclone_attempted);
+    ASSERT_FALSE(act.rowclone_success);
+  }
+  EXPECT_EQ(dev_.stored_lines(), 128u);
+  std::array<std::uint8_t, 64> sparse_out{};
+  std::array<std::uint8_t, 64> dense_out{};
+  int changed = 0;
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    dev_.backdoor_read({2, dst, c}, sparse_out);
+    dense.backdoor_read({2, dst, c}, dense_out);
+    EXPECT_EQ(sparse_out, dense_out) << "col " << c;
+    const auto before =
+        c == 5 || c == 100 ? numbered_line(c) : std::array<std::uint8_t, 64>{};
+    if (sparse_out != before) ++changed;
+  }
+  EXPECT_EQ(changed, 128);
+}
+
+// Many chunk records: one line in every fourth chunk of 3000 rows spread
+// over all banks, so the index doubles many times while lines stay put.
+TEST_F(DeviceTest, IndexGrowsAcrossManyChunkRecords) {
+  std::uint32_t n = 0;
+  for (std::uint32_t r = 0; r < 3000; ++r) {
+    for (std::uint32_t chunk = r % 4; chunk < 16; chunk += 4, ++n) {
+      dev_.backdoor_write({r % 16, r * 7 % 32768, chunk * 8 + r % 8}, numbered_line(n));
+    }
+  }
+  ASSERT_EQ(dev_.stored_lines(), n);
+  std::array<std::uint8_t, 64> out{};
+  n = 0;
+  for (std::uint32_t r = 0; r < 3000; ++r) {
+    for (std::uint32_t chunk = r % 4; chunk < 16; chunk += 4, ++n) {
+      const DramAddress a{r % 16, r * 7 % 32768, chunk * 8 + r % 8};
+      dev_.backdoor_read(a, out);
+      ASSERT_EQ(out, numbered_line(n)) << "row " << a.row << " col " << a.col;
+      // The other lines of the same chunk, and the next chunk, read zero.
+      EXPECT_TRUE(reads_zero(dev_, {a.bank, a.row, chunk * 8 + (r + 1) % 8}));
+      EXPECT_TRUE(reads_zero(dev_, {a.bank, a.row, (a.col + 8) % 128}));
+    }
+  }
+}
+
+// stored_lines() counts materialized lines: each line of a chunk counts,
+// and rewrites, reads and lookups of absent chunks add nothing.
+TEST_F(DeviceTest, StoredLinesCountLinesNotChunks) {
+  for (std::uint32_t c = 0; c < 8; ++c) dev_.backdoor_write({0, 3, c}, numbered_line(c));
+  EXPECT_EQ(dev_.stored_lines(), 8u);  // One full chunk.
+  for (std::uint32_t c = 0; c < 128; c += 8) dev_.backdoor_write({1, 3, c}, numbered_line(c));
+  EXPECT_EQ(dev_.stored_lines(), 24u);  // One line in each of 16 chunks.
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    dev_.backdoor_write({0, 3, c % 8}, numbered_line(c));
+    reads_zero(dev_, {1, 3, c});
+    reads_zero(dev_, {2, 3, c});
+  }
+  EXPECT_EQ(dev_.stored_lines(), 24u);
+}
+
+// Reads opened at least the variation field's ceiling skip the per-line
+// lookup. Below it the lookup still decides: with lines between 8.2 and
+// 9 ns, a read opened at the lowest line's minimum is reliable on that
+// line and corrupt on the row's highest line.
+TEST_F(DeviceTest, ReducedTrcdReadStillLooksUpTheLine) {
+  VariationConfig weak;
+  weak.min_trcd = 9_ns;
+  weak.max_trcd = Picoseconds{9001};
+  DramDevice dev(Geometry{}, t_, weak);
+  const VariationModel& field = dev.variation();
+  ASSERT_EQ(field.line_min_trcd_ceiling(), Picoseconds{9001});
+  // The row's anchor line carries the row value; find the lowest line.
+  const std::uint32_t bank = 6;
+  const std::uint32_t row = 300;
+  std::uint32_t strong = 0;
+  std::uint32_t weakest = 0;
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    if (field.line_min_trcd(bank, row, c) < field.line_min_trcd(bank, row, strong)) strong = c;
+    if (field.line_min_trcd(bank, row, c) > field.line_min_trcd(bank, row, weakest)) weakest = c;
+  }
+  const Picoseconds opened = field.line_min_trcd(bank, row, strong);
+  ASSERT_LT(opened, field.line_min_trcd(bank, row, weakest));
+  dev.issue(Command::kAct, {bank, row, 0}, 0_ns);
+  EXPECT_TRUE(dev.issue(Command::kRead, {bank, row, strong}, opened).data_reliable);
+  EXPECT_FALSE(dev.issue(Command::kRead, {bank, row, weakest}, opened).data_reliable);
+  // At the ceiling every line reads reliably.
+  for (std::uint32_t c = 0; c < 128; ++c) {
+    EXPECT_TRUE(dev.issue(Command::kRead, {bank, row, c},
+                          field.line_min_trcd_ceiling() + Picoseconds{c})
+                    .data_reliable)
+        << "col " << c;
   }
 }
 

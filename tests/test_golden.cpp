@@ -4,6 +4,11 @@
 // instead of a manual diff. fig14_sim_speed is excluded by design — its
 // Ramulator column reads the host clock.
 //
+// Each kGolden row is its own test instance and its own CTest entry
+// (test_golden.<scenario>; tests/CMakeLists.txt reads the rows from this
+// file), as is each thread-count sweep, so `ctest -j` runs them in
+// parallel and a failure names its scenario.
+//
 // When a change *intentionally* alters scenario output, run this suite
 // with EASYDRAM_PRINT_GOLDEN=1 to print the new table, verify the diff is
 // expected, and update kGolden below.
@@ -11,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "cli/scenario.hpp"
@@ -82,24 +89,36 @@ std::uint64_t scenario_hash(const char* name) {
   return fnv1a(run_scenario(*s, opts).dump_string());
 }
 
-TEST(GoldenHashTest, DeterministicScenariosMatchCheckedInDigests) {
-  const bool print = std::getenv("EASYDRAM_PRINT_GOLDEN") != nullptr;
+bool print_mode() { return std::getenv("EASYDRAM_PRINT_GOLDEN") != nullptr; }
+
+class GoldenDigest : public ::testing::TestWithParam<GoldenEntry> {};
+
+TEST_P(GoldenDigest, DeterministicScenariosMatchCheckedInDigests) {
+  if (print_mode()) GTEST_SKIP() << "GoldenHashTest.PrintTable prints the table";
+  const GoldenEntry& g = GetParam();
+  EXPECT_EQ(scenario_hash(g.scenario), g.hash)
+      << g.scenario
+      << ": scenario JSON changed. If intentional, rerun "
+         "with EASYDRAM_PRINT_GOLDEN=1 and update kGolden.";
+}
+
+INSTANTIATE_TEST_SUITE_P(Golden, GoldenDigest, ::testing::ValuesIn(kGolden),
+                         [](const ::testing::TestParamInfo<GoldenEntry>& info) {
+                           return std::string(info.param.scenario);
+                         });
+
+/// EASYDRAM_PRINT_GOLDEN=1 prints every scenario's digest as one kGolden
+/// table, in kGolden's order.
+TEST(GoldenHashTest, PrintTable) {
+  if (!print_mode()) GTEST_SKIP() << "set EASYDRAM_PRINT_GOLDEN=1 to print";
   bool all_match = true;
   for (const GoldenEntry& g : kGolden) {
     const std::uint64_t h = scenario_hash(g.scenario);
-    if (print) {
-      printf("    {\"%s\", 0x%016llXull},\n", g.scenario,
-             static_cast<unsigned long long>(h));
-      all_match = all_match && h == g.hash;
-      continue;
-    }
-    EXPECT_EQ(h, g.hash) << g.scenario
-                         << ": scenario JSON changed. If intentional, rerun "
-                            "with EASYDRAM_PRINT_GOLDEN=1 and update kGolden.";
+    printf("    {\"%s\", 0x%016llXull},\n", g.scenario,
+           static_cast<unsigned long long>(h));
+    all_match = all_match && h == g.hash;
   }
-  if (print) {
-    EXPECT_TRUE(all_match) << "printed table differs from kGolden";
-  }
+  EXPECT_TRUE(all_match) << "printed table differs from kGolden";
 }
 
 /// Cross-thread determinism sweep: every multi-channel deterministic
@@ -164,6 +183,13 @@ TEST(GoldenHashTest, StreamSweepScenariosThreadCountInvariant) {
         << name << " diverged at --threads 4";
   }
 }
+
+// tests/CMakeLists.txt registers one CTest entry per kGolden row it finds
+// in this file; a row written in another layout would have no entry.
+#ifdef EASYDRAM_GOLDEN_CTEST_ENTRIES
+static_assert(std::size(kGolden) == EASYDRAM_GOLDEN_CTEST_ENTRIES,
+              "tests/CMakeLists.txt found a different number of kGolden rows");
+#endif
 
 /// The registry growing a new scenario should force a conscious decision
 /// about its determinism (add it to kGolden or document why not).

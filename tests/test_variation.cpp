@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 #include "dram/variation.hpp"
 
 namespace easydram::dram {
@@ -95,6 +99,47 @@ TEST_F(VariationTest, LineNeverExceedsRowValueAndAnchorsExist) {
     // The weakest line carries exactly the row value.
     EXPECT_EQ(max_line, row_v);
   }
+}
+
+// The device skips the per-line lookup on reads opened at least
+// line_min_trcd_ceiling(), so no line may sit above it: every bank, a
+// stride of rows, every column, under the default field and under
+// configurations that move the bound (negative jitter, an inverted span,
+// a flat shape).
+TEST_F(VariationTest, LineMinTrcdNeverExceedsCeiling) {
+  VariationConfig negative_jitter;
+  negative_jitter.line_jitter = Picoseconds{-700};
+  VariationConfig inverted;
+  inverted.min_trcd = 11_ns;
+  inverted.max_trcd = 9_ns;
+  VariationConfig flat;
+  flat.shape = 0.0;
+  for (const VariationConfig& cfg : {cfg_, negative_jitter, inverted, flat}) {
+    const VariationModel model(geo_, cfg);
+    const Picoseconds ceiling = model.line_min_trcd_ceiling();
+    Picoseconds highest{0};
+    for (std::uint32_t bank = 0; bank < geo_.banks_per_channel(); ++bank) {
+      for (std::uint32_t row = 0; row < geo_.rows_per_bank; row += 257) {
+        for (std::uint32_t col = 0; col < geo_.cols_per_row(); ++col) {
+          const Picoseconds t = model.line_min_trcd(bank, row, col);
+          ASSERT_LE(t, ceiling) << "bank " << bank << " row " << row << " col " << col;
+          highest = std::max(highest, t);
+        }
+      }
+    }
+    // The bound is not loose by more than the field's own resolution.
+    EXPECT_GT(highest + Picoseconds{1000}, ceiling);
+  }
+  EXPECT_EQ(model_.line_min_trcd_ceiling(), cfg_.max_trcd);
+  EXPECT_EQ(VariationModel(geo_, negative_jitter).line_min_trcd_ceiling(),
+            cfg_.max_trcd + Picoseconds{700});
+  EXPECT_EQ(VariationModel(geo_, inverted).line_min_trcd_ceiling(), 11_ns);
+  // A negative shape lifts pow() above 1 and voids the bound: every read
+  // then looks its line up.
+  VariationConfig negative_shape;
+  negative_shape.shape = -1.0;
+  EXPECT_EQ(VariationModel(geo_, negative_shape).line_min_trcd_ceiling(),
+            Picoseconds{std::numeric_limits<std::int64_t>::max()});
 }
 
 TEST_F(VariationTest, RowCloneRequiresSameSubarray) {
