@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "bender/interpreter.hpp"
+#include "common/units.hpp"
 #include "cpu/cache.hpp"
 #include "dram/device.hpp"
+#include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
 #include "smc/scheduler.hpp"
 
@@ -107,6 +109,65 @@ void BM_BloomQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BloomQuery);
+
+/// Operand stream for the conversion benches: a 64-bit LCG, shifted down
+/// to realistic 40-bit magnitudes (hours of picoseconds, billions of cycles).
+std::int64_t next_operand(std::uint64_t& state) {
+  state = state * 6364136223846793005ull + 1442695040888963407ull;
+  return static_cast<std::int64_t>(state >> 24);
+}
+
+void BM_FrequencyCyclesToPs(benchmark::State& state) {
+  const Frequency f{state.range(0)};
+  std::uint64_t lcg = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.cycles_to_ps(next_operand(lcg)));
+  }
+}
+BENCHMARK(BM_FrequencyCyclesToPs)->Arg(100'000'000)->Arg(1'430'000'000);
+
+void BM_PsToCyclesCeil(benchmark::State& state) {
+  const Frequency f{1'430'000'000};
+  std::uint64_t lcg = 1;
+  for (auto _ : state) {
+    const Picoseconds t{next_operand(lcg)};
+    benchmark::DoNotOptimize(f.ps_to_cycles_ceil(t));
+  }
+}
+BENCHMARK(BM_PsToCyclesCeil);
+
+/// Random line addresses inside `geo`'s capacity.
+std::vector<std::uint64_t> random_lines(const dram::Geometry& geo) {
+  const std::uint64_t lines = geo.capacity_bytes() / 64;
+  std::vector<std::uint64_t> addrs(4096);
+  std::uint64_t lcg = 7;
+  for (std::uint64_t& a : addrs) {
+    a = static_cast<std::uint64_t>(next_operand(lcg)) % lines * 64;
+  }
+  return addrs;
+}
+
+template <typename Mapper>
+void map_random_lines(benchmark::State& state, const dram::Geometry& geo) {
+  const Mapper mapper(geo);
+  const std::vector<std::uint64_t> addrs = random_lines(geo);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mapper.to_dram(addrs[i++ & (addrs.size() - 1)]));
+  }
+}
+
+void BM_LinearMapperToDram(benchmark::State& state) {
+  map_random_lines<smc::LinearMapper>(state, dram::Geometry{});
+}
+BENCHMARK(BM_LinearMapperToDram);
+
+void BM_ChannelInterleavedToDram(benchmark::State& state) {
+  dram::Geometry geo;
+  geo.channels = 8;
+  map_random_lines<smc::ChannelInterleavedMapper>(state, geo);
+}
+BENCHMARK(BM_ChannelInterleavedToDram);
 
 }  // namespace
 

@@ -1,9 +1,12 @@
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
 #include <compare>
+#include <cstdint>
+#include <numeric>
 
 #include "common/contracts.hpp"
+#include "common/divisor.hpp"
 
 namespace easydram {
 
@@ -62,13 +65,52 @@ struct Cycles {
 };
 
 /// A clock frequency in hertz. Converts between cycle counts and Picoseconds.
-struct Frequency {
-  std::int64_t hertz = 0;
-
+///
+/// Each converter is defined by an exact 128-bit formula (the reference):
+///   cycles_to_ps(c)       = (c * 1e12 + floor(hz / 2)) / hz
+///   ps_to_cycles_floor(t) = (t * hz) / 1e12
+///   ps_to_cycles_ceil(t)  = (t * hz + 1e12 - 1) / 1e12
+/// with C++'s truncating `/`. The constructor reduces 1e12 / hz to b / a
+/// (g = gcd(1e12, hz), b = 1e12 / g, a = hz / g) and precomputes ConstDivisors
+/// for 2a and b, so a non-negative operand converts in 64-bit arithmetic
+/// without any division instruction:
+///   cycles_to_ps(c)       = (2cb + a) / 2a
+///   ps_to_cycles_floor(t) = ta / b
+///   ps_to_cycles_ceil(t)  = (ta + b - 1) / b
+/// The last two are the reference with numerator and denominator divided
+/// by g. For the first, (c*1e12 + floor(hz/2)) / hz equals
+/// floor(cb/a + 1/2) = (2cb + a) / 2a when hz is even; when hz is odd it
+/// is (2c*1e12 + hz - 1) / 2hz, which differs from (2c*1e12 + hz) / 2hz
+/// only if the odd number 2c*1e12 + hz were a multiple of the even 2hz.
+/// Operands up to the precomputed bounds keep every intermediate below
+/// 2^64; negative operands and those past the bounds take the reference
+/// formula. Every result is therefore bit-identical to the reference.
+class Frequency {
+ public:
   constexpr Frequency() = default;
-  constexpr explicit Frequency(std::int64_t hz) : hertz(hz) {}
+  constexpr explicit Frequency(std::int64_t hz) : hertz_(hz) {
+    if (hz <= 0) return;  // Unusable; every converter rejects it.
+    const auto uhz = static_cast<std::uint64_t>(hz);
+    const std::uint64_t g = std::gcd(kPsPerSecond, uhz);
+    a_ = uhz / g;
+    b_ = kPsPerSecond / g;
+    twice_a_ = ConstDivisor{2 * a_};
+    b_div_ = ConstDivisor{b_};
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    constexpr std::uint64_t kMaxSigned = kMax >> 1;
+    cycles_fast_end_ = std::min((kMax - a_) / (2 * b_), kMaxSigned) + 1;
+    floor_fast_end_ = std::min(kMax / a_, kMaxSigned) + 1;
+    ceil_fast_end_ = std::min((kMax - (b_ - 1)) / a_, kMaxSigned) + 1;
+  }
 
-  constexpr auto operator<=>(const Frequency&) const = default;
+  constexpr std::int64_t hertz() const { return hertz_; }
+
+  constexpr bool operator==(const Frequency& o) const {
+    return hertz_ == o.hertz_;
+  }
+  constexpr auto operator<=>(const Frequency& o) const {
+    return hertz_ <=> o.hertz_;
+  }
 
   static constexpr Frequency megahertz(std::int64_t mhz) { return Frequency{mhz * 1'000'000}; }
   static constexpr Frequency gigahertz(std::int64_t ghz) { return Frequency{ghz * 1'000'000'000}; }
@@ -78,24 +120,32 @@ struct Frequency {
   /// are modelled through the cycle<->ps converters below instead, which
   /// round deterministically.
   constexpr Picoseconds period() const {
-    EASYDRAM_EXPECTS(hertz > 0);
-    return Picoseconds{1'000'000'000'000 / hertz};
+    EASYDRAM_EXPECTS(hertz_ > 0);
+    return Picoseconds{1'000'000'000'000 / hertz_};
   }
 
   /// Duration of `cycles` clock cycles, rounded to nearest picosecond.
   constexpr Picoseconds cycles_to_ps(std::int64_t cycles) const {
-    EASYDRAM_EXPECTS(hertz > 0);
-    // cycles / hertz seconds = cycles * 1e12 / hertz ps. 128-bit to avoid overflow.
+    if (static_cast<std::uint64_t>(cycles) < cycles_fast_end_) {
+      const auto c = static_cast<std::uint64_t>(cycles);
+      const std::uint64_t num = 2 * c * b_ + a_;
+      return Picoseconds{static_cast<std::int64_t>(twice_a_.divide(num))};
+    }
+    EASYDRAM_EXPECTS(hertz_ > 0);
     const __int128 num = static_cast<__int128>(cycles) * 1'000'000'000'000;
-    return Picoseconds{static_cast<std::int64_t>((num + hertz / 2) / hertz)};
+    return Picoseconds{static_cast<std::int64_t>((num + hertz_ / 2) / hertz_)};
   }
 
   constexpr Picoseconds cycles_to_ps(Cycles c) const { return cycles_to_ps(c.count); }
 
   /// Number of whole cycles that have *started* by time `t` (floor).
   constexpr std::int64_t ps_to_cycles_floor(Picoseconds t) const {
-    EASYDRAM_EXPECTS(hertz > 0);
-    const __int128 num = static_cast<__int128>(t.count) * hertz;
+    if (static_cast<std::uint64_t>(t.count) < floor_fast_end_) {
+      return static_cast<std::int64_t>(
+          b_div_.divide(static_cast<std::uint64_t>(t.count) * a_));
+    }
+    EASYDRAM_EXPECTS(hertz_ > 0);
+    const __int128 num = static_cast<__int128>(t.count) * hertz_;
     return static_cast<std::int64_t>(num / 1'000'000'000'000);
   }
 
@@ -103,11 +153,31 @@ struct Frequency {
   /// conversion used when a latency expressed in real time must be charged
   /// to a clocked domain: a partial cycle still occupies a full cycle.
   constexpr std::int64_t ps_to_cycles_ceil(Picoseconds t) const {
-    EASYDRAM_EXPECTS(hertz > 0);
-    const __int128 num = static_cast<__int128>(t.count) * hertz;
+    if (static_cast<std::uint64_t>(t.count) < ceil_fast_end_) {
+      return static_cast<std::int64_t>(
+          b_div_.divide(static_cast<std::uint64_t>(t.count) * a_ + (b_ - 1)));
+    }
+    EASYDRAM_EXPECTS(hertz_ > 0);
+    const __int128 num = static_cast<__int128>(t.count) * hertz_;
     const __int128 den = 1'000'000'000'000;
     return static_cast<std::int64_t>((num + den - 1) / den);
   }
+
+ private:
+  static constexpr std::uint64_t kPsPerSecond = 1'000'000'000'000;
+
+  std::int64_t hertz_ = 0;
+  std::uint64_t a_ = 1;  ///< hz / g.
+  std::uint64_t b_ = 1;  ///< 1e12 / g.
+  ConstDivisor twice_a_;
+  ConstDivisor b_div_;
+  /// One past the largest operand of each converter's 64-bit path, at
+  /// most 2^63: a negative operand read as unsigned is at least 2^63 and
+  /// falls back. They stay 0 for hz <= 0, so every operand falls back to
+  /// the reference formula and its contract check.
+  std::uint64_t cycles_fast_end_ = 0;
+  std::uint64_t floor_fast_end_ = 0;
+  std::uint64_t ceil_fast_end_ = 0;
 };
 
 }  // namespace easydram

@@ -11,13 +11,16 @@ Core::Core(const CoreConfig& cfg, const CacheHierConfig& caches)
   EASYDRAM_EXPECTS(cfg.store_buffer > 0);
   // run() issues every access as a 64-byte line (addr & ~63).
   EASYDRAM_EXPECTS(caches.l1.line_bytes == 64 && caches.l2.line_bytes == 64);
+  issue_width_ = ConstDivisor{cfg.issue_width};
 }
 
-void Core::advance_for_instructions(std::uint32_t count) {
-  result_.instructions += count;
+void Core::advance_for_instructions(std::uint64_t count) {
+  result_.instructions += static_cast<std::int64_t>(count);
   const std::uint64_t total = count + width_remainder_;
-  cycle_ += static_cast<std::int64_t>(total / cfg_.issue_width);
-  width_remainder_ = static_cast<std::uint32_t>(total % cfg_.issue_width);
+  const std::uint64_t issue_cycles = issue_width_.divide(total);
+  cycle_ += static_cast<std::int64_t>(issue_cycles);
+  width_remainder_ =
+      static_cast<std::uint32_t>(total - issue_cycles * cfg_.issue_width);
 }
 
 void Core::evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem) {
@@ -91,7 +94,7 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
       current_stream = rec.stream;
       mem.set_stream(current_stream);
     }
-    advance_for_instructions(rec.gap_instructions + 1);
+    advance_for_instructions(std::uint64_t{rec.gap_instructions} + 1);
     const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
 
     switch (rec.op) {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/divisor.hpp"
 #include "common/units.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
@@ -74,7 +75,7 @@ class Core {
   const Cache& l2() const { return l2_; }
 
  private:
-  void advance_for_instructions(std::uint32_t count);
+  void advance_for_instructions(std::uint64_t count);
   /// Brings `line`, which L2 holds, into L1 (dirty when `dirty`).
   void fill_l1(std::uint64_t line, bool dirty);
   /// L2 miss: allocates `line` in L2, writing back what that evicts, reads
@@ -89,6 +90,7 @@ class Core {
   Cache l1_;
   Cache l2_;
 
+  ConstDivisor issue_width_;  ///< cfg_.issue_width.
   std::int64_t cycle_ = 0;
   std::uint32_t width_remainder_ = 0;
   std::deque<std::uint64_t> outstanding_loads_;

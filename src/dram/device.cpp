@@ -43,6 +43,9 @@ DramDevice::DramDevice(const Geometry& geo, const TimingParams& timing,
                        const VariationConfig& variation)
     : geo_(geo),
       timing_(timing),
+      refi_(static_cast<std::uint64_t>(
+          std::max<std::int64_t>(timing.tREFI.count, 1))),
+      banks_per_group_(geo.banks_per_group),
       variation_(geo, variation),
       banks_(geo.banks_per_channel()),
       cells_(geo.banks_per_channel(), geo.rows_per_bank, geo.cols_per_row()),
@@ -181,7 +184,7 @@ inline void DramDevice::for_each_rule(Command c, const DramAddress& a, F&& f) co
       const BankState& b = banks_[flat(a)];
       f(b.pre_time + timing_.tRP, kTrp);
       f(b.act_time + timing_.tRC, kTrc);
-      f(r.last_act_in_group[geo_.bank_group_of(a.bank)] + timing_.tRRD_L, kTrrd);
+      f(r.last_act_in_group[group_of(a.bank)] + timing_.tRRD_L, kTrrd);
       f(r.last_act_any + timing_.tRRD_S, kTrrd);
       if (r.act_window.full()) f(r.act_window.oldest() + timing_.tFAW, kTfaw);
       f(r.ref_busy_until, kTrfc);
@@ -189,7 +192,7 @@ inline void DramDevice::for_each_rule(Command c, const DramAddress& a, F&& f) co
     }
     case Command::kRead:
     case Command::kWrite: {
-      const std::uint32_t group = geo_.bank_group_of(a.bank);
+      const std::uint32_t group = group_of(a.bank);
       f(banks_[flat(a)].act_time + timing_.tRCD, kTrcd);
       f(r.last_col_in_group[group] + timing_.tCCD_L, kTccd);
       f(r.last_col_any + timing_.tCCD_S, kTccd);
@@ -243,6 +246,10 @@ std::uint32_t DramDevice::timing_violations(Command c, const DramAddress& a,
 }
 
 std::int64_t DramDevice::refreshes_due(Picoseconds at) const {
+  if (at.count >= 0 && timing_.tREFI.count > 0) {
+    const auto t = static_cast<std::uint64_t>(at.count);
+    return static_cast<std::int64_t>(refi_.divide(t));
+  }
   return at.count / timing_.tREFI.count;
 }
 
@@ -283,7 +290,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       RankState& r = ranks_[a.rank];
       if (b.active) res.violations |= kBankNotIdle;
       res.violations |= timing_violations(Command::kAct, a, at);
-      const std::uint32_t group = geo_.bank_group_of(a.bank);
+      const std::uint32_t group = group_of(a.bank);
 
       // RowClone: this ACT completes ACT(src) -> early PRE -> early ACT(dst).
       if (b.early_pre_pending) {
@@ -378,7 +385,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         return res;
       }
       res.violations |= timing_violations(Command::kRead, a, at);
-      const std::uint32_t group = geo_.bank_group_of(a.bank);
+      const std::uint32_t group = group_of(a.bank);
       // At or above the field's ceiling every line reads reliably; only a
       // reduced-tRCD read needs the per-line lookup.
       const Picoseconds opened = at - b.act_time;
@@ -420,7 +427,7 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         return res;  // Write to a closed row is dropped.
       }
       res.violations |= timing_violations(Command::kWrite, a, at);
-      const std::uint32_t group = geo_.bank_group_of(a.bank);
+      const std::uint32_t group = group_of(a.bank);
 
       std::memcpy(cells_.line_data(fbank, a.row, a.col).data(), wdata.data(), 64);
       if (fault_model_ != nullptr) {

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/divisor.hpp"
 #include "common/units.hpp"
 #include "dram/faults.hpp"
 #include "dram/geometry.hpp"
@@ -389,6 +390,10 @@ class DramDevice {
   std::uint32_t flat(const DramAddress& a) const {
     return geo_.flat_bank(a.rank, a.bank);
   }
+  /// Geometry::bank_group_of without a division instruction per command.
+  std::uint32_t group_of(std::uint32_t bank) const {
+    return static_cast<std::uint32_t>(banks_per_group_.divide(bank));
+  }
 
   void corrupt_line(std::uint32_t fbank, std::uint32_t row, std::uint32_t col,
                     std::uint64_t salt);
@@ -426,6 +431,11 @@ class DramDevice {
 
   Geometry geo_;
   TimingParams timing_;
+  /// tREFI as a divisor for refreshes_due (1 when tREFI is not positive;
+  /// refreshes_due then falls back to plain division).
+  ConstDivisor refi_;
+  /// geo_.banks_per_group, for group_of.
+  ConstDivisor banks_per_group_;
   VariationModel variation_;
 
   std::vector<BankState> banks_;  ///< Indexed by flat (rank, bank).

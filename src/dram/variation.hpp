@@ -25,7 +25,7 @@ struct VariationConfig {
   /// Upper bound of the field (must stay below nominal tRCD: the paper
   /// observes that *all* rows work below the 13.5 ns nominal).
   Picoseconds max_trcd{10600};
-  /// Shaping exponent: larger values skew the field toward min_trcd,
+  /// Shaping exponent (>= 0): larger values skew the field toward min_trcd,
   /// raising the strong fraction. Calibrated so P(row <= 9.0 ns) ~ 0.845.
   double shape = 3.05;
   /// Per-cache-line downward jitter from the row value (the row's minimum
@@ -74,6 +74,8 @@ struct VariationConfig {
 /// channel owns a separately seeded model.
 class VariationModel {
  public:
+  /// Precondition: cfg.shape >= 0 (not NaN), which keeps every row value
+  /// within [min(min_trcd, max_trcd), max(min_trcd, max_trcd)].
   VariationModel(const Geometry& geo, const VariationConfig& cfg);
 
   const VariationConfig& config() const { return cfg_; }
@@ -89,9 +91,7 @@ class VariationModel {
   /// Upper bound on every line_min_trcd value: max(min_trcd, max_trcd),
   /// plus the jitter when line_jitter is negative (lines then sit above
   /// their row). A read whose ACT->RD distance reaches it is reliable on
-  /// any line, so the device skips the per-line lookup. The field stays
-  /// under max(min_trcd, max_trcd) only for shape >= 0; for any other
-  /// shape this is the largest Picoseconds value and every read looks up.
+  /// any line, so the device skips the per-line lookup.
   Picoseconds line_min_trcd_ceiling() const { return trcd_ceiling_; }
 
   /// Whether a RowClone from `src_row` to `dst_row` inside `bank` reliably

@@ -235,7 +235,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
   // t(c) = floor((c * 1e12 + hz/2) / hz), consecutive values differ by
   // step_q or step_q + 1 depending on the running remainder — no 128-bit
   // multiply/divide per simulated cycle.
-  const std::int64_t hz = cfg_.cpu_clock.hertz;
+  const std::int64_t hz = cfg_.cpu_clock.hertz();
   EASYDRAM_EXPECTS(hz > 0);
   const std::int64_t step_q = 1'000'000'000'000 / hz;
   const std::int64_t step_r = 1'000'000'000'000 % hz;
@@ -447,9 +447,12 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       if (target > cycle) {
         cycle = target;
         now_ps = cfg_.cpu_clock.cycles_to_ps(cycle).count;
-        const __int128 num =
-            static_cast<__int128>(cycle) * 1'000'000'000'000 + hz / 2;
-        now_rem = static_cast<std::int64_t>(num % hz);
+        // The remainder of that division lies in [0, hz), so wrapping
+        // 64-bit arithmetic recovers it exactly.
+        const auto uhz = static_cast<std::uint64_t>(hz);
+        now_rem = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(cycle) * 1'000'000'000'000u + uhz / 2 -
+            static_cast<std::uint64_t>(now_ps) * uhz);
         // A stall_until-bounded skip can land exactly on the finish line;
         // single-stepping would break here without running another body.
         if (run_finished()) break;

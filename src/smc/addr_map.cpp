@@ -4,20 +4,29 @@
 
 namespace easydram::smc {
 
+namespace {
+
+/// Splits the lowest digit in radix `d` off `x`: returns x % d and leaves
+/// x / d in `x`.
+std::uint32_t take_digit(std::uint64_t& x, const ConstDivisor& d) {
+  const std::uint64_t q = d.divide(x);
+  const auto digit = static_cast<std::uint32_t>(x - q * d.divisor());
+  x = q;
+  return digit;
+}
+
+}  // namespace
+
 dram::DramAddress LinearMapper::to_dram(std::uint64_t paddr) const {
   EASYDRAM_EXPECTS(paddr % 64 == 0);
   EASYDRAM_EXPECTS(paddr < geo_.capacity_bytes());
-  const std::uint64_t line = paddr / geo_.col_bytes;
-  const std::uint64_t cols = geo_.cols_per_row();
+  std::uint64_t x = radix_.col_bytes.divide(paddr);
   dram::DramAddress a;
-  a.col = static_cast<std::uint32_t>(line % cols);
-  const std::uint64_t row_linear = line / cols;
-  a.row = static_cast<std::uint32_t>(row_linear % geo_.rows_per_bank);
-  const std::uint64_t bank_linear = row_linear / geo_.rows_per_bank;
-  a.bank = static_cast<std::uint32_t>(bank_linear % geo_.num_banks());
-  const std::uint64_t rank_linear = bank_linear / geo_.num_banks();
-  a.rank = static_cast<std::uint32_t>(rank_linear % geo_.ranks_per_channel);
-  a.channel = static_cast<std::uint32_t>(rank_linear / geo_.ranks_per_channel);
+  a.col = take_digit(x, radix_.cols);
+  a.row = take_digit(x, radix_.rows);
+  a.bank = take_digit(x, radix_.banks);
+  a.rank = take_digit(x, radix_.ranks);
+  a.channel = static_cast<std::uint32_t>(x);
   return a;
 }
 
@@ -34,16 +43,13 @@ std::uint64_t LinearMapper::to_physical(const dram::DramAddress& a) const {
 dram::DramAddress LineInterleavedMapper::to_dram(std::uint64_t paddr) const {
   EASYDRAM_EXPECTS(paddr % 64 == 0);
   EASYDRAM_EXPECTS(paddr < geo_.capacity_bytes());
-  const std::uint64_t line = paddr / geo_.col_bytes;
+  std::uint64_t x = radix_.col_bytes.divide(paddr);
   dram::DramAddress a;
-  a.bank = static_cast<std::uint32_t>(line % geo_.num_banks());
-  std::uint64_t upper = line / geo_.num_banks();
-  a.rank = static_cast<std::uint32_t>(upper % geo_.ranks_per_channel);
-  upper /= geo_.ranks_per_channel;
-  a.col = static_cast<std::uint32_t>(upper % geo_.cols_per_row());
-  upper /= geo_.cols_per_row();
-  a.row = static_cast<std::uint32_t>(upper % geo_.rows_per_bank);
-  a.channel = static_cast<std::uint32_t>(upper / geo_.rows_per_bank);
+  a.bank = take_digit(x, radix_.banks);
+  a.rank = take_digit(x, radix_.ranks);
+  a.col = take_digit(x, radix_.cols);
+  a.row = take_digit(x, radix_.rows);
+  a.channel = static_cast<std::uint32_t>(x);
   return a;
 }
 
@@ -59,16 +65,13 @@ std::uint64_t LineInterleavedMapper::to_physical(const dram::DramAddress& a) con
 dram::DramAddress ChannelInterleavedMapper::to_dram(std::uint64_t paddr) const {
   EASYDRAM_EXPECTS(paddr % 64 == 0);
   EASYDRAM_EXPECTS(paddr < geo_.capacity_bytes());
-  const std::uint64_t line = paddr / geo_.col_bytes;
+  std::uint64_t x = radix_.col_bytes.divide(paddr);
   dram::DramAddress a;
-  a.channel = static_cast<std::uint32_t>(line % geo_.channels);
-  std::uint64_t upper = line / geo_.channels;
-  a.bank = static_cast<std::uint32_t>(upper % geo_.num_banks());
-  upper /= geo_.num_banks();
-  a.rank = static_cast<std::uint32_t>(upper % geo_.ranks_per_channel);
-  upper /= geo_.ranks_per_channel;
-  a.col = static_cast<std::uint32_t>(upper % geo_.cols_per_row());
-  a.row = static_cast<std::uint32_t>(upper / geo_.cols_per_row());
+  a.channel = take_digit(x, radix_.channels);
+  a.bank = take_digit(x, radix_.banks);
+  a.rank = take_digit(x, radix_.ranks);
+  a.col = take_digit(x, radix_.cols);
+  a.row = static_cast<std::uint32_t>(x);
   return a;
 }
 
@@ -83,41 +86,41 @@ std::uint64_t ChannelInterleavedMapper::to_physical(const dram::DramAddress& a) 
 
 BankPartitionMapper::BankPartitionMapper(const dram::Geometry& geo,
                                          unsigned partitions)
-    : geo_(geo), partitions_(partitions) {
+    : geo_(geo), radix_(geo), partitions_(partitions) {
   EASYDRAM_EXPECTS(partitions >= 1);
   EASYDRAM_EXPECTS(geo.num_banks() % partitions == 0);
-  banks_per_partition_ = geo.num_banks() / partitions;
-  partition_bytes_ = geo.capacity_bytes() / partitions;
+  banks_per_partition_ = ConstDivisor{geo.num_banks() / partitions};
+  partition_bytes_ = ConstDivisor{geo.capacity_bytes() / partitions};
 }
 
 dram::DramAddress BankPartitionMapper::to_dram(std::uint64_t paddr) const {
   EASYDRAM_EXPECTS(paddr % 64 == 0);
   EASYDRAM_EXPECTS(paddr < geo_.capacity_bytes());
-  const std::uint64_t partition = paddr / partition_bytes_;
-  const std::uint64_t line = (paddr % partition_bytes_) / geo_.col_bytes;
+  const std::uint64_t partition = partition_bytes_.divide(paddr);
+  std::uint64_t x =
+      radix_.col_bytes.divide(paddr - partition * partition_bytes());
   dram::DramAddress a;
-  a.bank = static_cast<std::uint32_t>(partition * banks_per_partition_ +
-                                      line % banks_per_partition_);
-  std::uint64_t upper = line / banks_per_partition_;
-  a.rank = static_cast<std::uint32_t>(upper % geo_.ranks_per_channel);
-  upper /= geo_.ranks_per_channel;
-  a.col = static_cast<std::uint32_t>(upper % geo_.cols_per_row());
-  upper /= geo_.cols_per_row();
-  a.row = static_cast<std::uint32_t>(upper % geo_.rows_per_bank);
-  a.channel = static_cast<std::uint32_t>(upper / geo_.rows_per_bank);
+  a.bank = static_cast<std::uint32_t>(
+      partition * banks_per_partition_.divisor() +
+      take_digit(x, banks_per_partition_));
+  a.rank = take_digit(x, radix_.ranks);
+  a.col = take_digit(x, radix_.cols);
+  a.row = take_digit(x, radix_.rows);
+  a.channel = static_cast<std::uint32_t>(x);
   return a;
 }
 
 std::uint64_t BankPartitionMapper::to_physical(const dram::DramAddress& a) const {
   EASYDRAM_EXPECTS(geo_.contains(a));
-  const std::uint64_t partition = a.bank / banks_per_partition_;
-  const std::uint64_t bank_in = a.bank % banks_per_partition_;
+  const std::uint64_t per_partition = banks_per_partition_.divisor();
+  const std::uint64_t partition = a.bank / per_partition;
+  const std::uint64_t bank_in = a.bank % per_partition;
   std::uint64_t upper =
       static_cast<std::uint64_t>(a.channel) * geo_.rows_per_bank + a.row;
   upper = upper * geo_.cols_per_row() + a.col;
   upper = upper * geo_.ranks_per_channel + a.rank;
-  const std::uint64_t line = upper * banks_per_partition_ + bank_in;
-  return partition * partition_bytes_ + line * geo_.col_bytes;
+  const std::uint64_t line = upper * per_partition + bank_in;
+  return partition * partition_bytes() + line * geo_.col_bytes;
 }
 
 std::string_view to_string(MappingKind kind) {

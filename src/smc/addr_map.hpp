@@ -5,6 +5,7 @@
 #include <optional>
 #include <string_view>
 
+#include "common/divisor.hpp"
 #include "dram/geometry.hpp"
 #include "dram/types.hpp"
 
@@ -34,6 +35,27 @@ class AddressMapper {
   virtual std::string_view name() const = 0;
 };
 
+/// A ConstDivisor for each radix of a geometry's address digits, so the
+/// mappers split a physical address into coordinates without a division
+/// instruction per digit. Exact for any geometry, including non-power-of-two
+/// channel, rank or bank counts.
+struct GeometryRadices {
+  explicit GeometryRadices(const dram::Geometry& geo)
+      : col_bytes(geo.col_bytes),
+        cols(geo.cols_per_row()),
+        rows(geo.rows_per_bank),
+        banks(geo.num_banks()),
+        ranks(geo.ranks_per_channel),
+        channels(geo.channels) {}
+
+  ConstDivisor col_bytes;
+  ConstDivisor cols;
+  ConstDivisor rows;
+  ConstDivisor banks;
+  ConstDivisor ranks;
+  ConstDivisor channels;
+};
+
 /// Row-linear mapping: consecutive physical 8 KiB blocks are consecutive
 /// rows of the same bank; banks follow each other, then ranks, then
 /// channels (channel bits at the top — consecutive capacity blocks stay on
@@ -42,7 +64,7 @@ class AddressMapper {
 /// study uses.
 class LinearMapper final : public AddressMapper {
  public:
-  explicit LinearMapper(const dram::Geometry& geo) : geo_(geo) {}
+  explicit LinearMapper(const dram::Geometry& geo) : geo_(geo), radix_(geo) {}
 
   dram::DramAddress to_dram(std::uint64_t paddr) const override;
   std::uint64_t to_physical(const dram::DramAddress& a) const override;
@@ -51,6 +73,7 @@ class LinearMapper final : public AddressMapper {
 
  private:
   dram::Geometry geo_;
+  GeometryRadices radix_;
 };
 
 /// Line-interleaved mapping: consecutive cache lines stripe across the
@@ -60,7 +83,8 @@ class LinearMapper final : public AddressMapper {
 /// experiments.
 class LineInterleavedMapper final : public AddressMapper {
  public:
-  explicit LineInterleavedMapper(const dram::Geometry& geo) : geo_(geo) {}
+  explicit LineInterleavedMapper(const dram::Geometry& geo)
+      : geo_(geo), radix_(geo) {}
 
   dram::DramAddress to_dram(std::uint64_t paddr) const override;
   std::uint64_t to_physical(const dram::DramAddress& a) const override;
@@ -69,6 +93,7 @@ class LineInterleavedMapper final : public AddressMapper {
 
  private:
   dram::Geometry geo_;
+  GeometryRadices radix_;
 };
 
 /// Channel-interleaved mapping: channel bits directly above the line offset
@@ -77,7 +102,8 @@ class LineInterleavedMapper final : public AddressMapper {
 /// footprint across every channel's bus.
 class ChannelInterleavedMapper final : public AddressMapper {
  public:
-  explicit ChannelInterleavedMapper(const dram::Geometry& geo) : geo_(geo) {}
+  explicit ChannelInterleavedMapper(const dram::Geometry& geo)
+      : geo_(geo), radix_(geo) {}
 
   dram::DramAddress to_dram(std::uint64_t paddr) const override;
   std::uint64_t to_physical(const dram::DramAddress& a) const override;
@@ -86,6 +112,7 @@ class ChannelInterleavedMapper final : public AddressMapper {
 
  private:
   dram::Geometry geo_;
+  GeometryRadices radix_;
 };
 
 /// Static bank partitioning: the physical space splits into `partitions`
@@ -108,15 +135,16 @@ class BankPartitionMapper final : public AddressMapper {
   unsigned partitions() const { return partitions_; }
   /// Base physical address of partition `p` — hand each tenant its slice.
   std::uint64_t partition_base(unsigned p) const {
-    return static_cast<std::uint64_t>(p) * partition_bytes_;
+    return static_cast<std::uint64_t>(p) * partition_bytes();
   }
-  std::uint64_t partition_bytes() const { return partition_bytes_; }
+  std::uint64_t partition_bytes() const { return partition_bytes_.divisor(); }
 
  private:
   dram::Geometry geo_;
+  GeometryRadices radix_;
   unsigned partitions_;
-  std::uint32_t banks_per_partition_;
-  std::uint64_t partition_bytes_;
+  ConstDivisor banks_per_partition_;
+  ConstDivisor partition_bytes_;
 };
 
 /// The mapper family by name (SystemConfig::mapping, the CLI's --mapping).

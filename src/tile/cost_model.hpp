@@ -40,7 +40,7 @@ class CycleMeter {
  public:
   CycleMeter(CoreCostModel costs, Frequency core_clock)
       : costs_(costs), core_clock_(core_clock) {
-    EASYDRAM_EXPECTS(core_clock.hertz > 0);
+    EASYDRAM_EXPECTS(core_clock.hertz() > 0);
   }
 
   const CoreCostModel& costs() const { return costs_; }

@@ -43,7 +43,7 @@ class TimeKeeper {
         smc_core_clock_(smc_core_clock),
         mc_sched_latency_(mc_sched_latency),
         hardware_mc_(hardware_mc) {
-    EASYDRAM_EXPECTS(smc_core_clock.hertz > 0);
+    EASYDRAM_EXPECTS(smc_core_clock.hertz() > 0);
     EASYDRAM_EXPECTS(mc_sched_latency.count >= 0);
   }
 
@@ -60,12 +60,14 @@ class TimeKeeper {
   void advance_wall(Picoseconds d) {
     EASYDRAM_EXPECTS(d.count >= 0);
     wall_ += d;
-    // The global counter mirrors the wall clock in FPGA cycles.
-    const std::int64_t target =
-        proc_scaler_.config().fpga_clock.ps_to_cycles_floor(wall_);
-    if (target > counters_.global()) {
-      counters_.advance_global(target - counters_.global());
-    }
+  }
+
+  /// Fig. 5's global counter: FPGA clock cycles since power-on. Derived
+  /// from the wall clock on demand (the floor of wall() in FPGA cycles)
+  /// rather than mirrored on every advance, which would cost a conversion
+  /// per wall-clock step that nothing reads.
+  Cycles global_cycles() const {
+    return Cycles{proc_scaler_.config().fpga_clock.ps_to_cycles_floor(wall_)};
   }
 
   /// Advances the wall clock to `target` if it lies ahead (no-op otherwise).
@@ -103,13 +105,6 @@ class TimeKeeper {
 
   // --- Emulated timeline ---------------------------------------------------
 
-  /// The processor-cycle equivalent of the current wall time (the
-  /// no-time-scaling notion of "now": a 50 MHz FPGA processor simply counts
-  /// its own cycles).
-  Cycles wall_as_proc_cycles() const {
-    return Cycles{proc_scaler_.config().fpga_clock.ps_to_cycles_floor(wall_)};
-  }
-
   /// One hardware-MC-equivalent scheduling decision: time scaling charges
   /// the configured scheduling latency to the emulated MC domain.
   void account_schedule_decision() {
@@ -131,9 +126,12 @@ class TimeKeeper {
   }
 
   /// Release tag for a response finalized now (Fig. 5 step 10): the
-  /// processor may not consume the response before this cycle.
+  /// processor may not consume the response before this cycle. Without
+  /// time scaling that is the processor-cycle equivalent of the wall time:
+  /// a 50 MHz FPGA processor simply counts its own cycles, the global
+  /// counter's FPGA cycles.
   std::int64_t response_release_tag() const {
-    if (mode_ == SystemMode::kNoTimeScaling) return wall_as_proc_cycles().count;
+    if (mode_ == SystemMode::kNoTimeScaling) return global_cycles().count;
     return counters_.mc();
   }
 

@@ -15,10 +15,13 @@ struct DomainConfig {
   Frequency emulated_clock = Frequency::gigahertz(1);
 };
 
-/// The three time-scaling counters of Fig. 5 plus critical-mode state.
+/// The processor and memory-controller time-scaling counters of Fig. 5
+/// plus critical-mode state. Fig. 5's third counter, `global` (FPGA clock
+/// cycles since power-on), is derived from the wall clock by
+/// TimeKeeper::global_cycles().
 ///
-/// Units: `global` counts FPGA clock cycles since power-on; `proc` and `mc`
-/// count *emulated processor* cycles. Invariants enforced:
+/// Units: `proc` and `mc` count *emulated processor* cycles. Invariants
+/// enforced:
 ///  * all counters are monotonically non-decreasing;
 ///  * while the SMC is in critical mode, the processor counter never
 ///    advances past the memory-controller counter (the SMC "locks" it);
@@ -26,16 +29,9 @@ struct DomainConfig {
 ///    finishes a scheduling step (responses cannot be released in the past).
 class Counters {
  public:
-  std::int64_t global() const { return global_; }
   std::int64_t proc() const { return proc_; }
   std::int64_t mc() const { return mc_; }
   bool critical() const { return critical_; }
-
-  /// Advances the global (FPGA) cycle counter.
-  void advance_global(std::int64_t cycles) {
-    EASYDRAM_EXPECTS(cycles >= 0);
-    global_ += cycles;
-  }
 
   /// Advances the processor-domain emulation point. While in critical mode
   /// the advance is clamped so proc never exceeds mc; the clamped amount is
@@ -73,7 +69,6 @@ class Counters {
   }
 
  private:
-  std::int64_t global_ = 0;
   std::int64_t proc_ = 0;
   std::int64_t mc_ = 0;
   bool critical_ = false;
@@ -83,8 +78,8 @@ class Counters {
 class Scaler {
  public:
   explicit Scaler(DomainConfig cfg) : cfg_(cfg) {
-    EASYDRAM_EXPECTS(cfg.fpga_clock.hertz > 0);
-    EASYDRAM_EXPECTS(cfg.emulated_clock.hertz > 0);
+    EASYDRAM_EXPECTS(cfg.fpga_clock.hertz() > 0);
+    EASYDRAM_EXPECTS(cfg.emulated_clock.hertz() > 0);
   }
 
   const DomainConfig& config() const { return cfg_; }

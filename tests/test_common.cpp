@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/divisor.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -88,6 +91,123 @@ INSTANTIATE_TEST_SUITE_P(
                       FreqCase{1'000'000'000, 1'000'000},
                       FreqCase{1'430'000'000, 33'333},
                       FreqCase{3'200'000'000, 500'000'001}));
+
+// --------------------------------------------------------------------------
+// Exact division by invariant integers
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/// A random 64-bit value with a random bit width, so small and large
+/// magnitudes are both common.
+std::uint64_t random_width(SplitMix64& rng) {
+  const std::uint64_t v = rng.next();
+  return v >> (rng.next() % 64);
+}
+
+TEST(ConstDivisor, MatchesHardwareDivisionAndRemainder) {
+  // The remainder callers derive, n - divide(n) * d, is checked against %.
+  std::vector<std::uint64_t> divisors = {1, 2, 3, 143, 286, 10'000, 100'000,
+                                         1'000'000'000'000, 1ull << 63, kU64Max,
+                                         kU64Max - 1, (1ull << 63) + 1};
+  for (int k = 0; k < 64; ++k) divisors.push_back(1ull << k);
+  SplitMix64 rng(2024);
+  for (int i = 0; i < 300; ++i) divisors.push_back(std::max<std::uint64_t>(1, random_width(rng)));
+  for (const std::uint64_t d : divisors) {
+    const ConstDivisor cd(d);
+    ASSERT_EQ(cd.divisor(), d);
+    std::vector<std::uint64_t> dividends = {0, 1, d - 1, d, d + 1, kU64Max, kU64Max - 1};
+    for (std::uint64_t k = 2; k < 5; ++k) {
+      if (d <= kU64Max / k) dividends.push_back(k * d - 1);
+    }
+    for (int i = 0; i < 300; ++i) dividends.push_back(random_width(rng));
+    for (const std::uint64_t n : dividends) {
+      ASSERT_EQ(cd.divide(n), n / d) << n << " / " << d;
+      ASSERT_EQ(n - cd.divide(n) * d, n % d) << n << " % " << d;
+    }
+  }
+}
+
+TEST(ConstDivisor, IsConstexprAndRejectsZero) {
+  static_assert(ConstDivisor{7}.divide(50) == 7);
+  static_assert(ConstDivisor{kU64Max}.divide(kU64Max) == 1);
+  static_assert(ConstDivisor{}.divide(kU64Max) == kU64Max);
+  EXPECT_THROW(ConstDivisor{0}, ContractViolation);
+}
+
+/// The converters' defining 128-bit formulas, the reference every fast path
+/// must match bit for bit.
+std::int64_t ref_cycles_to_ps(std::int64_t hz, std::int64_t c) {
+  const __int128 num = static_cast<__int128>(c) * 1'000'000'000'000;
+  return static_cast<std::int64_t>((num + hz / 2) / hz);
+}
+std::int64_t ref_ps_to_cycles_floor(std::int64_t hz, std::int64_t t) {
+  return static_cast<std::int64_t>(static_cast<__int128>(t) * hz / 1'000'000'000'000);
+}
+std::int64_t ref_ps_to_cycles_ceil(std::int64_t hz, std::int64_t t) {
+  const __int128 den = 1'000'000'000'000;
+  return static_cast<std::int64_t>((static_cast<__int128>(t) * hz + den - 1) / den);
+}
+
+/// Operands for one clock: fixed edge values, random magnitudes of both
+/// signs, and the neighbourhood of each converter's 64-bit bound.
+std::vector<std::int64_t> converter_operands(std::int64_t hz, SplitMix64& rng) {
+  constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> ops = {0, 1, 2, 3, 999, 1000, 1001, kI64Max,
+                                   kI64Max - 1, -1, -2, -999, kI64Min, kI64Min + 1};
+  for (int i = 0; i < 200; ++i) {
+    const auto v = static_cast<std::int64_t>(random_width(rng) >> 1);
+    ops.push_back(v);
+    ops.push_back(-v);
+  }
+  const std::uint64_t g = std::gcd(std::uint64_t{1'000'000'000'000},
+                                   static_cast<std::uint64_t>(hz));
+  const std::uint64_t a = static_cast<std::uint64_t>(hz) / g;
+  const std::uint64_t b = 1'000'000'000'000 / g;
+  for (const std::uint64_t bound : {(kU64Max - a) / (2 * b), kU64Max / a,
+                                    (kU64Max - (b - 1)) / a}) {
+    for (std::int64_t k = -2; k <= 2; ++k) {
+      const __int128 v = static_cast<__int128>(bound) + k;
+      if (v >= 0 && v <= kI64Max) ops.push_back(static_cast<std::int64_t>(v));
+    }
+  }
+  return ops;
+}
+
+TEST(Units, ConvertersMatchThe128BitReferenceExactly) {
+  std::vector<std::int64_t> clocks = {50'000'000,    100'000'000,   666'666'666,
+                                      1'000'000'000, 1'430'000'000, 3'200'000'000,
+                                      1,             3,             999'999'937,
+                                      1'000'000'000'000, 1'000'000'000'001,
+                                      std::numeric_limits<std::int64_t>::max()};
+  SplitMix64 rng(77);
+  for (int i = 0; i < 60; ++i) {
+    clocks.push_back(static_cast<std::int64_t>(1 + (random_width(rng) >> 20)));
+  }
+  for (const std::int64_t hz : clocks) {
+    const Frequency f{hz};
+    for (const std::int64_t v : converter_operands(hz, rng)) {
+      ASSERT_EQ(f.cycles_to_ps(v).count, ref_cycles_to_ps(hz, v)) << hz << " Hz, " << v;
+      ASSERT_EQ(f.ps_to_cycles_floor(Picoseconds{v}), ref_ps_to_cycles_floor(hz, v))
+          << hz << " Hz, " << v;
+      ASSERT_EQ(f.ps_to_cycles_ceil(Picoseconds{v}), ref_ps_to_cycles_ceil(hz, v))
+          << hz << " Hz, " << v;
+    }
+  }
+}
+
+TEST(Units, FrequencyStaysConstexprAndComparesByHertz) {
+  static_assert(Frequency::megahertz(100).cycles_to_ps(3).count == 30'000);
+  static_assert(Frequency{1'430'000'000}.cycles_to_ps(1).count == 699);
+  static_assert(Frequency::gigahertz(1).ps_to_cycles_ceil(Picoseconds{1001}) == 2);
+  static_assert(Frequency::megahertz(1000) == Frequency::gigahertz(1));
+  static_assert(Frequency::megahertz(50) < Frequency::megahertz(100));
+  // A frequency that is not positive still rejects every conversion.
+  EXPECT_THROW(Frequency{}.cycles_to_ps(0), ContractViolation);
+  EXPECT_THROW(Frequency{}.ps_to_cycles_floor(Picoseconds{0}), ContractViolation);
+  EXPECT_THROW(Frequency{-5}.ps_to_cycles_ceil(Picoseconds{1}), ContractViolation);
+}
 
 TEST(Rng, SplitMix64IsDeterministic) {
   SplitMix64 a(42), b(42);

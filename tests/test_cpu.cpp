@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -193,6 +194,22 @@ TEST(CoreTest, PureComputeRunsAtIssueWidth) {
   const RunResult r = core.run(trace, mem);
   EXPECT_EQ(r.instructions, 1000);
   EXPECT_EQ(r.cycles, 500);
+}
+
+TEST(CoreTest, LargestGapDoesNotWrapTheInstructionCount) {
+  // gap_instructions + 1 is 2^32: one record retires that many
+  // instructions rather than wrapping to zero.
+  CoreConfig cfg = tiny_core();
+  cfg.issue_width = 2;
+  Core core(cfg, tiny_caches());
+  FixedLatencyBackend mem(100);
+  std::vector<TraceRecord> t(1, TraceRecord{});
+  t[0].op = Op::kMarker;
+  t[0].gap_instructions = std::numeric_limits<std::uint32_t>::max();
+  VectorTrace trace(std::move(t));
+  const RunResult r = core.run(trace, mem);
+  EXPECT_EQ(r.instructions, std::int64_t{1} << 32);
+  EXPECT_EQ(r.cycles, std::int64_t{1} << 31);
 }
 
 TEST(CoreTest, IssueSlotsCarryAcrossRecordsAtAnyWidth) {
@@ -518,7 +535,7 @@ TEST(CoreTest, DrainWaitsForAllOutstanding) {
 TEST(CoreTest, PresetsAreInternallyConsistent) {
   EXPECT_TRUE(pidram_inorder_core().blocking_loads);
   EXPECT_EQ(pidram_inorder_core().emulated_clock, Frequency::megahertz(50));
-  EXPECT_EQ(cortex_a57_core().emulated_clock.hertz, 1'430'000'000);
+  EXPECT_EQ(cortex_a57_core().emulated_clock.hertz(), 1'430'000'000);
   EXPECT_GT(jetson_nano_caches().l2.size_bytes, easydram_caches().l2.size_bytes);
 }
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
 #include "smc/controller.hpp"
@@ -98,6 +99,92 @@ TEST(MapperTest, InterleavedStripesAcrossBanks) {
   EXPECT_EQ(m.to_dram(64).bank, 1u);
   EXPECT_EQ(m.to_dram(64 * 15).bank, 15u);
   EXPECT_EQ(m.to_dram(64 * 16).bank, 0u);
+}
+
+/// Plain-division references of the four mappers' to_dram: each digit is
+/// `%` of the running quotient, as the layouts are documented.
+dram::DramAddress ref_linear(const dram::Geometry& g, std::uint64_t paddr) {
+  std::uint64_t x = paddr / g.col_bytes;
+  dram::DramAddress a;
+  a.col = static_cast<std::uint32_t>(x % g.cols_per_row());
+  x /= g.cols_per_row();
+  a.row = static_cast<std::uint32_t>(x % g.rows_per_bank);
+  x /= g.rows_per_bank;
+  a.bank = static_cast<std::uint32_t>(x % g.num_banks());
+  x /= g.num_banks();
+  a.rank = static_cast<std::uint32_t>(x % g.ranks_per_channel);
+  a.channel = static_cast<std::uint32_t>(x / g.ranks_per_channel);
+  return a;
+}
+dram::DramAddress ref_line(const dram::Geometry& g, std::uint64_t paddr) {
+  std::uint64_t x = paddr / g.col_bytes;
+  dram::DramAddress a;
+  a.bank = static_cast<std::uint32_t>(x % g.num_banks());
+  x /= g.num_banks();
+  a.rank = static_cast<std::uint32_t>(x % g.ranks_per_channel);
+  x /= g.ranks_per_channel;
+  a.col = static_cast<std::uint32_t>(x % g.cols_per_row());
+  x /= g.cols_per_row();
+  a.row = static_cast<std::uint32_t>(x % g.rows_per_bank);
+  a.channel = static_cast<std::uint32_t>(x / g.rows_per_bank);
+  return a;
+}
+dram::DramAddress ref_channel(const dram::Geometry& g, std::uint64_t paddr) {
+  std::uint64_t x = paddr / g.col_bytes;
+  dram::DramAddress a;
+  a.channel = static_cast<std::uint32_t>(x % g.channels);
+  x /= g.channels;
+  a.bank = static_cast<std::uint32_t>(x % g.num_banks());
+  x /= g.num_banks();
+  a.rank = static_cast<std::uint32_t>(x % g.ranks_per_channel);
+  x /= g.ranks_per_channel;
+  a.col = static_cast<std::uint32_t>(x % g.cols_per_row());
+  a.row = static_cast<std::uint32_t>(x / g.cols_per_row());
+  return a;
+}
+dram::DramAddress ref_bankpart(const dram::Geometry& g, unsigned partitions,
+                               std::uint64_t paddr) {
+  const std::uint64_t part_bytes = g.capacity_bytes() / partitions;
+  const std::uint64_t per_part = g.num_banks() / partitions;
+  std::uint64_t x = (paddr % part_bytes) / g.col_bytes;
+  dram::DramAddress a;
+  a.bank = static_cast<std::uint32_t>(paddr / part_bytes * per_part + x % per_part);
+  x /= per_part;
+  a.rank = static_cast<std::uint32_t>(x % g.ranks_per_channel);
+  x /= g.ranks_per_channel;
+  a.col = static_cast<std::uint32_t>(x % g.cols_per_row());
+  x /= g.cols_per_row();
+  a.row = static_cast<std::uint32_t>(x % g.rows_per_bank);
+  a.channel = static_cast<std::uint32_t>(x / g.rows_per_bank);
+  return a;
+}
+
+TEST(MapperTest, ToDramMatchesPlainDivisionOnAnyGeometry) {
+  dram::Geometry three_channels;
+  three_channels.channels = 3;
+  dram::Geometry odd;  // No power-of-two radix above the column.
+  odd.channels = 3;
+  odd.ranks_per_channel = 3;
+  odd.bank_groups = 3;
+  odd.rows_per_bank = 3000;
+  odd.rows_per_subarray = 500;
+  for (const dram::Geometry& geo : {dram::Geometry{}, three_channels, odd}) {
+    const LinearMapper linear(geo);
+    const LineInterleavedMapper line(geo);
+    const ChannelInterleavedMapper channel(geo);
+    const BankPartitionMapper bankpart(geo, 4);
+    const std::uint64_t lines = geo.capacity_bytes() / 64;
+    SplitMix64 rng(geo.channels * 131 + geo.rows_per_bank);
+    std::vector<std::uint64_t> addrs = {0, 64, (lines - 1) * 64};
+    for (int i = 0; i < 20000; ++i) addrs.push_back(rng.next() % lines * 64);
+    for (const std::uint64_t paddr : addrs) {
+      ASSERT_EQ(linear.to_dram(paddr), ref_linear(geo, paddr)) << paddr;
+      ASSERT_EQ(line.to_dram(paddr), ref_line(geo, paddr)) << paddr;
+      ASSERT_EQ(channel.to_dram(paddr), ref_channel(geo, paddr)) << paddr;
+      ASSERT_EQ(bankpart.to_dram(paddr), ref_bankpart(geo, 4, paddr)) << paddr;
+      ASSERT_EQ(bankpart.to_physical(bankpart.to_dram(paddr)), paddr);
+    }
+  }
 }
 
 TEST(MapperTest, MisalignedAddressRejected) {

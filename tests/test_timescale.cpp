@@ -10,7 +10,6 @@ using namespace easydram::literals;
 
 TEST(CountersTest, StartAtZero) {
   Counters c;
-  EXPECT_EQ(c.global(), 0);
   EXPECT_EQ(c.proc(), 0);
   EXPECT_EQ(c.mc(), 0);
   EXPECT_FALSE(c.critical());
@@ -52,7 +51,6 @@ TEST(CountersTest, NegativeAdvancesRejected) {
   Counters c;
   EXPECT_THROW(c.advance_proc(-1), ContractViolation);
   EXPECT_THROW(c.advance_mc(-1), ContractViolation);
-  EXPECT_THROW(c.advance_global(-1), ContractViolation);
 }
 
 TEST(ScalerTest, RealToEmulatedCycles) {
@@ -174,7 +172,11 @@ TEST(TimeKeeperTest, GlobalCounterMirrorsWall) {
                DomainConfig{Frequency::megahertz(100), Frequency::gigahertz(1)},
                Frequency::megahertz(100), Cycles{24});
   k.advance_wall(1_us);
-  EXPECT_EQ(k.counters().global(), 100);  // 1 us at 100 MHz FPGA clock.
+  EXPECT_EQ(k.global_cycles(), Cycles{100});  // 1 us at 100 MHz FPGA clock.
+  k.advance_wall(9_ns);  // Rounds down: 1009 ns is still 100 cycles.
+  EXPECT_EQ(k.global_cycles(), Cycles{100});
+  k.advance_wall(1_ns);
+  EXPECT_EQ(k.global_cycles(), Cycles{101});
 }
 
 }  // namespace

@@ -134,12 +134,14 @@ TEST_F(VariationTest, LineMinTrcdNeverExceedsCeiling) {
   EXPECT_EQ(VariationModel(geo_, negative_jitter).line_min_trcd_ceiling(),
             cfg_.max_trcd + Picoseconds{700});
   EXPECT_EQ(VariationModel(geo_, inverted).line_min_trcd_ceiling(), 11_ns);
-  // A negative shape lifts pow() above 1 and voids the bound: every read
-  // then looks its line up.
+  // A negative shape would lift pow() above 1 and void the bound, and NaN
+  // has no order at all: the model rejects both.
   VariationConfig negative_shape;
   negative_shape.shape = -1.0;
-  EXPECT_EQ(VariationModel(geo_, negative_shape).line_min_trcd_ceiling(),
-            Picoseconds{std::numeric_limits<std::int64_t>::max()});
+  EXPECT_THROW(VariationModel(geo_, negative_shape), ContractViolation);
+  VariationConfig nan_shape;
+  nan_shape.shape = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(VariationModel(geo_, nan_shape), ContractViolation);
 }
 
 TEST_F(VariationTest, RowCloneRequiresSameSubarray) {
