@@ -9,11 +9,16 @@
 
 #include "bender/interpreter.hpp"
 #include "common/units.hpp"
+#include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
+#include "cpu/core.hpp"
+#include "cpu/presets.hpp"
+#include "cpu/trace.hpp"
 #include "dram/device.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
 #include "smc/scheduler.hpp"
+#include "workloads/polybench.hpp"
 
 namespace {
 
@@ -77,6 +82,40 @@ void BM_CacheAccessHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheAccessHit);
+
+/// Answers every request at once, so a replay measures the core and its
+/// caches alone.
+class NullBackend final : public cpu::MemoryBackend {
+ public:
+  std::uint64_t submit_read(std::uint64_t, std::int64_t) override { return ++id_; }
+  std::uint64_t submit_write(std::uint64_t, std::int64_t) override { return ++id_; }
+  std::uint64_t submit_rowclone(std::uint64_t, std::uint64_t, std::int64_t) override {
+    return ++id_;
+  }
+  std::uint64_t submit_profile(std::uint64_t, Picoseconds, std::int64_t) override {
+    return ++id_;
+  }
+  cpu::Completion wait(std::uint64_t) override { return cpu::Completion{}; }
+
+ private:
+  std::uint64_t id_ = 0;
+};
+
+/// One PolyBench kernel (trisolv, 0.8 M records) replayed through the core
+/// model; items/s is trace records per second of wall time, since the
+/// core's cache filter runs on a helper thread.
+void BM_CoreReplay(benchmark::State& state) {
+  const std::vector<cpu::TraceRecord> records = workloads::generate_kernel("trisolv");
+  for (auto _ : state) {
+    cpu::Core core(cpu::cortex_a57_core(), cpu::easydram_caches());
+    NullBackend mem;
+    cpu::SpanTrace trace(records);
+    benchmark::DoNotOptimize(core.run(trace, mem));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_CoreReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FrfcfsPick(benchmark::State& state) {
   smc::RequestTable table(32);

@@ -85,6 +85,9 @@ struct Cycles {
 /// Operands up to the precomputed bounds keep every intermediate below
 /// 2^64; negative operands and those past the bounds take the reference
 /// formula. Every result is therefore bit-identical to the reference.
+/// The two ps_to_cycles converters reject negative times: the reference's
+/// truncating division is neither a floor nor a ceiling below zero, and no
+/// time on any modelled timeline precedes power-on.
 class Frequency {
  public:
   constexpr Frequency() = default;
@@ -145,6 +148,7 @@ class Frequency {
           b_div_.divide(static_cast<std::uint64_t>(t.count) * a_));
     }
     EASYDRAM_EXPECTS(hertz_ > 0);
+    EASYDRAM_EXPECTS(t.count >= 0);
     const __int128 num = static_cast<__int128>(t.count) * hertz_;
     return static_cast<std::int64_t>(num / 1'000'000'000'000);
   }
@@ -158,6 +162,7 @@ class Frequency {
           b_div_.divide(static_cast<std::uint64_t>(t.count) * a_ + (b_ - 1)));
     }
     EASYDRAM_EXPECTS(hertz_ > 0);
+    EASYDRAM_EXPECTS(t.count >= 0);
     const __int128 num = static_cast<__int128>(t.count) * hertz_;
     const __int128 den = 1'000'000'000'000;
     return static_cast<std::int64_t>((num + den - 1) / den);

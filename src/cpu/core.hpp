@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/divisor.hpp"
 #include "common/units.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
@@ -65,37 +63,32 @@ struct RunResult {
 
 /// Trace-driven core + cache hierarchy timing model. One instance models
 /// one run: construct, call run(), read the result.
+///
+/// run() is a two-stage pipeline. A filter stage, on one helper thread per
+/// run, pulls the trace, runs L1/L2 and reduces every record to events:
+/// issue-slot advances, misses with their writebacks, posted writes,
+/// RowClones, drains and markers. Cache state never depends on memory
+/// timing, so the filter runs ahead of time. The timing stage, on the
+/// caller's thread, owns the cycle count and the MLP and store-buffer
+/// queues, and makes every MemoryBackend call in trace order. The one value
+/// that flows back is a RowClone's outcome: the filter waits for it before
+/// its next pull. Exceptions on either side stop both and leave run() on
+/// the caller's thread with the helper joined.
 class Core {
  public:
   Core(const CoreConfig& cfg, const CacheHierConfig& caches);
 
+  /// Thread-safety: `mem` is called only from the calling thread; `trace`
+  /// only from the helper thread, one next() at a time.
   RunResult run(TraceSource& trace, MemoryBackend& mem);
 
   const Cache& l1() const { return l1_; }
   const Cache& l2() const { return l2_; }
 
  private:
-  void advance_for_instructions(std::uint64_t count);
-  /// Brings `line`, which L2 holds, into L1 (dirty when `dirty`).
-  void fill_l1(std::uint64_t line, bool dirty);
-  /// L2 miss: allocates `line` in L2, writing back what that evicts, reads
-  /// it from memory and fills L1; returns the backend read id.
-  std::uint64_t fetch_line(std::uint64_t line, bool dirty, MemoryBackend& mem);
-  void evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem);
-  void wait_oldest_load(MemoryBackend& mem);
-  void reserve_store_slot(MemoryBackend& mem);
-  void drain_all(MemoryBackend& mem);
-
   CoreConfig cfg_;
   Cache l1_;
   Cache l2_;
-
-  ConstDivisor issue_width_;  ///< cfg_.issue_width.
-  std::int64_t cycle_ = 0;
-  std::uint32_t width_remainder_ = 0;
-  std::deque<std::uint64_t> outstanding_loads_;
-  std::deque<std::uint64_t> store_slots_;
-  RunResult result_;
 };
 
 }  // namespace easydram::cpu

@@ -77,6 +77,11 @@ static_assert(sizeof(TraceRecord) == 12);
 /// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
 /// the most recent kRowClone so generators can emit CPU-fallback accesses,
 /// exactly as the paper's software falls back to load/store copies.
+///
+/// Thread-safety: Core::run calls next() on its helper thread, one call at
+/// a time, while the caller's thread drives the MemoryBackend. A source
+/// must therefore share no unsynchronised mutable state with the backend;
+/// reading immutable data (an address mapper, a geometry) is fine.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;

@@ -104,12 +104,12 @@ void EasyApi::set_open_row(std::uint32_t bank, std::uint32_t rank,
   EASYDRAM_EXPECTS(bank < device_->geometry().num_banks() &&
                    idx < open_rows_.size());
   open_rows_[idx] = row;
-  touched_.push_back(idx);
+  touched_.push_back({rank, bank});
 }
 
 void EasyApi::touch_rank(std::uint32_t rank) {
   for (std::uint32_t bank = 0; bank < device_->geometry().num_banks(); ++bank) {
-    touched_.push_back(flat(rank, bank));
+    touched_.push_back({rank, bank});
   }
 }
 
@@ -273,10 +273,9 @@ bender::ExecutionResult EasyApi::flush_commands(bool charge) {
   program_.clear();
   // Commands queued in the batch have now run: fold the device's state
   // back in, for the banks the batch touched only.
-  const std::uint32_t banks = device_->geometry().num_banks();
-  for (const std::uint32_t idx : touched_) {
-    const auto row = device_->open_row(idx % banks, idx / banks);
-    open_rows_[idx] = row ? *row : BankStateView::kClosed;
+  for (const TouchedBank& t : touched_) {
+    const auto row = device_->open_row(t.bank, t.rank);
+    open_rows_[flat(t.rank, t.bank)] = row ? *row : BankStateView::kClosed;
   }
   touched_.clear();
   return result;

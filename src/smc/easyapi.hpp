@@ -338,8 +338,13 @@ class EasyApi final {
   // EasyApi's interpreter issues commands to its device, and each flush
   // re-reads the banks its batch touched.
   std::vector<std::uint64_t> open_rows_;
-  // Flat banks the current batch touched (duplicates allowed).
-  std::vector<std::uint32_t> touched_;
+  // Banks the current batch touched (duplicates allowed), kept as pairs so
+  // the flush needs no division to split a flat index.
+  struct TouchedBank {
+    std::uint32_t rank;
+    std::uint32_t bank;
+  };
+  std::vector<TouchedBank> touched_;
 
   bool setup_mode_ = false;
   ActSink* act_sink_ = nullptr;

@@ -163,7 +163,9 @@ SystemConfig validation_reference();     ///< §6: direct 1 GHz RTL reference.
 /// Units: `paddr` arguments are byte addresses in the mapped physical
 /// space; `now` arguments are emulated-processor cycles; returned times
 /// are Picoseconds of FPGA wall. Thread-safety: one system is driven by
-/// one thread. Parameter sweeps build one system per task.
+/// one thread, the one that calls run(). Parameter sweeps build one system
+/// per task. run()'s core pulls the trace on a helper thread of its own
+/// (see cpu::TraceSource), so a trace source must not touch the system.
 class EasyDramSystem final : public cpu::MemoryBackend {
  public:
   explicit EasyDramSystem(const SystemConfig& cfg);

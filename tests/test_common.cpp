@@ -189,6 +189,15 @@ TEST(Units, ConvertersMatchThe128BitReferenceExactly) {
     const Frequency f{hz};
     for (const std::int64_t v : converter_operands(hz, rng)) {
       ASSERT_EQ(f.cycles_to_ps(v).count, ref_cycles_to_ps(hz, v)) << hz << " Hz, " << v;
+      if (v < 0) {
+        // Truncation is no floor or ceiling below zero: negative times
+        // are rejected rather than mis-rounded.
+        EXPECT_THROW(f.ps_to_cycles_floor(Picoseconds{v}), ContractViolation)
+            << hz << " Hz, " << v;
+        EXPECT_THROW(f.ps_to_cycles_ceil(Picoseconds{v}), ContractViolation)
+            << hz << " Hz, " << v;
+        continue;
+      }
       ASSERT_EQ(f.ps_to_cycles_floor(Picoseconds{v}), ref_ps_to_cycles_floor(hz, v))
           << hz << " Hz, " << v;
       ASSERT_EQ(f.ps_to_cycles_ceil(Picoseconds{v}), ref_ps_to_cycles_ceil(hz, v))

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
 #include "cpu/core.hpp"
@@ -530,6 +534,432 @@ TEST(CoreTest, DrainWaitsForAllOutstanding) {
   VectorTrace trace(std::move(t));
   const RunResult r = core.run(trace, mem);
   EXPECT_GE(r.cycles, 500);
+}
+
+// --------------------------------------------------------------------------
+// The pipelined core against a serial reference
+// --------------------------------------------------------------------------
+
+/// The core's timing algorithm written serially: one loop that runs the
+/// caches, keeps the cycle count and calls the backend as each record
+/// executes. Core::run splits this work across two threads and must
+/// reproduce it call for call.
+class SerialReferenceCore {
+ public:
+  SerialReferenceCore(const CoreConfig& cfg, const CacheHierConfig& caches)
+      : cfg_(cfg), l1_(caches.l1), l2_(caches.l2) {}
+
+  RunResult run(TraceSource& trace, MemoryBackend& mem) {
+    TraceRecord rec;
+    bool last_rowclone_ok = true;
+    std::uint32_t current_stream = 0;
+    mem.set_stream(current_stream);
+    while (trace.next(rec, last_rowclone_ok)) {
+      if (rec.stream != current_stream) {
+        current_stream = rec.stream;
+        mem.set_stream(current_stream);
+      }
+      advance_for_instructions(std::uint64_t{rec.gap_instructions} + 1);
+      const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
+      switch (rec.op) {
+        case Op::kLoad:
+        case Op::kLoadDependent: {
+          ++result_.loads;
+          const bool dependent = cfg_.blocking_loads || rec.op == Op::kLoadDependent;
+          if (l1_.access(line)) {
+            if (dependent) cycle_ += cfg_.l1_latency;
+            break;
+          }
+          ++result_.l1_misses;
+          if (l2_.access(line)) {
+            fill_l1(line, false);
+            if (dependent) cycle_ += cfg_.l2_latency;
+            break;
+          }
+          ++result_.l2_misses;
+          if (outstanding_loads_.size() >= cfg_.mlp) wait_oldest_load(mem);
+          const std::uint64_t id = fetch_line(line, false, mem);
+          if (dependent) {
+            const Completion c = mem.wait(id);
+            cycle_ = std::max(cycle_, c.release_cycle + cfg_.fill_to_use);
+          } else {
+            outstanding_loads_.push_back(id);
+          }
+          break;
+        }
+        case Op::kStoreStream:
+          if (cfg_.write_streaming) {
+            ++result_.stores;
+            l1_.flush(line);
+            l2_.flush(line);
+            reserve_store_slot(mem);
+            store_slots_.push_back(mem.submit_write(line, cycle_));
+            ++result_.mem_writes;
+            break;
+          }
+          [[fallthrough]];
+        case Op::kStore:
+          ++result_.stores;
+          if (l1_.access_store(line)) break;
+          ++result_.l1_misses;
+          if (l2_.access(line)) {
+            fill_l1(line, true);
+            break;
+          }
+          ++result_.l2_misses;
+          reserve_store_slot(mem);
+          store_slots_.push_back(fetch_line(line, true, mem));
+          break;
+        case Op::kFlush: {
+          ++result_.flushes;
+          cycle_ += cfg_.flush_cost;
+          const Cache::FlushResult f1 = l1_.flush(line);
+          const Cache::FlushResult f2 = l2_.flush(line);
+          if (f1.was_dirty || f2.was_dirty) {
+            reserve_store_slot(mem);
+            store_slots_.push_back(mem.submit_write(line, cycle_));
+            ++result_.mem_writes;
+          }
+          break;
+        }
+        case Op::kRowClone: {
+          const TraceRecord dst = next_rowclone_dst(trace, last_rowclone_ok);
+          ++result_.rowclones;
+          cycle_ += cfg_.rowclone_trigger_cycles.count;
+          const Completion c =
+              mem.wait(mem.submit_rowclone(rec.addr(), dst.addr(), cycle_));
+          cycle_ = std::max(cycle_, c.release_cycle);
+          last_rowclone_ok = c.ok;
+          if (!c.ok) ++result_.rowclone_fallbacks;
+          break;
+        }
+        case Op::kRowCloneDst:
+          EASYDRAM_EXPECTS(!"kRowCloneDst without its kRowClone");
+          break;
+        case Op::kDrain:
+          drain_all(mem);
+          break;
+        case Op::kMarker:
+          drain_all(mem);
+          result_.markers.push_back(cycle_);
+          break;
+      }
+    }
+    drain_all(mem);
+    result_.cycles = cycle_;
+    return result_;
+  }
+
+ private:
+  void advance_for_instructions(std::uint64_t count) {
+    result_.instructions += static_cast<std::int64_t>(count);
+    const std::uint64_t total = count + width_remainder_;
+    cycle_ += static_cast<std::int64_t>(total / cfg_.issue_width);
+    width_remainder_ = static_cast<std::uint32_t>(total % cfg_.issue_width);
+  }
+  void fill_l1(std::uint64_t line, bool dirty) {
+    const FillResult f = l1_.fill(line, dirty);
+    if (f.evicted && f.evicted_dirty) l2_.mark_dirty(f.evicted_line);
+  }
+  std::uint64_t fetch_line(std::uint64_t line, bool dirty, MemoryBackend& mem) {
+    const FillResult f = l2_.fill(line);
+    if (f.evicted) {
+      const Cache::FlushResult l1f = l1_.flush(f.evicted_line);
+      if (f.evicted_dirty || l1f.was_dirty) {
+        reserve_store_slot(mem);
+        store_slots_.push_back(mem.submit_write(f.evicted_line, cycle_));
+        ++result_.mem_writes;
+      }
+    }
+    const std::uint64_t id = mem.submit_read(line, cycle_);
+    ++result_.mem_reads;
+    fill_l1(line, dirty);
+    return id;
+  }
+  void wait_front(std::deque<std::uint64_t>& q, MemoryBackend& mem) {
+    const Completion c = mem.wait(q.front());
+    q.pop_front();
+    cycle_ = std::max(cycle_, c.release_cycle);
+  }
+  void wait_oldest_load(MemoryBackend& mem) { wait_front(outstanding_loads_, mem); }
+  void reserve_store_slot(MemoryBackend& mem) {
+    if (store_slots_.size() >= cfg_.store_buffer) wait_front(store_slots_, mem);
+  }
+  void drain_all(MemoryBackend& mem) {
+    while (!outstanding_loads_.empty()) wait_front(outstanding_loads_, mem);
+    while (!store_slots_.empty()) wait_front(store_slots_, mem);
+  }
+
+  CoreConfig cfg_;
+  Cache l1_;
+  Cache l2_;
+  std::int64_t cycle_ = 0;
+  std::uint32_t width_remainder_ = 0;
+  std::deque<std::uint64_t> outstanding_loads_;
+  std::deque<std::uint64_t> store_slots_;
+  RunResult result_;
+};
+
+/// One backend call: its kind, operands and `now` (waits log their id).
+struct Call {
+  char kind;  ///< r(ead) w(rite) c(lone) s(tream) W(ait).
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::int64_t now = 0;
+  bool operator==(const Call&) const = default;
+};
+
+/// Logs every call and answers from a seeded script: each request's release
+/// cycle and RowClone outcome are drawn in submission order, so two cores
+/// that make the same calls see the same answers. Throws std::runtime_error
+/// on call number `throw_at`, or on the first RowClone when
+/// `throw_on_rowclone` is set.
+class ScriptedBackend final : public MemoryBackend {
+ public:
+  explicit ScriptedBackend(std::uint64_t seed) : rng_(seed) {}
+
+  void set_stream(std::uint32_t stream) override { record({'s', stream}); }
+  std::uint64_t submit_read(std::uint64_t paddr, std::int64_t now) override {
+    record({'r', paddr, 0, now});
+    return issue(now);
+  }
+  std::uint64_t submit_write(std::uint64_t paddr, std::int64_t now) override {
+    record({'w', paddr, 0, now});
+    return issue(now);
+  }
+  std::uint64_t submit_rowclone(std::uint64_t src, std::uint64_t dst,
+                                std::int64_t now) override {
+    if (throw_on_rowclone) throw std::runtime_error("scripted RowClone failure");
+    record({'c', src, dst, now});
+    return issue(now);
+  }
+  std::uint64_t submit_profile(std::uint64_t, Picoseconds, std::int64_t now) override {
+    return issue(now);
+  }
+  Completion wait(std::uint64_t id) override {
+    record({'W', id});
+    return Completion{release_.at(id), ok_.at(id)};
+  }
+
+  std::vector<Call> log;
+  std::size_t throw_at = std::numeric_limits<std::size_t>::max();
+  bool throw_on_rowclone = false;
+
+ private:
+  void record(const Call& c) {
+    if (log.size() == throw_at) throw std::runtime_error("scripted backend failure");
+    log.push_back(c);
+  }
+  std::uint64_t issue(std::int64_t now) {
+    const std::uint64_t id = next_id_++;
+    release_[id] = now + 1 + static_cast<std::int64_t>(rng_.next() % 400);
+    ok_[id] = rng_.next() % 3 != 0;
+    return id;
+  }
+
+  SplitMix64 rng_;
+  std::uint64_t next_id_ = 1;
+  std::unordered_map<std::uint64_t, std::int64_t> release_;
+  std::unordered_map<std::uint64_t, bool> ok_;
+};
+
+/// Seeded random trace over every op, with stream switches and gaps up to
+/// UINT32_MAX. It reacts to RowClone feedback the way CopyInitTrace does:
+/// a failed clone is redone with loads and stores, so the records that
+/// follow depend on the outcome. `records` bounds the randomly drawn
+/// records; `lone_dst_at` replaces that one with an unpaired kRowCloneDst.
+class FeedbackTrace final : public TraceSource {
+ public:
+  FeedbackTrace(std::uint64_t seed, std::size_t records,
+                std::size_t lone_dst_at = std::numeric_limits<std::size_t>::max())
+      : rng_(seed), left_(records), lone_dst_at_(lone_dst_at) {}
+
+  bool next(TraceRecord& out, bool last_rowclone_ok) override {
+    ++pulls;
+    if (awaiting_ && pending_.empty()) {
+      awaiting_ = false;
+      if (!last_rowclone_ok) {
+        for (std::uint64_t off = 0; off < 256; off += 64) {
+          pending_.emplace_back(Op::kLoadDependent, clone_src_ + off, 3);
+          pending_.emplace_back(Op::kStore, clone_dst_ + off, 3);
+        }
+      }
+    }
+    if (pending_.empty()) {
+      if (left_ == 0) return false;
+      --left_;
+      draw();
+    }
+    out = pending_.front();
+    pending_.pop_front();
+    return true;
+  }
+
+  std::size_t pulls = 0;
+
+ private:
+  void draw() {
+    const std::uint64_t r = rng_.next();
+    if (r % 19 == 0) stream_ = r % 7 == 0 ? 0xFFFF : static_cast<std::uint16_t>(r % 4);
+    std::uint32_t gap = static_cast<std::uint32_t>((r >> 8) % 9);
+    if ((r >> 16) % 211 == 0) gap = std::numeric_limits<std::uint32_t>::max();
+    else if ((r >> 16) % 97 == 0) gap = static_cast<std::uint32_t>(r >> 32);
+    // 4096 lines: four times the reference L2 below, so misses and dirty
+    // evictions are common.
+    const std::uint64_t addr = ((r >> 24) % 4096) * 64 + (r >> 40) % 64;
+    const std::uint64_t pick = (r >> 48) % 100;
+    if (drawn_++ == lone_dst_at_) {
+      push(TraceRecord(Op::kRowCloneDst, addr, gap));
+    } else if (pick < 30) {
+      push(TraceRecord(Op::kLoad, addr, gap));
+    } else if (pick < 45) {
+      push(TraceRecord(Op::kLoadDependent, addr, gap));
+    } else if (pick < 70) {
+      push(TraceRecord(Op::kStore, addr, gap));
+    } else if (pick < 80) {
+      push(TraceRecord(Op::kStoreStream, addr, gap));
+    } else if (pick < 90) {
+      push(TraceRecord(Op::kFlush, addr, gap));
+    } else if (pick < 94) {
+      clone_src_ = addr & ~std::uint64_t{8191};
+      clone_dst_ = (addr ^ 0x20000) & ~std::uint64_t{8191};
+      for (const TraceRecord& rec : rowclone_pair(clone_src_, clone_dst_, gap)) push(rec);
+      awaiting_ = true;
+    } else if (pick < 97) {
+      push(TraceRecord(Op::kDrain, 0, gap));
+    } else {
+      push(TraceRecord(Op::kMarker, 0, gap));
+    }
+  }
+  void push(TraceRecord rec) {
+    rec.stream = stream_;
+    pending_.push_back(rec);
+  }
+
+  SplitMix64 rng_;
+  std::size_t left_;
+  std::size_t lone_dst_at_;
+  std::size_t drawn_ = 0;
+  std::uint16_t stream_ = 0;
+  bool awaiting_ = false;
+  std::uint64_t clone_src_ = 0;
+  std::uint64_t clone_dst_ = 0;
+  std::deque<TraceRecord> pending_;
+};
+
+void expect_same_result(const RunResult& want, const RunResult& got) {
+  EXPECT_EQ(want.cycles, got.cycles);
+  EXPECT_EQ(want.instructions, got.instructions);
+  EXPECT_EQ(want.loads, got.loads);
+  EXPECT_EQ(want.stores, got.stores);
+  EXPECT_EQ(want.l1_misses, got.l1_misses);
+  EXPECT_EQ(want.l2_misses, got.l2_misses);
+  EXPECT_EQ(want.mem_reads, got.mem_reads);
+  EXPECT_EQ(want.mem_writes, got.mem_writes);
+  EXPECT_EQ(want.rowclones, got.rowclones);
+  EXPECT_EQ(want.rowclone_fallbacks, got.rowclone_fallbacks);
+  EXPECT_EQ(want.flushes, got.flushes);
+  EXPECT_EQ(want.markers, got.markers);
+}
+
+CacheHierConfig reference_caches() {
+  CacheHierConfig h;
+  h.l1 = CacheConfig{4096, 2, 64};    // 64 lines.
+  h.l2 = CacheConfig{65536, 4, 64};   // 1024 lines.
+  return h;
+}
+
+TEST(PipelinedCoreTest, MatchesTheSerialReferenceCallForCall) {
+  std::uint64_t seed = 1;
+  for (const std::uint32_t width : {1u, 2u, 3u}) {
+    for (const std::uint32_t queues : {1u, 3u}) {
+      for (const bool blocking : {false, true}) {
+        for (const bool streaming : {false, true}) {
+          ++seed;
+          CoreConfig cfg = tiny_core();
+          cfg.issue_width = width;
+          cfg.mlp = queues;
+          cfg.store_buffer = queues + 1;
+          cfg.blocking_loads = blocking;
+          cfg.write_streaming = streaming;
+          cfg.fill_to_use = 3;
+          cfg.flush_cost = 5;
+          cfg.rowclone_trigger_cycles = Cycles{37};
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " width " << width << " queues "
+                       << queues << " blocking " << blocking << " streaming "
+                       << streaming);
+
+          // Enough records that the events outrun the ring several times.
+          constexpr std::size_t kRecords = 12'000;
+          ScriptedBackend want_mem(seed);
+          FeedbackTrace want_trace(seed, kRecords);
+          const RunResult want =
+              SerialReferenceCore(cfg, reference_caches()).run(want_trace, want_mem);
+
+          ScriptedBackend got_mem(seed);
+          FeedbackTrace got_trace(seed, kRecords);
+          Core core(cfg, reference_caches());
+          const RunResult got = core.run(got_trace, got_mem);
+
+          ASSERT_EQ(want_mem.log.size(), got_mem.log.size());
+          for (std::size_t i = 0; i < want_mem.log.size(); ++i) {
+            ASSERT_EQ(want_mem.log[i], got_mem.log[i]) << "call " << i;
+          }
+          expect_same_result(want, got);
+          EXPECT_EQ(want_trace.pulls, got_trace.pulls);
+          EXPECT_GT(got.rowclone_fallbacks, 0);
+          EXPECT_GT(got.rowclones, got.rowclone_fallbacks);
+        }
+      }
+    }
+  }
+}
+
+TEST(PipelinedCoreTest, FilterFailureSurfacesAfterTheCallsBeforeIt) {
+  // An unpaired kRowCloneDst deep in the trace: the filter thread throws,
+  // and run() rethrows on the caller's thread once every backend call the
+  // serial core makes before the same failure has been made.
+  for (const std::size_t at : {0u, 1u, 5'000u}) {
+    ScriptedBackend want_mem(9);
+    FeedbackTrace want_trace(9, 20'000, at);
+    EXPECT_THROW(SerialReferenceCore(tiny_core(), reference_caches())
+                     .run(want_trace, want_mem),
+                 ContractViolation);
+
+    ScriptedBackend got_mem(9);
+    FeedbackTrace got_trace(9, 20'000, at);
+    Core core(tiny_core(), reference_caches());
+    EXPECT_THROW(core.run(got_trace, got_mem), ContractViolation);
+    EXPECT_EQ(want_mem.log, got_mem.log) << "lone destination at " << at;
+    EXPECT_EQ(want_trace.pulls, got_trace.pulls);
+  }
+}
+
+TEST(PipelinedCoreTest, BackendFailureStopsTheFilter) {
+  // The trace never ends: run() can only return because the backend's
+  // exception stops the filter thread, which run() joins before
+  // rethrowing (reading `pulls` below would race otherwise, under TSan).
+  for (const std::size_t at : {0u, 1u, 700u, 9'000u}) {
+    ScriptedBackend mem(3);
+    mem.throw_at = at;
+    FeedbackTrace trace(3, std::numeric_limits<std::size_t>::max());
+    Core core(tiny_core(), reference_caches());
+    EXPECT_THROW(core.run(trace, mem), std::runtime_error) << "call " << at;
+    EXPECT_EQ(mem.log.size(), at);
+    EXPECT_GT(trace.pulls, 0u);
+  }
+}
+
+TEST(PipelinedCoreTest, BackendFailureWakesAFilterAwaitingARowCloneOutcome) {
+  ScriptedBackend mem(4);
+  mem.throw_on_rowclone = true;
+  std::vector<TraceRecord> t = loads({0, 64, 128});
+  for (const TraceRecord& rec : rowclone_pair(0, 8192, 1)) t.push_back(rec);
+  t.push_back(TraceRecord(Op::kLoad, 4096));
+  VectorTrace trace(std::move(t));
+  Core core(tiny_core(), tiny_caches());
+  EXPECT_THROW(core.run(trace, mem), std::runtime_error);
 }
 
 TEST(CoreTest, PresetsAreInternallyConsistent) {
