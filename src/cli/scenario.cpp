@@ -1,10 +1,13 @@
 #include "cli/scenario.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <thread>
 
 #include "cli/measure.hpp"
 #include "cli/perf.hpp"
@@ -44,6 +47,34 @@ Json rep_metric_json(std::span<const double> per_rep) {
   j["p50"] = p50(per_rep);
   j["p95"] = p95(per_rep);
   return j;
+}
+
+void run_tasks(int threads, std::size_t n,
+               const std::function<void(std::size_t)>& task) {
+  EASYDRAM_EXPECTS(threads >= 1);
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::min(static_cast<std::size_t>(threads), n);
+  if (workers <= 1) {
+    drain();
+  } else {
+    // jthreads join on destruction, also when a later thread fails to start.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(drain);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 ScenarioRegistry& ScenarioRegistry::instance() {

@@ -1,13 +1,18 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cli/json.hpp"
+#include "common/contracts.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/scheduler.hpp"
 
@@ -49,6 +54,60 @@ std::uint64_t rep_seed(const RunOptions& opts, int rep);
 /// one such aggregate into its payload, so `--iters N` always contributes
 /// to the JSON (per-sweep detail rows still describe repetition 0).
 Json rep_metric_json(std::span<const double> per_rep);
+
+/// Runs task(0) .. task(n-1) on min(threads, n) threads, each pulling the
+/// next index from a shared counter; inline on the caller when that is one
+/// thread. Every task runs even if another throws; the lowest-index task's
+/// exception is then rethrown on the caller.
+void run_tasks(int threads, std::size_t n,
+               const std::function<void(std::size_t)>& task);
+
+/// The cells of one seeded sweep, `reps() x points` of them, rep-major.
+template <typename T>
+class Sweep {
+ public:
+  Sweep(std::vector<T> cells, int reps, std::size_t points)
+      : cells_(std::move(cells)), reps_(reps), points_(points) {}
+
+  int reps() const { return reps_; }
+
+  /// Repetition r's cells, in point order.
+  std::span<const T> rep(int r) const {
+    EASYDRAM_EXPECTS(r >= 0 && r < reps_);
+    return std::span<const T>(cells_).subspan(
+        static_cast<std::size_t>(r) * points_, points_);
+  }
+
+ private:
+  std::vector<T> cells_;
+  int reps_;
+  std::size_t points_;
+};
+
+/// Builds cell (rep, point) = fn(rep_seed(opts, rep), point) for every
+/// rep < opts.iters and point < points, sharded over opts.threads (see
+/// run_tasks). Each cell depends only on its seed and point, so the result
+/// is identical at any thread count.
+template <typename Fn>
+auto sweep(const RunOptions& opts, std::size_t points, Fn&& fn)
+    -> Sweep<std::invoke_result_t<Fn&, std::uint64_t, std::size_t>> {
+  using T = std::invoke_result_t<Fn&, std::uint64_t, std::size_t>;
+  static_assert(!std::is_same_v<T, bool>, "std::vector<bool> has no span");
+  std::vector<T> cells(static_cast<std::size_t>(opts.iters) * points);
+  run_tasks(opts.threads, cells.size(), [&](std::size_t i) {
+    cells[i] = fn(rep_seed(opts, static_cast<int>(i / points)), i % points);
+  });
+  return Sweep<T>(std::move(cells), opts.iters, points);
+}
+
+/// rep_metric_json of f(s.rep(r)), one double per repetition.
+template <typename T, typename F>
+Json per_rep_json(const Sweep<T>& s, F&& f) {
+  std::vector<double> values;
+  values.reserve(static_cast<std::size_t>(s.reps()));
+  for (int r = 0; r < s.reps(); ++r) values.push_back(f(s.rep(r)));
+  return rep_metric_json(values);
+}
 
 /// One registered experiment: a figure/table reproducer or an ablation.
 /// `run` executes the sweep under the given options and returns the

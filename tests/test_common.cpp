@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "cli/scenario.hpp"
 #include "common/contracts.hpp"
 #include "common/divisor.hpp"
 #include "common/rng.hpp"
@@ -433,6 +438,68 @@ TEST(Table, PrintsAlignedColumns) {
 TEST(Table, FmtFixed) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_fixed(2.0, 0), "2");
+}
+
+struct SweepCell {
+  std::uint64_t seed = 0;
+  std::size_t point = 0;
+  std::thread::id thread;
+};
+
+TEST(Sweep, CellsAreRepMajorWithPerRepSeedsAtAnyThreadCount) {
+  for (const int threads : {1, 3, 8}) {
+    cli::RunOptions opts;
+    opts.iters = 2;
+    opts.threads = threads;
+    const auto s = cli::sweep(opts, 5, [](std::uint64_t seed, std::size_t p) {
+      return SweepCell{seed, p, std::this_thread::get_id()};
+    });
+    ASSERT_EQ(s.reps(), 2);
+    std::set<std::thread::id> ids;
+    for (int r = 0; r < 2; ++r) {
+      ASSERT_EQ(s.rep(r).size(), 5u);
+      for (std::size_t p = 0; p < 5; ++p) {
+        EXPECT_EQ(s.rep(r)[p].seed, cli::rep_seed(opts, r)) << threads;
+        EXPECT_EQ(s.rep(r)[p].point, p) << threads;
+        ids.insert(s.rep(r)[p].thread);
+      }
+    }
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(std::min(threads, 10)));
+    if (threads == 1) {
+      EXPECT_EQ(*ids.begin(), std::this_thread::get_id());  // Inline.
+    }
+    EXPECT_NE(cli::rep_seed(opts, 0), cli::rep_seed(opts, 1));
+
+    const std::vector<double> last_points{4.0, 4.0};
+    EXPECT_EQ(cli::per_rep_json(s,
+                                [](std::span<const SweepCell> c) {
+                                  return static_cast<double>(c.back().point);
+                                })
+                  .dump_string(),
+              cli::rep_metric_json(last_points).dump_string());
+  }
+}
+
+TEST(Sweep, RethrowsTheLowestIndexExceptionAfterEveryTaskRan) {
+  for (const int threads : {1, 3, 8}) {
+    cli::RunOptions opts;
+    opts.iters = 2;
+    opts.threads = threads;
+    std::atomic<int> ran{0};
+    try {
+      cli::sweep(opts, 5, [&](std::uint64_t seed, std::size_t p) {
+        ran.fetch_add(1);
+        // Task 7 (rep 1, point 2) throws too; task 3 has the lower index.
+        if (seed != opts.seed && p == 2) throw std::runtime_error("task 7");
+        if (seed == opts.seed && p == 3) throw std::runtime_error("task 3");
+        return static_cast<int>(p);
+      });
+      FAIL() << "expected a rethrown task exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3") << threads;
+    }
+    EXPECT_EQ(ran.load(), 10) << threads;
+  }
 }
 
 }  // namespace
