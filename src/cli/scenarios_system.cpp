@@ -10,7 +10,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "workloads/polybench.hpp"
@@ -45,54 +44,49 @@ Json summary_json(std::span<const double> xs) {
 /// through the full system plus a 64 KiB lmbench chase. This is the
 /// scenario CI exercises to prove the binary works.
 Json run_quickstart(const RunOptions& opts) {
-  ThreadPool pool(opts.threads);
   struct Rep {
+    std::uint64_t seed = 0;
     std::int64_t read_latency = 0;
     double chase_cpl = 0;
   };
-  const auto reps =
-      parallel_map(pool, static_cast<std::size_t>(opts.iters), [&](std::size_t rep) {
-        const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
-        sys::EasyDramSystem sysm(seeded_ts(seed));
-        std::array<std::uint8_t, 64> line{};
-        for (std::size_t i = 0; i < line.size(); ++i) {
-          line[i] = static_cast<std::uint8_t>(i);
-        }
-        const std::uint64_t paddr = 2 * 8192;  // Bank 0, row 2.
-        sysm.device().backdoor_write(sysm.api().get_addr_mapping(paddr), line);
-        const std::uint64_t id = sysm.submit_read(paddr, /*now=*/100);
-        Rep r;
-        r.read_latency = sysm.wait(id).release_cycle - 100;
-        r.chase_cpl = cycles_per_load(seeded_ts(seed), 64 * 1024, seed);
-        return r;
-      });
+  const auto reps = sweep(opts, 1, [](std::uint64_t seed, std::size_t) {
+    sys::EasyDramSystem sysm(seeded_ts(seed));
+    std::array<std::uint8_t, 64> line{};
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      line[i] = static_cast<std::uint8_t>(i);
+    }
+    const std::uint64_t paddr = 2 * 8192;  // Bank 0, row 2.
+    sysm.device().backdoor_write(sysm.api().get_addr_mapping(paddr), line);
+    const std::uint64_t id = sysm.submit_read(paddr, /*now=*/100);
+    Rep r;
+    r.seed = seed;
+    r.read_latency = sysm.wait(id).release_cycle - 100;
+    r.chase_cpl = cycles_per_load(seeded_ts(seed), 64 * 1024, seed);
+    return r;
+  });
 
-  std::vector<double> latencies, cpls;
+  TextTable t;
+  t.set_header({"rep", "read latency (cycles)", "64K chase (cycles/load)"});
   Json rep_list = Json::array();
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    latencies.push_back(static_cast<double>(reps[i].read_latency));
-    cpls.push_back(reps[i].chase_cpl);
+  for (int i = 0; i < reps.reps(); ++i) {
+    const Rep& r = reps.rep(i)[0];
+    t.add_row({std::to_string(i), std::to_string(r.read_latency),
+               fmt_fixed(r.chase_cpl, 2)});
     Json j = Json::object();
-    j["seed"] = static_cast<std::int64_t>(rep_seed(opts, static_cast<int>(i)));
-    j["read_latency_cycles"] = reps[i].read_latency;
-    j["chase_cycles_per_load"] = reps[i].chase_cpl;
+    j["seed"] = static_cast<std::int64_t>(r.seed);
+    j["read_latency_cycles"] = r.read_latency;
+    j["chase_cycles_per_load"] = r.chase_cpl;
     rep_list.push_back(std::move(j));
   }
-
-  if (opts.verbose) {
-    TextTable t;
-    t.set_header({"rep", "read latency (cycles)", "64K chase (cycles/load)"});
-    for (std::size_t i = 0; i < reps.size(); ++i) {
-      t.add_row({std::to_string(i), std::to_string(reps[i].read_latency),
-                 fmt_fixed(reps[i].chase_cpl, 2)});
-    }
-    t.print(std::cout);
-  }
+  if (opts.verbose) t.print(std::cout);
 
   Json out = Json::object();
   out["reps"] = std::move(rep_list);
-  out["read_latency_cycles"] = rep_metric_json(latencies);
-  out["chase_cycles_per_load"] = rep_metric_json(cpls);
+  out["read_latency_cycles"] = per_rep_json(reps, [](std::span<const Rep> r) {
+    return static_cast<double>(r[0].read_latency);
+  });
+  out["chase_cycles_per_load"] = per_rep_json(
+      reps, [](std::span<const Rep> r) { return r[0].chase_cpl; });
   return out;
 }
 
@@ -137,23 +131,30 @@ Json run_fig2(const RunOptions& opts) {
     }
   };
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n = std::size(kConfigs);
-  const auto tasks = static_cast<std::size_t>(opts.iters) * n;
-  const auto all = parallel_map(pool, tasks, [&](std::size_t task) {
-    const std::size_t rep = task / n;
-    const std::size_t which = task % n;
-    const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
-    return measure_request_breakdown(make_cfg(which, seed),
-                                    kConfigs[which].clock_hz);
-  });
+  const auto all = sweep(
+      opts, std::size(kConfigs), [&](std::uint64_t seed, std::size_t which) {
+        return measure_request_breakdown(make_cfg(which, seed),
+                                        kConfigs[which].clock_hz);
+      });
+
+  // The paper's three shape claims, evaluated on one repetition's configs.
+  struct ShapeChecks {
+    bool memory_constant, smc_stretches_sched, ts_restores;
+  };
+  auto shape_checks = [](std::span<const RequestBreakdown> b) {
+    return ShapeChecks{
+        std::abs(b[0].memory_ns - b[2].memory_ns) < 0.5 * b[0].memory_ns,
+        b[2].scheduling_ns > 3.0 * b[1].scheduling_ns,
+        std::abs(b[3].processing_ns - b[0].processing_ns) <
+            0.2 * b[0].processing_ns};
+  };
 
   Json rows = Json::array();
   TextTable t;
   t.set_header({"Configuration", "Processing (ns)", "Scheduling (ns)",
                 "Main memory (ns)"});
-  for (std::size_t which = 0; which < n; ++which) {
-    const RequestBreakdown& b = all[which];  // Repetition 0.
+  for (std::size_t which = 0; which < std::size(kConfigs); ++which) {
+    const RequestBreakdown& b = all.rep(0)[which];
     t.add_row({kConfigs[which].name, fmt_fixed(b.processing_ns, 1),
                fmt_fixed(b.scheduling_ns, 1), fmt_fixed(b.memory_ns, 1)});
     Json j = Json::object();
@@ -164,15 +165,8 @@ Json run_fig2(const RunOptions& opts) {
     rows.push_back(std::move(j));
   }
 
-  const RequestBreakdown& b1 = all[0];
-  const RequestBreakdown& b2 = all[1];
-  const RequestBreakdown& b3 = all[2];
-  const RequestBreakdown& b4 = all[3];
-  const bool memory_constant =
-      std::abs(b1.memory_ns - b3.memory_ns) < 0.5 * b1.memory_ns;
-  const bool smc_stretches_sched = b3.scheduling_ns > 3.0 * b2.scheduling_ns;
-  const bool ts_restores =
-      std::abs(b4.processing_ns - b1.processing_ns) < 0.2 * b1.processing_ns;
+  const auto [memory_constant, smc_stretches_sched, ts_restores] =
+      shape_checks(all.rep(0));
 
   if (opts.verbose) {
     t.print(std::cout);
@@ -198,16 +192,10 @@ Json run_fig2(const RunOptions& opts) {
   // repetition's synthetic chip?
   Json rep_checks = Json::array();
   bool all_pass = true;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
-    const RequestBreakdown& r1 = all[base];
-    const RequestBreakdown& r2 = all[base + 1];
-    const RequestBreakdown& r3 = all[base + 2];
-    const RequestBreakdown& r4 = all[base + 3];
+  for (int r = 0; r < all.reps(); ++r) {
+    const ShapeChecks c = shape_checks(all.rep(r));
     const bool ok =
-        std::abs(r1.memory_ns - r3.memory_ns) < 0.5 * r1.memory_ns &&
-        r3.scheduling_ns > 3.0 * r2.scheduling_ns &&
-        std::abs(r4.processing_ns - r1.processing_ns) < 0.2 * r1.processing_ns;
+        c.memory_constant && c.smc_stretches_sched && c.ts_restores;
     all_pass = all_pass && ok;
     rep_checks.push_back(ok);
   }
@@ -227,13 +215,9 @@ Json run_fig8(const RunOptions& opts) {
   struct Point {
     double nts = 0, ts = 0, a57 = 0;
   };
-  ThreadPool pool(opts.threads);
-  const std::size_t n = sizes.size();
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const std::size_t rep = task / n;
-        const std::uint64_t bytes = sizes[task % n];
-        const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
+  const auto all = sweep(
+      opts, sizes.size(), [&](std::uint64_t seed, std::size_t point) {
+        const std::uint64_t bytes = sizes[point];
 
         // Real board: A57 at 1.43 GHz with the Jetson Nano's 2 MiB L2,
         // served by a hardware memory controller (reference mode).
@@ -254,8 +238,8 @@ Json run_fig8(const RunOptions& opts) {
   t.set_header({"Size (KiB)", "EasyDRAM - No Time Scaling",
                 "EasyDRAM - Time Scaling", "Cortex A57 (2 MiB L2)"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Point& p = all[i];  // Repetition 0.
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Point& p = all.rep(0)[i];
     t.add_row({std::to_string(sizes[i] / 1024), fmt_fixed(p.nts, 1),
                fmt_fixed(p.ts, 1), fmt_fixed(p.a57, 1)});
     Json j = Json::object();
@@ -280,11 +264,8 @@ Json run_fig8(const RunOptions& opts) {
   out["points"] = std::move(rows);
   // Per-repetition aggregate: the time-scaled main-memory plateau (largest
   // buffer), the number the paper's Fig. 8 comparison hinges on.
-  std::vector<double> plateau;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    plateau.push_back(all[static_cast<std::size_t>(rep) * n + (n - 1)].ts);
-  }
-  out["plateau_time_scaling_per_rep"] = rep_metric_json(plateau);
+  out["plateau_time_scaling_per_rep"] = per_rep_json(
+      all, [](std::span<const Point> r) { return r.back().ts; });
   return out;
 }
 
@@ -292,21 +273,17 @@ Json run_fig8(const RunOptions& opts) {
 
 Json run_fig14(const RunOptions& opts) {
   const auto names = workloads::fig13_names();
-  ThreadPool pool(opts.threads);
-  const std::size_t n = names.size();
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const std::size_t rep = task / n;
-        return measure_sim_speed(names[task % n],
-                                 rep_seed(opts, static_cast<int>(rep)));
+  const auto all =
+      sweep(opts, names.size(), [&](std::uint64_t seed, std::size_t point) {
+        return measure_sim_speed(names[point], seed);
       });
 
   TextTable t;
   t.set_header({"Workload", "EasyDRAM (MHz)", "Ramulator 2.0 (MHz)", "Ratio"});
   Json rows = Json::array();
   std::vector<double> ratios;
-  for (std::size_t i = 0; i < n; ++i) {
-    const SimSpeed& s = all[i];  // Repetition 0.
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const SimSpeed& s = all.rep(0)[i];
     ratios.push_back(s.ratio);
     t.add_row({std::string(names[i]), fmt_fixed(s.easy_mhz, 2),
                fmt_fixed(s.ram_mhz, 2), fmt_fixed(s.ratio, 1) + "x"});
@@ -343,32 +320,26 @@ Json run_fig14(const RunOptions& opts) {
   out["ratio_geomean"] = geo;
   out["ratio"] = summary_json(ratios);
   // Per-repetition aggregate over the host-clock-dependent ratio geomean.
-  std::vector<double> rep_geo;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    std::vector<double> rs;
-    for (std::size_t i = 0; i < n; ++i) {
-      rs.push_back(all[static_cast<std::size_t>(rep) * n + i].ratio);
-    }
-    rep_geo.push_back(geomean(rs, GeomeanPolicy::kSkipNonPositive));
-  }
-  out["ratio_geomean_per_rep"] = rep_metric_json(rep_geo);
+  out["ratio_geomean_per_rep"] =
+      per_rep_json(all, [](std::span<const SimSpeed> r) {
+        std::vector<double> rs;
+        for (const SimSpeed& s : r) rs.push_back(s.ratio);
+        return geomean(rs, GeomeanPolicy::kSkipNonPositive);
+      });
   return out;
 }
 
 // --- table1_platforms -----------------------------------------------------
 
 Json run_table1(const RunOptions& opts) {
-  ThreadPool pool(opts.threads);
-  const auto speeds = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters), [&](std::size_t rep) {
-        const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
-        sys::EasyDramSystem sysm(seeded_ts(seed));
-        auto records = workloads::generate_kernel("gemver");
-        cpu::VectorTrace trace(std::move(records));
-        const cpu::RunResult r = sysm.run(trace);
-        return static_cast<double>(r.cycles) / sysm.wall().seconds();
-      });
-  const double speed_hz = speeds.front();
+  const auto speeds = sweep(opts, 1, [](std::uint64_t seed, std::size_t) {
+    sys::EasyDramSystem sysm(seeded_ts(seed));
+    auto records = workloads::generate_kernel("gemver");
+    cpu::VectorTrace trace(std::move(records));
+    const cpu::RunResult r = sysm.run(trace);
+    return static_cast<double>(r.cycles) / sysm.wall().seconds();
+  });
+  const double speed_hz = speeds.rep(0)[0];
 
   if (opts.verbose) {
     TextTable t;
@@ -392,7 +363,8 @@ Json run_table1(const RunOptions& opts) {
   Json out = Json::object();
   out["workload"] = "gemver";
   out["eval_cycles_per_second"] = speed_hz;
-  out["eval_cycles_per_second_reps"] = rep_metric_json(speeds);
+  out["eval_cycles_per_second_reps"] =
+      per_rep_json(speeds, [](std::span<const double> r) { return r[0]; });
   out["paper_reference_cycles_per_second"] = 10e6;
   return out;
 }
