@@ -7,7 +7,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "smc/rowclone_alloc.hpp"
@@ -36,17 +35,12 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
   struct Point {
     double nts = 0, ts = 0, ram = 0;
   };
-  const std::size_t per_rep = 2 * sizes.size();
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * per_rep,
-      [&](std::size_t task) {
-        const std::size_t rep = task / per_rep;
-        const std::size_t in_rep = task % per_rep;
-        const auto kind = kinds[in_rep / sizes.size()];
-        const std::uint64_t bytes = sizes[in_rep % sizes.size()];
+  // Points: Copy over every size, then Init over every size.
+  const auto all = sweep(
+      opts, 2 * sizes.size(), [&](std::uint64_t seed, std::size_t point) {
+        const auto kind = kinds[point / sizes.size()];
+        const std::uint64_t bytes = sizes[point % sizes.size()];
         const std::size_t rows = static_cast<std::size_t>(bytes / 8192);
-        const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
 
         sys::SystemConfig nts = sys::pidram_no_time_scaling();
         nts.variation.seed = seed;
@@ -69,7 +63,7 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
     Summary s_nts, s_ts, s_ram;
     Json rows = Json::array();
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-      const Point& p = all[k * sizes.size() + i];  // Repetition 0.
+      const Point& p = all.rep(0)[k * sizes.size() + i];
       s_nts.add(p.nts);
       s_ts.add(p.ts);
       s_ram.add(p.ram);
@@ -111,17 +105,14 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
   // Per-repetition aggregate: mean Time-Scaling speedup of each kind (the
   // paper's headline "avg" number), across the per-rep synthetic chips.
   for (std::size_t k = 0; k < 2; ++k) {
-    std::vector<double> ts_mean;
-    for (int rep = 0; rep < opts.iters; ++rep) {
-      Summary s;
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        s.add(all[static_cast<std::size_t>(rep) * per_rep + k * sizes.size() + i]
-                  .ts);
-      }
-      ts_mean.push_back(s.mean());
-    }
     out[k == 0 ? "copy_ts_mean_per_rep" : "init_ts_mean_per_rep"] =
-        rep_metric_json(ts_mean);
+        per_rep_json(all, [&](std::span<const Point> r) {
+          Summary s;
+          for (const Point& p : r.subspan(k * sizes.size(), sizes.size())) {
+            s.add(p.ts);
+          }
+          return s.mean();
+        });
   }
 
   if (opts.verbose) {
@@ -163,38 +154,34 @@ Json run_interleaving(const RunOptions& opts) {
     std::int64_t cycles = 0;
     double dram_busy_us = 0;
   };
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * 2, [&](std::size_t task) {
-        const bool interleaved = task % 2 == 1;
-        const std::uint64_t seed =
-            rep_seed(opts, static_cast<int>(task / 2));
-        sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
-        cfg.variation = strong_variation(seed);
-        sys::EasyDramSystem sysm(cfg);
-        smc::RowClonePairTester tester(sysm.api(), 4);
-        smc::RowCloneAllocator alloc(sysm.api(), sysm.clone_map(), tester);
-        const auto plan = interleaved ? alloc.plan_copy_interleaved(kRows)
-                                      : alloc.plan_copy(kRows);
+  const auto all = sweep(opts, 2, [](std::uint64_t seed, std::size_t point) {
+    const bool interleaved = point == 1;
+    sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
+    cfg.variation = strong_variation(seed);
+    sys::EasyDramSystem sysm(cfg);
+    smc::RowClonePairTester tester(sysm.api(), 4);
+    smc::RowCloneAllocator alloc(sysm.api(), sysm.clone_map(), tester);
+    const auto plan = interleaved ? alloc.plan_copy_interleaved(kRows)
+                                  : alloc.plan_copy(kRows);
 
-        workloads::CopyInitParams params;
-        params.kind = workloads::CopyInitParams::Kind::kCopy;
-        params.use_rowclone = true;
-        const smc::LinearMapper mapper(sysm.device().geometry());
-        workloads::CopyInitTrace trace(params, mapper, plan, {});
-        const cpu::RunResult r = sysm.run(trace);
-        Point p;
-        p.cycles = r.markers.size() >= 2 ? r.markers.back() - r.markers.front()
-                                         : r.cycles;
-        p.dram_busy_us = sysm.smc_stats().dram_busy.microseconds();
-        return p;
-      });
+    workloads::CopyInitParams params;
+    params.kind = workloads::CopyInitParams::Kind::kCopy;
+    params.use_rowclone = true;
+    const smc::LinearMapper mapper(sysm.device().geometry());
+    workloads::CopyInitTrace trace(params, mapper, plan, {});
+    const cpu::RunResult r = sysm.run(trace);
+    Point p;
+    p.cycles = r.markers.size() >= 2 ? r.markers.back() - r.markers.front()
+                                     : r.cycles;
+    p.dram_busy_us = sysm.smc_stats().dram_busy.microseconds();
+    return p;
+  });
 
   TextTable t;
   t.set_header({"allocation", "cycles", "DRAM busy (us)"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < 2; ++i) {
-    const Point& p = all[i];  // Repetition 0.
+    const Point& p = all.rep(0)[i];
     const char* name = i == 1 ? "bank-interleaved" : "bank-sequential";
     t.add_row({name, std::to_string(p.cycles), fmt_fixed(p.dram_busy_us, 1)});
     Json j = Json::object();
@@ -214,14 +201,11 @@ Json run_interleaving(const RunOptions& opts) {
   out["rows_copied"] = kRows;
   out["allocations"] = std::move(rows);
   // Per-repetition aggregate: sequential-over-interleaved cycle ratio.
-  std::vector<double> ratios;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const Point& seq = all[static_cast<std::size_t>(rep) * 2];
-    const Point& inter = all[static_cast<std::size_t>(rep) * 2 + 1];
-    ratios.push_back(static_cast<double>(seq.cycles) /
-                     static_cast<double>(inter.cycles));
-  }
-  out["seq_over_interleaved_per_rep"] = rep_metric_json(ratios);
+  out["seq_over_interleaved_per_rep"] =
+      per_rep_json(all, [](std::span<const Point> r) {
+        return static_cast<double>(r[0].cycles) /
+               static_cast<double>(r[1].cycles);
+      });
   return out;
 }
 
