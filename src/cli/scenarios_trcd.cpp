@@ -8,7 +8,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "smc/trcd_profiler.hpp"
@@ -102,24 +101,18 @@ BankStats summarize_bank(const std::vector<double>& min_trcd,
 Json run_fig12(const RunOptions& opts) {
   constexpr std::uint32_t kBanks = 2;
   constexpr std::size_t kChunksPerBank = kRows / kChunkRows;
-  const std::size_t per_rep = kBanks * kChunksPerBank;
-
-  ThreadPool pool(opts.threads);
-  const auto chunks = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * per_rep,
-      [&](std::size_t task) {
-        const std::size_t rep = task / per_rep;
-        const std::size_t in_rep = task % per_rep;
-        const auto bank = static_cast<std::uint32_t>(in_rep / kChunksPerBank);
-        const auto chunk = static_cast<std::uint32_t>(in_rep % kChunksPerBank);
-        return profile_chunk(rep_seed(opts, static_cast<int>(rep)), bank,
-                             chunk * kChunkRows, (chunk + 1) * kChunkRows);
+  const auto chunks = sweep(
+      opts, kBanks * kChunksPerBank, [](std::uint64_t seed, std::size_t point) {
+        const auto bank = static_cast<std::uint32_t>(point / kChunksPerBank);
+        const auto chunk = static_cast<std::uint32_t>(point % kChunksPerBank);
+        return profile_chunk(seed, bank, chunk * kChunkRows,
+                             (chunk + 1) * kChunkRows);
       });
 
   // Count repetition 0 only, matching the heatmaps/stats below (each
   // repetition characterizes the same number of lines).
   std::int64_t lines_tested = 0;
-  for (std::size_t i = 0; i < per_rep; ++i) lines_tested += chunks[i].lines_tested;
+  for (const ChunkResult& c : chunks.rep(0)) lines_tested += c.lines_tested;
 
   Json banks = Json::array();
   for (std::uint32_t bank = 0; bank < kBanks; ++bank) {
@@ -128,7 +121,7 @@ Json run_fig12(const RunOptions& opts) {
     min_trcd.reserve(kRows);
     std::int64_t strong = 0;
     for (std::size_t chunk = 0; chunk < kChunksPerBank; ++chunk) {
-      const ChunkResult& c = chunks[bank * kChunksPerBank + chunk];
+      const ChunkResult& c = chunks.rep(0)[bank * kChunksPerBank + chunk];
       min_trcd.insert(min_trcd.end(), c.min_trcd_ns.begin(),
                       c.min_trcd_ns.end());
       strong += c.strong;
@@ -185,15 +178,12 @@ Json run_fig12(const RunOptions& opts) {
   out["lines_tested"] = lines_tested;
   out["paper_strong_fraction"] = 0.845;
   // Per-repetition aggregate: bank-0 strong fraction of each rep's chip.
-  std::vector<double> strong_frac;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    std::int64_t strong = 0;
-    for (std::size_t chunk = 0; chunk < kChunksPerBank; ++chunk) {
-      strong += chunks[static_cast<std::size_t>(rep) * per_rep + chunk].strong;
-    }
-    strong_frac.push_back(static_cast<double>(strong) / kRows);
-  }
-  out["strong_fraction_bank0_per_rep"] = rep_metric_json(strong_frac);
+  out["strong_fraction_bank0_per_rep"] =
+      per_rep_json(chunks, [](std::span<const ChunkResult> r) {
+        std::int64_t strong = 0;
+        for (const ChunkResult& c : r.first(kChunksPerBank)) strong += c.strong;
+        return static_cast<double>(strong) / kRows;
+      });
   return out;
 }
 
@@ -201,22 +191,17 @@ Json run_fig12(const RunOptions& opts) {
 
 Json run_fig13(const RunOptions& opts) {
   const auto names = workloads::fig13_names();
-  const std::size_t n = names.size();
-
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const std::size_t rep = task / n;
-        return measure_trcd_speedup(names[task % n],
-                                    rep_seed(opts, static_cast<int>(rep)));
+  const auto all =
+      sweep(opts, names.size(), [&](std::uint64_t seed, std::size_t point) {
+        return measure_trcd_speedup(names[point], seed);
       });
 
   TextTable t;
   t.set_header({"Workload", "EasyDRAM", "Ramulator 2.0", "(EasyDRAM MPKC)"});
   std::vector<double> easy_speedups, ram_speedups, easy_pct;
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const TrcdSpeedup& s = all[i];  // Repetition 0.
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const TrcdSpeedup& s = all.rep(0)[i];
     easy_speedups.push_back(s.easy);
     ram_speedups.push_back(s.ram);
     easy_pct.push_back((s.easy - 1.0) * 100.0);
@@ -261,15 +246,12 @@ Json run_fig13(const RunOptions& opts) {
   summary["easydram_pct_p95"] = p95(easy_pct);
   // Per-repetition aggregate: the EasyDRAM speedup geomean of each rep's
   // synthetic chip.
-  std::vector<double> rep_geo;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    std::vector<double> xs;
-    for (std::size_t i = 0; i < n; ++i) {
-      xs.push_back(all[static_cast<std::size_t>(rep) * n + i].easy);
-    }
-    rep_geo.push_back(geomean(xs, GeomeanPolicy::kSkipNonPositive));
-  }
-  summary["easydram_geomean_per_rep"] = rep_metric_json(rep_geo);
+  summary["easydram_geomean_per_rep"] =
+      per_rep_json(all, [](std::span<const TrcdSpeedup> r) {
+        std::vector<double> xs;
+        for (const TrcdSpeedup& s : r) xs.push_back(s.easy);
+        return geomean(xs, GeomeanPolicy::kSkipNonPositive);
+      });
   out["summary"] = std::move(summary);
   return out;
 }
