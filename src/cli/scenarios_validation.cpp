@@ -11,7 +11,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "smc/scheduler.hpp"
@@ -39,13 +38,9 @@ Json run_validation(const RunOptions& opts) {
     std::int64_t ts_cycles = 0;
     double err_pct = 0;
   };
-  const std::size_t n = entries.size();
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const std::size_t rep = task / n;
-        const Entry& e = entries[task % n];
-        const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
+  const auto all =
+      sweep(opts, entries.size(), [&](std::uint64_t seed, std::size_t point) {
+        const Entry& e = entries[point];
         const std::vector<cpu::TraceRecord> records =
             e.polybench != nullptr ? e.polybench()
                                    : workloads::make_lmbench_chase(2 << 20, 4);
@@ -77,8 +72,8 @@ Json run_validation(const RunOptions& opts) {
   Summary err_summary;
   std::vector<double> errors;
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Point& p = all[i];  // Repetition 0.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Point& p = all.rep(0)[i];
     err_summary.add(p.err_pct);
     errors.push_back(p.err_pct);
     t.add_row({entries[i].name, std::to_string(p.ref_cycles),
@@ -108,15 +103,12 @@ Json run_validation(const RunOptions& opts) {
   summary["paper_bound_avg_pct"] = 0.1;
   summary["paper_bound_max_pct"] = 1.0;
   // Per-repetition aggregate: the worst-case error of each rep's chip.
-  std::vector<double> rep_max;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    double worst = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      worst = std::max(worst, all[static_cast<std::size_t>(rep) * n + i].err_pct);
-    }
-    rep_max.push_back(worst);
-  }
-  summary["error_pct_max_per_rep"] = rep_metric_json(rep_max);
+  summary["error_pct_max_per_rep"] =
+      per_rep_json(all, [](std::span<const Point> r) {
+        double worst = 0;
+        for (const Point& p : r) worst = std::max(worst, p.err_pct);
+        return worst;
+      });
   out["summary"] = std::move(summary);
   return out;
 }
@@ -125,22 +117,20 @@ Json run_validation(const RunOptions& opts) {
 
 Json run_batch_limit(const RunOptions& opts) {
   static constexpr std::size_t kLimits[] = {16, 4, 1};
-  const std::size_t n = std::size(kLimits);
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
+  const auto all =
+      sweep(opts, std::size(kLimits), [](std::uint64_t seed, std::size_t point) {
         sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
-        cfg.variation.seed = rep_seed(opts, static_cast<int>(task / n));
-        cfg.row_batch_limit = kLimits[task % n];
+        cfg.variation.seed = seed;
+        cfg.row_batch_limit = kLimits[point];
         return run_kernel_cycles(cfg, "gesummv").count;
       });
 
   TextTable t;
   t.set_header({"row_batch_limit", "cycles", "vs limit=16"});
-  const auto base = static_cast<double>(all[0]);  // limit=16, repetition 0.
+  const auto base = static_cast<double>(all.rep(0)[0]);  // limit=16.
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t cycles = all[i];
+  for (std::size_t i = 0; i < std::size(kLimits); ++i) {
+    const std::int64_t cycles = all.rep(0)[i];
     t.add_row({std::to_string(kLimits[i]), std::to_string(cycles),
                fmt_fixed(100.0 * (static_cast<double>(cycles) / base - 1.0), 1) +
                    "%"});
@@ -157,14 +147,11 @@ Json run_batch_limit(const RunOptions& opts) {
   out["workload"] = "gesummv";
   out["limits"] = std::move(rows);
   // Per-repetition aggregate: overhead of limit=1 over limit=16.
-  std::vector<double> overhead;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t b = static_cast<std::size_t>(rep) * n;
-    overhead.push_back(100.0 * (static_cast<double>(all[b + 2]) /
-                                    static_cast<double>(all[b]) -
-                                1.0));
-  }
-  out["overhead_limit1_pct_per_rep"] = rep_metric_json(overhead);
+  out["overhead_limit1_pct_per_rep"] =
+      per_rep_json(all, [](std::span<const std::int64_t> r) {
+        return 100.0 *
+               (static_cast<double>(r[2]) / static_cast<double>(r[0]) - 1.0);
+      });
   return out;
 }
 
@@ -191,24 +178,23 @@ Json run_scheduler(const RunOptions& opts) {
          return std::unique_ptr<smc::Scheduler>(new smc::BlacklistScheduler(4));
        }},
   };
-  const std::size_t n = std::size(kPolicies);
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
+  const auto all = sweep(
+      opts, std::size(kPolicies), [](std::uint64_t seed, std::size_t point) {
         sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
-        cfg.variation.seed = rep_seed(opts, static_cast<int>(task / n));
-        cfg.scheduler_factory = kPolicies[task % n].make;
+        cfg.variation.seed = seed;
+        cfg.scheduler_factory = kPolicies[point].make;
         return run_kernel_cycles(cfg, "mvt").count;
       });
 
   TextTable t;
   t.set_header({"policy", "cycles"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    t.add_row({kPolicies[i].name, std::to_string(all[i])});
+  for (std::size_t i = 0; i < std::size(kPolicies); ++i) {
+    const std::int64_t cycles = all.rep(0)[i];
+    t.add_row({kPolicies[i].name, std::to_string(cycles)});
     Json j = Json::object();
     j["policy"] = kPolicies[i].name;
-    j["cycles"] = all[i];
+    j["cycles"] = cycles;
     rows.push_back(std::move(j));
   }
   if (opts.verbose) t.print(std::cout);
@@ -217,30 +203,25 @@ Json run_scheduler(const RunOptions& opts) {
   out["workload"] = "mvt";
   out["policies"] = std::move(rows);
   // Per-repetition aggregate: FCFS slowdown relative to FR-FCFS.
-  std::vector<double> ratios;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t b = static_cast<std::size_t>(rep) * n;
-    ratios.push_back(static_cast<double>(all[b]) /
-                     static_cast<double>(all[b + 1]));
-  }
-  out["fcfs_over_frfcfs_per_rep"] = rep_metric_json(ratios);
+  out["fcfs_over_frfcfs_per_rep"] =
+      per_rep_json(all, [](std::span<const std::int64_t> r) {
+        return static_cast<double>(r[0]) / static_cast<double>(r[1]);
+      });
   return out;
 }
 
 // --- ablation_hardware_mc -------------------------------------------------
 
 Json run_hardware_mc(const RunOptions& opts) {
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * 2, [&](std::size_t task) {
-        sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
-        cfg.variation.seed = rep_seed(opts, static_cast<int>(task / 2));
-        if (task % 2 == 1) {
-          cfg.hardware_mc = true;
-          cfg.mc_sched_latency = Cycles{8};
-        }
-        return run_kernel_cycles(cfg, "trisolv").count;
-      });
+  const auto all = sweep(opts, 2, [](std::uint64_t seed, std::size_t point) {
+    sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
+    cfg.variation.seed = seed;
+    if (point == 1) {
+      cfg.hardware_mc = true;
+      cfg.mc_sched_latency = Cycles{8};
+    }
+    return run_kernel_cycles(cfg, "trisolv").count;
+  });
 
   TextTable t;
   t.set_header({"controller", "cycles"});
@@ -248,10 +229,10 @@ Json run_hardware_mc(const RunOptions& opts) {
   for (std::size_t i = 0; i < 2; ++i) {
     const char* name = i == 0 ? "software (SMC cycles charged)"
                               : "hardware (8-cycle pipeline)";
-    t.add_row({name, std::to_string(all[i])});
+    t.add_row({name, std::to_string(all.rep(0)[i])});
     Json j = Json::object();
     j["controller"] = i == 0 ? "software" : "hardware";
-    j["cycles"] = all[i];
+    j["cycles"] = all.rep(0)[i];
     rows.push_back(std::move(j));
   }
   if (opts.verbose) t.print(std::cout);
@@ -260,13 +241,10 @@ Json run_hardware_mc(const RunOptions& opts) {
   out["workload"] = "trisolv";
   out["controllers"] = std::move(rows);
   // Per-repetition aggregate: software-over-hardware cycle ratio.
-  std::vector<double> ratios;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    ratios.push_back(
-        static_cast<double>(all[static_cast<std::size_t>(rep) * 2]) /
-        static_cast<double>(all[static_cast<std::size_t>(rep) * 2 + 1]));
-  }
-  out["software_over_hardware_per_rep"] = rep_metric_json(ratios);
+  out["software_over_hardware_per_rep"] =
+      per_rep_json(all, [](std::span<const std::int64_t> r) {
+        return static_cast<double>(r[0]) / static_cast<double>(r[1]);
+      });
   return out;
 }
 
