@@ -10,7 +10,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/table.hpp"
 
 namespace easydram::cli {
@@ -68,29 +67,26 @@ Json run_channel_scaling(const RunOptions& opts) {
   }
 
   const std::size_t n_mappings = std::size(kMappings);
-  const std::size_t per_rep = channel_counts.size() * n_mappings;
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const std::uint32_t channels = channel_counts[which / n_mappings];
-    const smc::MappingKind mapping = kMappings[which % n_mappings];
-    return read_burst_throughput(
-        memsys_config(rep_seed(opts, static_cast<int>(rep)), channels,
-                      opts.ranks, mapping),
-        kBurstRequests);
-  });
+  const auto all = sweep(opts, channel_counts.size() * n_mappings,
+                         [&](std::uint64_t seed, std::size_t point) {
+                           return read_burst_throughput(
+                               memsys_config(seed,
+                                             channel_counts[point / n_mappings],
+                                             opts.ranks,
+                                             kMappings[point % n_mappings]),
+                               kBurstRequests);
+                         });
 
   TextTable t;
   t.set_header({"Channels", "linear (req/us)", "line (req/us)",
                 "channel (req/us)", "channel speedup vs 1ch"});
   Json rows = Json::array();
-  const double base_channel_tp = all[n_mappings - 1];  // 1 channel, channel map.
+  const std::span<const double> rep0 = all.rep(0);
+  const double base_channel_tp = rep0[n_mappings - 1];  // 1 channel, channel map.
   for (std::size_t ci = 0; ci < channel_counts.size(); ++ci) {
-    const double lin = all[ci * n_mappings + 0];
-    const double line = all[ci * n_mappings + 1];
-    const double chan = all[ci * n_mappings + 2];
+    const double lin = rep0[ci * n_mappings + 0];
+    const double line = rep0[ci * n_mappings + 1];
+    const double chan = rep0[ci * n_mappings + 2];
     t.add_row({std::to_string(channel_counts[ci]), fmt_fixed(lin, 2),
                fmt_fixed(line, 2), fmt_fixed(chan, 2),
                fmt_fixed(chan / base_channel_tp, 2) + "x"});
@@ -102,16 +98,6 @@ Json run_channel_scaling(const RunOptions& opts) {
     j["channel_req_per_us"] = chan;
     j["channel_speedup_vs_1ch"] = chan / base_channel_tp;
     rows.push_back(std::move(j));
-  }
-
-  // Per-repetition aggregate: does the widest channel-interleaved sweep
-  // point beat single-channel on this repetition's synthetic chips?
-  const std::size_t widest = channel_counts.size() - 1;
-  std::vector<double> speedups;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
-    speedups.push_back(all[base + widest * n_mappings + 2] /
-                       all[base + n_mappings - 1]);
   }
 
   if (opts.verbose) {
@@ -126,7 +112,13 @@ Json run_channel_scaling(const RunOptions& opts) {
   Json out = Json::object();
   out["requests"] = kBurstRequests;
   out["points"] = std::move(rows);
-  out["widest_channel_speedup_per_rep"] = rep_metric_json(speedups);
+  // Per-repetition aggregate: does the widest channel-interleaved sweep
+  // point beat single-channel on this repetition's synthetic chips?
+  const std::size_t widest = channel_counts.size() - 1;
+  out["widest_channel_speedup_per_rep"] =
+      per_rep_json(all, [&](std::span<const double> r) {
+        return r[widest * n_mappings + 2] / r[n_mappings - 1];
+      });
   return out;
 }
 
@@ -148,28 +140,24 @@ Json run_rank_interleaving(const RunOptions& opts) {
   }
 
   const std::size_t n_mappings = std::size(kMappings);
-  const std::size_t per_rep = rank_counts.size() * n_mappings;
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const std::uint32_t ranks = rank_counts[which / n_mappings];
-    const smc::MappingKind mapping = kMappings[which % n_mappings];
-    return read_burst_throughput(
-        memsys_config(rep_seed(opts, static_cast<int>(rep)), opts.channels,
-                      ranks, mapping),
-        kBurstRequests);
-  });
+  const auto all = sweep(opts, rank_counts.size() * n_mappings,
+                         [&](std::uint64_t seed, std::size_t point) {
+                           return read_burst_throughput(
+                               memsys_config(seed, opts.channels,
+                                             rank_counts[point / n_mappings],
+                                             kMappings[point % n_mappings]),
+                               kBurstRequests);
+                         });
 
   TextTable t;
   t.set_header({"Ranks/channel", "linear (req/us)", "line (req/us)",
                 "channel (req/us)"});
   Json rows = Json::array();
+  const std::span<const double> rep0 = all.rep(0);
   for (std::size_t ri = 0; ri < rank_counts.size(); ++ri) {
-    const double lin = all[ri * n_mappings + 0];
-    const double line = all[ri * n_mappings + 1];
-    const double chan = all[ri * n_mappings + 2];
+    const double lin = rep0[ri * n_mappings + 0];
+    const double line = rep0[ri * n_mappings + 1];
+    const double chan = rep0[ri * n_mappings + 2];
     t.add_row({std::to_string(rank_counts[ri]), fmt_fixed(lin, 2),
                fmt_fixed(line, 2), fmt_fixed(chan, 2)});
     Json j = Json::object();
@@ -179,12 +167,6 @@ Json run_rank_interleaving(const RunOptions& opts) {
     j["line_req_per_us"] = line;
     j["channel_req_per_us"] = chan;
     rows.push_back(std::move(j));
-  }
-
-  std::vector<double> line_ratio;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
-    line_ratio.push_back(all[base + n_mappings + 1] / all[base + 1]);
   }
 
   if (opts.verbose) {
@@ -201,7 +183,10 @@ Json run_rank_interleaving(const RunOptions& opts) {
   Json out = Json::object();
   out["requests"] = kBurstRequests;
   out["points"] = std::move(rows);
-  out["line_2rank_speedup_per_rep"] = rep_metric_json(line_ratio);
+  out["line_2rank_speedup_per_rep"] =
+      per_rep_json(all, [&](std::span<const double> r) {
+        return r[n_mappings + 1] / r[1];
+      });
   return out;
 }
 
