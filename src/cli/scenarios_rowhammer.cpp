@@ -12,7 +12,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "workloads/hammer.hpp"
@@ -122,22 +121,17 @@ Json run_rowhammer(const RunOptions& opts, MitigationKind kind) {
     traces.push_back(scenario_hammer_trace(pattern));
   }
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n_patterns = std::size(kPatterns);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n_patterns,
-      [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n_patterns);
-        return run_trace(hammer_config(rep_seed(opts, rep), kind),
-                         traces[task % n_patterns]);
+  const auto all =
+      sweep(opts, traces.size(), [&](std::uint64_t seed, std::size_t point) {
+        return run_trace(hammer_config(seed, kind), traces[point]);
       });
 
   TextTable t;
   t.set_header({"Pattern", "exposure (acts)", "neighbor refreshes",
                 "requests", "wall (us)", "req/us"});
   Json rows = Json::array();
-  for (std::size_t pi = 0; pi < n_patterns; ++pi) {
-    const HammerOutcome& o = all[pi];  // Repetition 0 details.
+  for (std::size_t pi = 0; pi < traces.size(); ++pi) {
+    const HammerOutcome& o = all.rep(0)[pi];
     t.add_row({std::string(workloads::to_string(kPatterns[pi])),
                std::to_string(o.exposure), std::to_string(o.neighbor_refreshes),
                std::to_string(o.requests), fmt_fixed(o.wall_us, 1),
@@ -149,15 +143,14 @@ Json run_rowhammer(const RunOptions& opts, MitigationKind kind) {
 
   // Headline: the worst exposure over EVERY pattern and repetition (PARA
   // is probabilistic per repetition seed, so a later rep can beat rep 0).
-  std::vector<double> exposure_per_rep;
-  std::int64_t max_exposure = 0;
-  for (int rep = 0; rep < opts.iters; ++rep) {
+  auto rep_exposure = [](std::span<const HammerOutcome> r) {
     std::int64_t m = 0;
-    for (std::size_t pi = 0; pi < n_patterns; ++pi) {
-      m = std::max(m, all[static_cast<std::size_t>(rep) * n_patterns + pi].exposure);
-    }
-    exposure_per_rep.push_back(static_cast<double>(m));
-    max_exposure = std::max(max_exposure, m);
+    for (const HammerOutcome& o : r) m = std::max(m, o.exposure);
+    return m;
+  };
+  std::int64_t max_exposure = 0;
+  for (int r = 0; r < all.reps(); ++r) {
+    max_exposure = std::max(max_exposure, rep_exposure(all.rep(r)));
   }
 
   if (opts.verbose) {
@@ -174,7 +167,10 @@ Json run_rowhammer(const RunOptions& opts, MitigationKind kind) {
   out["hammer_rounds"] = kHammerRounds;
   out["patterns"] = std::move(rows);
   out["max_exposure"] = max_exposure;
-  out["max_exposure_per_rep"] = rep_metric_json(exposure_per_rep);
+  out["max_exposure_per_rep"] =
+      per_rep_json(all, [&](std::span<const HammerOutcome> r) {
+        return static_cast<double>(rep_exposure(r));
+      });
   return out;
 }
 
@@ -222,14 +218,9 @@ Json run_mitigation_overhead(const RunOptions& opts) {
         background, kBlendBurstPeriod);
   }();
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n_kinds = std::size(kKinds);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n_kinds,
-      [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n_kinds);
-        const MitigationKind kind = kKinds[task % n_kinds];
-        const std::uint64_t seed = rep_seed(opts, rep);
+  const auto all =
+      sweep(opts, std::size(kKinds), [&](std::uint64_t seed, std::size_t point) {
+        const MitigationKind kind = kKinds[point];
         OverheadOutcome o;
         o.hammer = run_trace(hammer_config(seed, kind), hammer);
         o.blend = run_trace(hammer_config(seed, kind), blend);
@@ -240,10 +231,11 @@ Json run_mitigation_overhead(const RunOptions& opts) {
   t.set_header({"Mitigation", "hammer exposure", "hammer overhead",
                 "blend overhead", "neighbor refreshes"});
   Json rows = Json::array();
-  const double base_hammer_us = all[0].hammer.wall_us;
-  const double base_blend_us = all[0].blend.wall_us;
-  for (std::size_t ki = 0; ki < n_kinds; ++ki) {
-    const OverheadOutcome& o = all[ki];  // Repetition 0 details.
+  const std::span<const OverheadOutcome> rep0 = all.rep(0);
+  const double base_hammer_us = rep0[0].hammer.wall_us;
+  const double base_blend_us = rep0[0].blend.wall_us;
+  for (std::size_t ki = 0; ki < rep0.size(); ++ki) {
+    const OverheadOutcome& o = rep0[ki];
     const double hammer_over = o.hammer.wall_us / base_hammer_us - 1.0;
     const double blend_over = o.blend.wall_us / base_blend_us - 1.0;
     t.add_row({std::string(smc::mitigation::to_string(kKinds[ki])),
@@ -261,15 +253,6 @@ Json run_mitigation_overhead(const RunOptions& opts) {
     rows.push_back(std::move(j));
   }
 
-  // Per-repetition aggregate: PARA's blended-workload overhead, the number
-  // a deployment decision would hinge on.
-  std::vector<double> para_blend_overhead;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n_kinds;
-    para_blend_overhead.push_back(
-        (all[base + 1].blend.wall_us / all[base].blend.wall_us - 1.0) * 100.0);
-  }
-
   if (opts.verbose) {
     t.print(std::cout);
     std::cout << "\nOverhead = extra FPGA wall time vs the unmitigated run\n"
@@ -285,7 +268,12 @@ Json run_mitigation_overhead(const RunOptions& opts) {
       static_cast<std::int64_t>(background.size());
   out["blend_burst_period"] = static_cast<std::int64_t>(kBlendBurstPeriod);
   out["kinds"] = std::move(rows);
-  out["para_blend_overhead_pct_per_rep"] = rep_metric_json(para_blend_overhead);
+  // Per-repetition aggregate: PARA's blended-workload overhead, the number
+  // a deployment decision would hinge on.
+  out["para_blend_overhead_pct_per_rep"] =
+      per_rep_json(all, [](std::span<const OverheadOutcome> r) {
+        return (r[1].blend.wall_us / r[0].blend.wall_us - 1.0) * 100.0;
+      });
   return out;
 }
 
