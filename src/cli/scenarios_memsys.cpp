@@ -82,7 +82,7 @@ Json run_channel_scaling(const RunOptions& opts) {
                 "channel (req/us)", "channel speedup vs 1ch"});
   Json rows = Json::array();
   const std::span<const double> rep0 = all.rep(0);
-  const double base_channel_tp = rep0[n_mappings - 1];  // 1 channel, channel map.
+  const double base_channel_tp = rep0[n_mappings - 1];  // 1 ch, channel map.
   for (std::size_t ci = 0; ci < channel_counts.size(); ++ci) {
     const double lin = rep0[ci * n_mappings + 0];
     const double line = rep0[ci * n_mappings + 1];

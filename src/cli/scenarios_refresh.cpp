@@ -14,7 +14,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "workloads/hammer.hpp"
@@ -133,24 +132,20 @@ constexpr RefreshKind kRefreshKinds[] = {RefreshKind::kAllRows,
 Json run_raidr_baseline(const RunOptions& opts) {
   const std::vector<cpu::TraceRecord> trace = refresh_stress_trace();
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n_kinds = std::size(kRefreshKinds);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n_kinds,
-      [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n_kinds);
-        return run_trace(
-            refresh_config(rep_seed(opts, rep), kRefreshKinds[task % n_kinds]),
-            trace);
-      });
+  const auto all = sweep(opts, std::size(kRefreshKinds),
+                         [&](std::uint64_t seed, std::size_t point) {
+                           return run_trace(
+                               refresh_config(seed, kRefreshKinds[point]),
+                               trace);
+                         });
 
   const dram::TimingParams timing = dram::ddr4_1333();
   TextTable t;
   t.set_header({"Refresh", "REF issued", "REF skipped", "reduction",
                 "busy saved (us)", "wall (us)"});
   Json rows = Json::array();
-  for (std::size_t ki = 0; ki < n_kinds; ++ki) {
-    const RefreshOutcome& o = all[ki];  // Repetition 0 details.
+  for (std::size_t ki = 0; ki < std::size(kRefreshKinds); ++ki) {
+    const RefreshOutcome& o = all.rep(0)[ki];
     t.add_row({std::string(smc::to_string(kRefreshKinds[ki])),
                std::to_string(o.issued), std::to_string(o.skipped),
                fmt_fixed(reduction_pct(o), 1) + "%",
@@ -160,12 +155,6 @@ Json run_raidr_baseline(const RunOptions& opts) {
     j["refresh"] = smc::to_string(kRefreshKinds[ki]);
     if (kRefreshKinds[ki] == RefreshKind::kRaidr) j["bins"] = bins_json(o.bins);
     rows.push_back(std::move(j));
-  }
-
-  std::vector<double> reduction_per_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    reduction_per_rep.push_back(
-        reduction_pct(all[static_cast<std::size_t>(rep) * n_kinds + 1]));
   }
 
   if (opts.verbose) {
@@ -180,7 +169,10 @@ Json run_raidr_baseline(const RunOptions& opts) {
   out["workload"] = "refresh_stress";
   out["stress_records"] = static_cast<std::int64_t>(kStressRecords);
   out["kinds"] = std::move(rows);
-  out["ref_reduction_pct_per_rep"] = rep_metric_json(reduction_per_rep);
+  out["ref_reduction_pct_per_rep"] = per_rep_json(
+      all, [](std::span<const RefreshOutcome> r) {
+        return reduction_pct(r[1]);
+      });
   return out;
 }
 
@@ -194,14 +186,11 @@ constexpr double kWeaknessFactors[] = {0.0, 1.0, 8.0, 64.0};
 Json run_raidr_savings(const RunOptions& opts) {
   const std::vector<cpu::TraceRecord> trace = refresh_stress_trace();
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n = std::size(kWeaknessFactors);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
-        const double f = kWeaknessFactors[task % n];
-        sys::SystemConfig cfg =
-            refresh_config(rep_seed(opts, rep), RefreshKind::kRaidr);
+  const auto all = sweep(
+      opts, std::size(kWeaknessFactors),
+      [&](std::uint64_t seed, std::size_t point) {
+        const double f = kWeaknessFactors[point];
+        sys::SystemConfig cfg = refresh_config(seed, RefreshKind::kRaidr);
         cfg.variation.retention_p_weakest *= f;
         cfg.variation.retention_p_weak *= f;
         return run_trace(cfg, trace);
@@ -212,8 +201,8 @@ Json run_raidr_savings(const RunOptions& opts) {
   t.set_header({"Weakness x", "x1 stripes", "x2 stripes", "x4 stripes",
                 "predicted issue", "measured reduction"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const RefreshOutcome& o = all[i];  // Repetition 0 details.
+  for (std::size_t i = 0; i < std::size(kWeaknessFactors); ++i) {
+    const RefreshOutcome& o = all.rep(0)[i];
     t.add_row({fmt_fixed(kWeaknessFactors[i], 0),
                std::to_string(o.bins.stripes_x1), std::to_string(o.bins.stripes_x2),
                std::to_string(o.bins.stripes_x4),
@@ -223,12 +212,6 @@ Json run_raidr_savings(const RunOptions& opts) {
     j["weakness_factor"] = kWeaknessFactors[i];
     j["bins"] = bins_json(o.bins);
     rows.push_back(std::move(j));
-  }
-
-  std::vector<double> default_reduction_per_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    default_reduction_per_rep.push_back(
-        reduction_pct(all[static_cast<std::size_t>(rep) * n + 1]));
   }
 
   if (opts.verbose) {
@@ -241,8 +224,10 @@ Json run_raidr_savings(const RunOptions& opts) {
   Json out = Json::object();
   out["workload"] = "refresh_stress";
   out["points"] = std::move(rows);
-  out["default_reduction_pct_per_rep"] =
-      rep_metric_json(default_reduction_per_rep);
+  out["default_reduction_pct_per_rep"] = per_rep_json(
+      all, [](std::span<const RefreshOutcome> r) {
+        return reduction_pct(r[1]);
+      });
   return out;
 }
 
@@ -275,25 +260,19 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
     return t;
   }();
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n_ref = std::size(kRefreshKinds);
   const std::size_t n_mit = std::size(kMitKinds);
-  const std::size_t n = n_ref * n_mit;
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
-        const std::size_t cell = task % n;
-        const std::uint64_t seed = rep_seed(opts, rep);
-        sys::SystemConfig cfg =
-            refresh_config(seed, kRefreshKinds[cell / n_mit]);
-        cfg.track_row_hammer = true;
-        cfg.mitigation.kind = kMitKinds[cell % n_mit];
-        // Same PARA stream seeding as the rowhammer scenarios: mixed so it
-        // never aliases the chip's variation stream, deterministic at any
-        // --threads value.
-        cfg.mitigation.seed = hash_mix(seed, 0x4A77E12u);
-        return run_trace(cfg, trace);
-      });
+  const std::size_t n = std::size(kRefreshKinds) * n_mit;
+  const auto all = sweep(opts, n, [&](std::uint64_t seed, std::size_t cell) {
+    sys::SystemConfig cfg =
+        refresh_config(seed, kRefreshKinds[cell / n_mit]);
+    cfg.track_row_hammer = true;
+    cfg.mitigation.kind = kMitKinds[cell % n_mit];
+    // Same PARA stream seeding as the rowhammer scenarios: mixed so it
+    // never aliases the chip's variation stream, deterministic at any
+    // --threads value.
+    cfg.mitigation.seed = hash_mix(seed, 0x4A77E12u);
+    return run_trace(cfg, trace);
+  });
 
   const dram::TimingParams timing = dram::ddr4_1333();
   TextTable t;
@@ -301,7 +280,7 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
                 "REF issued", "REF skipped"});
   Json rows = Json::array();
   for (std::size_t cell = 0; cell < n; ++cell) {
-    const RefreshOutcome& o = all[cell];  // Repetition 0 details.
+    const RefreshOutcome& o = all.rep(0)[cell];
     const RefreshKind rk = kRefreshKinds[cell / n_mit];
     const MitigationKind mk = kMitKinds[cell % n_mit];
     t.add_row({std::string(smc::to_string(rk)),
@@ -319,19 +298,11 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
   // Headline per repetition: the worst mitigated exposure under RAIDR —
   // the number that must stay far below the unmitigated baselines for the
   // two subsystems to compose safely.
-  std::vector<double> mitigated_raidr_per_rep;
   bool raidr_never_lowers_exposure = true;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
-    const std::int64_t none_all = all[base + 0].exposure;
-    const std::int64_t none_raidr = all[base + n_mit].exposure;
-    raidr_never_lowers_exposure =
-        raidr_never_lowers_exposure && none_raidr >= none_all;
-    std::int64_t worst = 0;
-    for (std::size_t mi = 1; mi < n_mit; ++mi) {
-      worst = std::max(worst, all[base + n_mit + mi].exposure);
-    }
-    mitigated_raidr_per_rep.push_back(static_cast<double>(worst));
+  for (int r = 0; r < all.reps(); ++r) {
+    const std::span<const RefreshOutcome> cells = all.rep(r);
+    raidr_never_lowers_exposure = raidr_never_lowers_exposure &&
+                                  cells[n_mit].exposure >= cells[0].exposure;
   }
 
   if (opts.verbose) {
@@ -347,7 +318,13 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
   out["cells"] = std::move(rows);
   out["raidr_never_lowers_unmitigated_exposure"] = raidr_never_lowers_exposure;
   out["mitigated_raidr_exposure_per_rep"] =
-      rep_metric_json(mitigated_raidr_per_rep);
+      per_rep_json(all, [&](std::span<const RefreshOutcome> r) {
+        std::int64_t worst = 0;
+        for (std::size_t mi = 1; mi < n_mit; ++mi) {
+          worst = std::max(worst, r[n_mit + mi].exposure);
+        }
+        return static_cast<double>(worst);
+      });
   return out;
 }
 
@@ -382,13 +359,9 @@ sys::SystemConfig misbinning_config(std::uint64_t seed, std::uint32_t stride) {
 Json run_raidr_misbinning(const RunOptions& opts) {
   const std::vector<cpu::TraceRecord> trace = refresh_stress_trace();
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n = std::size(kStrides);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
-        return run_trace(
-            misbinning_config(rep_seed(opts, rep), kStrides[task % n]), trace);
+  const auto all = sweep(
+      opts, std::size(kStrides), [&](std::uint64_t seed, std::size_t point) {
+        return run_trace(misbinning_config(seed, kStrides[point]), trace);
       });
 
   const dram::TimingParams timing = dram::ddr4_1333();
@@ -396,8 +369,8 @@ Json run_raidr_misbinning(const RunOptions& opts) {
   t.set_header({"Stride", "rows profiled", "x1/x2/x4 stripes", "REF reduction",
                 "violations", "worst overshoot (us)"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const RefreshOutcome& o = all[i];  // Repetition 0 details.
+  for (std::size_t i = 0; i < std::size(kStrides); ++i) {
+    const RefreshOutcome& o = all.rep(0)[i];
     t.add_row({std::to_string(kStrides[i]), std::to_string(o.bins.rows_profiled),
                std::to_string(o.bins.stripes_x1) + "/" +
                    std::to_string(o.bins.stripes_x2) + "/" +
@@ -414,14 +387,10 @@ Json run_raidr_misbinning(const RunOptions& opts) {
 
   // Per-repetition: exhaustive profiling must never violate retention; the
   // sparsest profile's violation count is the risk headline.
-  std::vector<double> sparse_violations_per_rep;
   bool exhaustive_always_safe = true;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
+  for (int r = 0; r < all.reps(); ++r) {
     exhaustive_always_safe =
-        exhaustive_always_safe && all[base].violations == 0;
-    sparse_violations_per_rep.push_back(
-        static_cast<double>(all[base + n - 1].violations));
+        exhaustive_always_safe && all.rep(r)[0].violations == 0;
   }
 
   if (opts.verbose) {
@@ -438,7 +407,10 @@ Json run_raidr_misbinning(const RunOptions& opts) {
   out["window_refs"] = 64;
   out["points"] = std::move(rows);
   out["exhaustive_always_safe"] = exhaustive_always_safe;
-  out["sparse_violations_per_rep"] = rep_metric_json(sparse_violations_per_rep);
+  out["sparse_violations_per_rep"] =
+      per_rep_json(all, [](std::span<const RefreshOutcome> r) {
+        return static_cast<double>(r.back().violations);
+      });
   return out;
 }
 

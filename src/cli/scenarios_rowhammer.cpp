@@ -218,8 +218,8 @@ Json run_mitigation_overhead(const RunOptions& opts) {
         background, kBlendBurstPeriod);
   }();
 
-  const auto all =
-      sweep(opts, std::size(kKinds), [&](std::uint64_t seed, std::size_t point) {
+  const auto all = sweep(
+      opts, std::size(kKinds), [&](std::uint64_t seed, std::size_t point) {
         const MitigationKind kind = kKinds[point];
         OverheadOutcome o;
         o.hammer = run_trace(hammer_config(seed, kind), hammer);

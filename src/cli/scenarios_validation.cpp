@@ -117,8 +117,8 @@ Json run_validation(const RunOptions& opts) {
 
 Json run_batch_limit(const RunOptions& opts) {
   static constexpr std::size_t kLimits[] = {16, 4, 1};
-  const auto all =
-      sweep(opts, std::size(kLimits), [](std::uint64_t seed, std::size_t point) {
+  const auto all = sweep(
+      opts, std::size(kLimits), [](std::uint64_t seed, std::size_t point) {
         sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
         cfg.variation.seed = seed;
         cfg.row_batch_limit = kLimits[point];
