@@ -19,7 +19,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -203,21 +202,18 @@ PipelineOutcome run_fault_sweep_cell(const sys::SystemConfig& cfg) {
 }
 
 Json run_fault_sweep(const RunOptions& opts) {
-  ThreadPool pool(opts.threads);
-  const std::size_t n = std::size(kFaultRates);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
+  const auto all = sweep(
+      opts, std::size(kFaultRates), [](std::uint64_t seed, std::size_t point) {
         return run_fault_sweep_cell(
-            fault_sweep_config(rep_seed(opts, rep), kFaultRates[task % n]));
+            fault_sweep_config(seed, kFaultRates[point]));
       });
 
   TextTable t;
   t.set_header({"Rate", "CE", "UE", "retries", "retired", "failed reads",
                 "escaped"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const PipelineOutcome& o = all[i];  // Repetition 0 details.
+  for (std::size_t i = 0; i < std::size(kFaultRates); ++i) {
+    const PipelineOutcome& o = all.rep(0)[i];
     t.add_row({fmt_fixed(kFaultRates[i], 2), std::to_string(o.corrected),
                std::to_string(o.uncorrectable), std::to_string(o.retries),
                std::to_string(o.retired), std::to_string(o.failed_reads),
@@ -229,16 +225,16 @@ Json run_fault_sweep(const RunOptions& opts) {
 
   // Headlines over every repetition and rate: no silent wrong answers, and
   // the planned-fault dynamics at rate 0 land exactly as designed.
+  auto rep_escapes = [](std::span<const PipelineOutcome> r) {
+    std::int64_t escapes = 0;
+    for (const PipelineOutcome& o : r) escapes += o.escaped;
+    return escapes;
+  };
   bool zero_escaped = true;
   bool planned_faults_handled = true;
-  std::vector<double> escaped_per_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
-    std::int64_t escapes = 0;
-    for (std::size_t i = 0; i < n; ++i) escapes += all[base + i].escaped;
-    zero_escaped = zero_escaped && escapes == 0;
-    escaped_per_rep.push_back(static_cast<double>(escapes));
-    const PipelineOutcome& clean = all[base];  // rate 0: planned faults only.
+  for (int r = 0; r < all.reps(); ++r) {
+    zero_escaped = zero_escaped && rep_escapes(all.rep(r)) == 0;
+    const PipelineOutcome& clean = all.rep(r)[0];  // Planned faults only.
     planned_faults_handled = planned_faults_handled &&
                              clean.corrected == 4 && clean.uncorrectable == 1 &&
                              clean.retries == 3 && clean.retired == 2 &&
@@ -261,7 +257,10 @@ Json run_fault_sweep(const RunOptions& opts) {
   out["lines"] = static_cast<std::int64_t>(kSweepLines);
   out["zero_escaped_all_rates"] = zero_escaped;
   out["planned_faults_handled_exactly"] = planned_faults_handled;
-  out["escaped_per_rep"] = rep_metric_json(escaped_per_rep);
+  out["escaped_per_rep"] =
+      per_rep_json(all, [&](std::span<const PipelineOutcome> r) {
+        return static_cast<double>(rep_escapes(r));
+      });
   return out;
 }
 
@@ -343,22 +342,19 @@ Json run_ecc_vs_hammer(const RunOptions& opts) {
   workloads::HammerParams hp;
   hp.pattern = workloads::HammerPattern::kDoubleSided;
 
-  ThreadPool pool(opts.threads);
-  const std::size_t n = std::size(kHammerMitKinds);
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
+  const auto all = sweep(
+      opts, std::size(kHammerMitKinds),
+      [&](std::uint64_t seed, std::size_t point) {
         return run_ecc_vs_hammer_cell(
-            ecc_vs_hammer_config(rep_seed(opts, rep), kHammerMitKinds[task % n]),
-            hp);
+            ecc_vs_hammer_config(seed, kHammerMitKinds[point]), hp);
       });
 
   TextTable t;
   t.set_header({"Mitigation", "flips manifested", "CE", "UE", "retired",
                 "failed reads", "escaped"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const PipelineOutcome& o = all[i];  // Repetition 0 details.
+  for (std::size_t i = 0; i < std::size(kHammerMitKinds); ++i) {
+    const PipelineOutcome& o = all.rep(0)[i];
     t.add_row({std::string(smc::mitigation::to_string(kHammerMitKinds[i])),
                std::to_string(o.manifested), std::to_string(o.corrected),
                std::to_string(o.uncorrectable), std::to_string(o.retired),
@@ -371,15 +367,12 @@ Json run_ecc_vs_hammer(const RunOptions& opts) {
   bool zero_escaped = true;
   bool unmitigated_flips = true;   // The attack actually flips bits...
   bool graphene_prevents = true;   // ...and Graphene prevents all of them.
-  std::vector<double> unmitigated_manifested_per_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
-    zero_escaped =
-        zero_escaped && all[base].escaped == 0 && all[base + 1].escaped == 0;
-    unmitigated_flips = unmitigated_flips && all[base].manifested > 0;
-    graphene_prevents = graphene_prevents && all[base + 1].manifested == 0;
-    unmitigated_manifested_per_rep.push_back(
-        static_cast<double>(all[base].manifested));
+  for (int r = 0; r < all.reps(); ++r) {
+    const PipelineOutcome& none = all.rep(r)[0];
+    const PipelineOutcome& graphene = all.rep(r)[1];
+    zero_escaped = zero_escaped && none.escaped == 0 && graphene.escaped == 0;
+    unmitigated_flips = unmitigated_flips && none.manifested > 0;
+    graphene_prevents = graphene_prevents && graphene.manifested == 0;
   }
 
   if (opts.verbose) {
@@ -400,7 +393,9 @@ Json run_ecc_vs_hammer(const RunOptions& opts) {
   out["unmitigated_attack_flips_bits"] = unmitigated_flips;
   out["graphene_prevents_all_flips"] = graphene_prevents;
   out["unmitigated_flips_per_rep"] =
-      rep_metric_json(unmitigated_manifested_per_rep);
+      per_rep_json(all, [](std::span<const PipelineOutcome> r) {
+        return static_cast<double>(r[0].manifested);
+      });
   return out;
 }
 
@@ -475,21 +470,17 @@ PipelineOutcome run_scrub_raidr_cell(const sys::SystemConfig& cfg) {
 }
 
 Json run_scrub_raidr(const RunOptions& opts) {
-  ThreadPool pool(opts.threads);
-  const std::size_t n = 2;  // scrub off, scrub on.
-  const auto all = parallel_map(
-      pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
-        const auto rep = static_cast<int>(task / n);
-        return run_scrub_raidr_cell(
-            scrub_raidr_config(rep_seed(opts, rep), task % n == 1));
-      });
+  // Points: scrub off, scrub on.
+  const auto all = sweep(opts, 2, [](std::uint64_t seed, std::size_t point) {
+    return run_scrub_raidr_cell(scrub_raidr_config(seed, point == 1));
+  });
 
   TextTable t;
   t.set_header({"Scrub", "scrub reads", "CE", "UE", "retired", "failed reads",
                 "escaped"});
   Json rows = Json::array();
-  for (std::size_t i = 0; i < n; ++i) {
-    const PipelineOutcome& o = all[i];  // Repetition 0 details.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const PipelineOutcome& o = all.rep(0)[i];
     t.add_row({i == 0 ? "off" : "on", std::to_string(o.scrub_reads),
                std::to_string(o.corrected), std::to_string(o.uncorrectable),
                std::to_string(o.retired), std::to_string(o.failed_reads),
@@ -502,17 +493,13 @@ Json run_scrub_raidr(const RunOptions& opts) {
   bool zero_escaped = true;
   bool decay_observed = true;       // The chamber actually corrupts cells...
   bool scrub_shields_demand = true; // ...and scrubbing absorbs the damage.
-  std::vector<double> demand_failures_avoided_per_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * n;
-    const PipelineOutcome& off = all[base];
-    const PipelineOutcome& on = all[base + 1];
+  for (int r = 0; r < all.reps(); ++r) {
+    const PipelineOutcome& off = all.rep(r)[0];
+    const PipelineOutcome& on = all.rep(r)[1];
     zero_escaped = zero_escaped && off.escaped == 0 && on.escaped == 0;
     decay_observed = decay_observed && off.manifested > 0;
     scrub_shields_demand = scrub_shields_demand && on.scrub_reads > 0 &&
                            on.failed_reads <= off.failed_reads;
-    demand_failures_avoided_per_rep.push_back(
-        static_cast<double>(off.failed_reads - on.failed_reads));
   }
 
   if (opts.verbose) {
@@ -535,7 +522,9 @@ Json run_scrub_raidr(const RunOptions& opts) {
   out["decay_observed_without_scrub"] = decay_observed;
   out["scrub_never_increases_demand_failures"] = scrub_shields_demand;
   out["demand_failures_avoided_per_rep"] =
-      rep_metric_json(demand_failures_avoided_per_rep);
+      per_rep_json(all, [](std::span<const PipelineOutcome> r) {
+        return static_cast<double>(r[0].failed_reads - r[1].failed_reads);
+      });
   return out;
 }
 
