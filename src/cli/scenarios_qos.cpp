@@ -19,7 +19,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "cpu/trace.hpp"
@@ -172,33 +171,29 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
     QosRun mixed;
     std::vector<double> slowdown;  ///< Per tenant, mixed mean / solo mean.
   };
-  const std::size_t per_rep = policies.size();
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const smc::SchedulerKind policy = policies[task % per_rep];
-    const sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
-    const smc::LinearMapper mapper(cfg.geometry);
-    workloads::MixedTrace mix = workloads::make_mixed_trace(tenants, mapper);
+  const auto all = sweep(
+      opts, policies.size(), [&](std::uint64_t seed, std::size_t point) {
+        const sys::SystemConfig cfg = qos_config(seed, policies[point]);
+        const smc::LinearMapper mapper(cfg.geometry);
+        workloads::MixedTrace mix =
+            workloads::make_mixed_trace(tenants, mapper);
 
-    Task t;
-    t.mixed = run_records(cfg, std::move(mix.interleaved), tenants.size());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      const QosRun solo = run_records(cfg, mix.solo[i], tenants.size());
-      t.slowdown.push_back(ratio(t.mixed.streams[tenants[i].stream].mean,
-                                 solo.streams[tenants[i].stream].mean));
-    }
-    return t;
-  });
+        Task t;
+        t.mixed = run_records(cfg, std::move(mix.interleaved), tenants.size());
+        for (std::size_t i = 0; i < tenants.size(); ++i) {
+          const QosRun solo = run_records(cfg, mix.solo[i], tenants.size());
+          t.slowdown.push_back(ratio(t.mixed.streams[tenants[i].stream].mean,
+                                     solo.streams[tenants[i].stream].mean));
+        }
+        return t;
+      });
 
   TextTable table;
   table.set_header({"Policy", "chase p50", "chase p95", "chase p99",
                     "chase slowdown", "max slowdown", "unfairness"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    const Task& t = all[pi];  // Repetition 0 provides the detail rows.
+    const Task& t = all.rep(0)[pi];
     const double unfair = unfairness(t.slowdown);
     table.add_row({policy_name(policies[pi]),
                    fmt_fixed(t.mixed.streams[0].p50, 0),
@@ -225,14 +220,6 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
     rows.push_back(std::move(j));
   }
 
-  // Per-repetition aggregate: unfairness under the sweep's first policy
-  // (FR-FCFS by default — the baseline the QoS policies are judged against).
-  std::vector<double> unfair_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    unfair_rep.push_back(
-        unfairness(all[static_cast<std::size_t>(rep) * per_rep].slowdown));
-  }
-
   if (opts.verbose) {
     table.print(std::cout);
     std::cout << "\nExpected shape: FR-FCFS serves the copy tenants' row-hit\n"
@@ -255,7 +242,10 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
   }
   out["tenants"] = std::move(tj);
   out["policies"] = std::move(rows);
-  out["baseline_unfairness_per_rep"] = rep_metric_json(unfair_rep);
+  // Per-repetition aggregate: unfairness under the sweep's first policy
+  // (FR-FCFS by default — the baseline the QoS policies are judged against).
+  out["baseline_unfairness_per_rep"] = per_rep_json(
+      all, [](std::span<const Task> r) { return unfairness(r[0].slowdown); });
   return out;
 }
 
@@ -284,21 +274,17 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
       opts, {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kBliss});
   const std::size_t counts[] = {2, 4, 8};
 
-  const std::size_t per_rep = std::size(counts) * policies.size();
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const std::size_t n = counts[which / policies.size()];
-    const smc::SchedulerKind policy = policies[which % policies.size()];
-    const sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
-    const smc::LinearMapper mapper(cfg.geometry);
-    workloads::MixedTrace mix =
-        workloads::make_mixed_trace(scaling_tenants(n), mapper);
-    return run_records(cfg, std::move(mix.interleaved), n);
-  });
+  const auto all = sweep(
+      opts, std::size(counts) * policies.size(),
+      [&](std::uint64_t seed, std::size_t point) {
+        const std::size_t n = counts[point / policies.size()];
+        const sys::SystemConfig cfg =
+            qos_config(seed, policies[point % policies.size()]);
+        const smc::LinearMapper mapper(cfg.geometry);
+        workloads::MixedTrace mix =
+            workloads::make_mixed_trace(scaling_tenants(n), mapper);
+        return run_records(cfg, std::move(mix.interleaved), n);
+      });
 
   TextTable table;
   table.set_header(
@@ -306,7 +292,7 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
   Json rows = Json::array();
   for (std::size_t ci = 0; ci < std::size(counts); ++ci) {
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      const QosRun& r = all[ci * policies.size() + pi];
+      const QosRun& r = all.rep(0)[ci * policies.size() + pi];
       double lo = 0.0;
       double hi = 0.0;
       for (const StreamLatency& s : r.streams) {
@@ -330,16 +316,6 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
     }
   }
 
-  // Per-rep aggregate: victim p95 at the widest mix, last policy relative
-  // to first (BLISS / FR-FCFS by default; 1.0 for a forced single policy).
-  std::vector<double> tail_ratio;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep +
-                             (std::size(counts) - 1) * policies.size();
-    tail_ratio.push_back(ratio(all[base + policies.size() - 1].streams[0].p95,
-                               all[base].streams[0].p95));
-  }
-
   if (opts.verbose) {
     table.print(std::cout);
     std::cout << "\nExpected shape: under FR-FCFS the victim's tail grows\n"
@@ -350,8 +326,14 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
 
   Json out = Json::object();
   out["points"] = std::move(rows);
+  // Per-rep aggregate: victim p95 at the widest mix, last policy relative
+  // to first (BLISS / FR-FCFS by default; 1.0 for a forced single policy).
   out["widest_tail_ratio_last_over_first_policy_per_rep"] =
-      rep_metric_json(tail_ratio);
+      per_rep_json(all, [&](std::span<const QosRun> r) {
+        const std::span<const QosRun> widest = r.last(policies.size());
+        return ratio(widest.back().streams[0].p95,
+                     widest.front().streams[0].p95);
+      });
   return out;
 }
 
@@ -384,29 +366,25 @@ Json run_qos_mitigation(const RunOptions& opts) {
     QosRun mixed;
     double victim_slowdown = 0.0;
   };
-  const std::size_t per_rep = std::size(para_points) * policies.size();
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const bool para = para_points[which / policies.size()];
-    const smc::SchedulerKind policy = policies[which % policies.size()];
-    sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
-    if (para) {
-      cfg.mitigation.kind = smc::mitigation::MitigationKind::kPara;
-      cfg.mitigation.seed = rep_seed(opts, static_cast<int>(rep));
-    }
-    const smc::LinearMapper mapper(cfg.geometry);
-    workloads::MixedTrace mix = workloads::make_mixed_trace(tenants, mapper);
-    Task t;
-    t.mixed = run_records(cfg, std::move(mix.interleaved), tenants.size());
-    const QosRun solo = run_records(cfg, mix.solo[0], tenants.size());
-    t.victim_slowdown =
-        ratio(t.mixed.streams[0].mean, solo.streams[0].mean);
-    return t;
-  });
+  const auto all = sweep(
+      opts, std::size(para_points) * policies.size(),
+      [&](std::uint64_t seed, std::size_t point) {
+        sys::SystemConfig cfg =
+            qos_config(seed, policies[point % policies.size()]);
+        if (para_points[point / policies.size()]) {
+          cfg.mitigation.kind = smc::mitigation::MitigationKind::kPara;
+          cfg.mitigation.seed = seed;
+        }
+        const smc::LinearMapper mapper(cfg.geometry);
+        workloads::MixedTrace mix =
+            workloads::make_mixed_trace(tenants, mapper);
+        Task t;
+        t.mixed = run_records(cfg, std::move(mix.interleaved), tenants.size());
+        const QosRun solo = run_records(cfg, mix.solo[0], tenants.size());
+        t.victim_slowdown =
+            ratio(t.mixed.streams[0].mean, solo.streams[0].mean);
+        return t;
+      });
 
   TextTable table;
   table.set_header({"Mitigation", "Policy", "victim p95", "victim slowdown",
@@ -414,7 +392,7 @@ Json run_qos_mitigation(const RunOptions& opts) {
   Json rows = Json::array();
   for (std::size_t mi = 0; mi < std::size(para_points); ++mi) {
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      const Task& t = all[mi * policies.size() + pi];
+      const Task& t = all.rep(0)[mi * policies.size() + pi];
       table.add_row(
           {para_points[mi] ? "PARA" : "none", policy_name(policies[pi]),
            fmt_fixed(t.mixed.streams[0].p95, 0),
@@ -435,14 +413,6 @@ Json run_qos_mitigation(const RunOptions& opts) {
     }
   }
 
-  std::vector<double> para_tax;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
-    // Victim p95 with PARA over without, under the first policy.
-    para_tax.push_back(ratio(all[base + policies.size()].mixed.streams[0].p95,
-                             all[base].mixed.streams[0].p95));
-  }
-
   if (opts.verbose) {
     table.print(std::cout);
     std::cout << "\nExpected shape: the adversary's ACT storm triggers PARA's\n"
@@ -455,7 +425,12 @@ Json run_qos_mitigation(const RunOptions& opts) {
 
   Json out = Json::object();
   out["points"] = std::move(rows);
-  out["victim_para_tax_first_policy_per_rep"] = rep_metric_json(para_tax);
+  // Victim p95 with PARA over without, under the first policy.
+  out["victim_para_tax_first_policy_per_rep"] =
+      per_rep_json(all, [&](std::span<const Task> r) {
+        return ratio(r[policies.size()].mixed.streams[0].p95,
+                     r[0].mixed.streams[0].p95);
+      });
   return out;
 }
 
@@ -491,26 +466,23 @@ Json run_qos_bank_partition(const RunOptions& opts) {
     tenants[i].base_addr = i * quarter;
   }
 
-  const std::size_t per_rep = std::size(mappings);
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const smc::MappingKind mapping = mappings[task % per_rep];
-    sys::SystemConfig cfg =
-        qos_config(rep_seed(opts, static_cast<int>(rep)), policy, mapping);
-    const auto mapper =
-        smc::make_mapper(mapping, cfg.geometry, cfg.bank_partitions);
-    workloads::MixedTrace mix = workloads::make_mixed_trace(tenants, *mapper);
-    return run_records(cfg, std::move(mix.interleaved), tenants.size());
-  });
+  const auto all = sweep(
+      opts, std::size(mappings), [&](std::uint64_t seed, std::size_t point) {
+        const smc::MappingKind mapping = mappings[point];
+        sys::SystemConfig cfg = qos_config(seed, policy, mapping);
+        const auto mapper =
+            smc::make_mapper(mapping, cfg.geometry, cfg.bank_partitions);
+        workloads::MixedTrace mix =
+            workloads::make_mixed_trace(tenants, *mapper);
+        return run_records(cfg, std::move(mix.interleaved), tenants.size());
+      });
 
   TextTable table;
   table.set_header({"Mapping", "chase p50", "chase p95", "row hits",
                     "row conflicts"});
   Json rows = Json::array();
   for (std::size_t mi = 0; mi < std::size(mappings); ++mi) {
-    const QosRun& r = all[mi];
+    const QosRun& r = all.rep(0)[mi];
     table.add_row({std::string(smc::to_string(mappings[mi])),
                    fmt_fixed(r.streams[0].p50, 0),
                    fmt_fixed(r.streams[0].p95, 0),
@@ -528,13 +500,6 @@ Json run_qos_bank_partition(const RunOptions& opts) {
     rows.push_back(std::move(j));
   }
 
-  std::vector<double> isolation;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
-    isolation.push_back(
-        ratio(all[base].streams[0].p95, all[base + 1].streams[0].p95));
-  }
-
   if (opts.verbose) {
     table.print(std::cout);
     std::cout << "\nExpected shape: line interleaving strews every tenant\n"
@@ -547,7 +512,10 @@ Json run_qos_bank_partition(const RunOptions& opts) {
   Json out = Json::object();
   out["partitions"] = static_cast<std::int64_t>(4);
   out["points"] = std::move(rows);
-  out["victim_p95_line_over_bankpart_per_rep"] = rep_metric_json(isolation);
+  out["victim_p95_line_over_bankpart_per_rep"] =
+      per_rep_json(all, [](std::span<const QosRun> r) {
+        return ratio(r[0].streams[0].p95, r[1].streams[0].p95);
+      });
   return out;
 }
 
