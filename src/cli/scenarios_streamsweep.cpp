@@ -22,7 +22,6 @@
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "cli/thread_pool.hpp"
 #include "common/table.hpp"
 #include "cpu/trace.hpp"
 #include "sys/system.hpp"
@@ -102,27 +101,25 @@ Json run_stream_sweep(const RunOptions& opts) {
       workloads::sweep_working_sets(kSweepL1Bytes, kSweepL2Bytes);
   const auto kernels = std::size(workloads::kAllStreamKernels);
 
-  const std::size_t per_rep = kernels * sizes.size();
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    StreamPoint pt;
-    pt.params.kernel = workloads::kAllStreamKernels[which / sizes.size()];
-    pt.params.working_set_bytes = sizes[which % sizes.size()];
-    pt.params.measured_passes =
-        measured_passes_for(pt.params.working_set_bytes);
-    const sys::SystemConfig cfg =
-        sweep_config(opts, rep_seed(opts, static_cast<int>(rep)),
-                     /*blocking_loads=*/true);
-    pt.t = run_trace(cfg, workloads::make_stream_trace(pt.params));
-    pt.measured_bytes =
-        workloads::stream_bytes_per_pass(pt.params) *
-        static_cast<std::uint64_t>(pt.params.measured_passes);
-    pt.bytes_per_kcycle = per_kilocycle(pt.measured_bytes, pt.t.measured_cycles);
-    return pt;
-  });
+  // Points: every size of the first kernel, then of the next.
+  const auto all = sweep(
+      opts, kernels * sizes.size(), [&](std::uint64_t seed, std::size_t point) {
+        StreamPoint pt;
+        pt.params.kernel = workloads::kAllStreamKernels[point / sizes.size()];
+        pt.params.working_set_bytes = sizes[point % sizes.size()];
+        pt.params.measured_passes =
+            measured_passes_for(pt.params.working_set_bytes);
+        const sys::SystemConfig cfg =
+            sweep_config(opts, seed, /*blocking_loads=*/true);
+        pt.t = run_trace(cfg, workloads::make_stream_trace(pt.params));
+        pt.measured_bytes =
+            workloads::stream_bytes_per_pass(pt.params) *
+            static_cast<std::uint64_t>(pt.params.measured_passes);
+        pt.bytes_per_kcycle =
+            per_kilocycle(pt.measured_bytes, pt.t.measured_cycles);
+        return pt;
+      });
+  const std::span<const StreamPoint> rep0 = all.rep(0);
 
   // Repetition 0 provides the detail rows (rows = sizes, columns = kernels).
   TextTable table;
@@ -131,7 +128,8 @@ Json run_stream_sweep(const RunOptions& opts) {
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     std::vector<std::string> row{fmt_size(sizes[si])};
     for (std::size_t ki = 0; ki < kernels; ++ki) {
-      row.push_back(fmt_fixed(all[ki * sizes.size() + si].bytes_per_kcycle, 1));
+      row.push_back(
+          fmt_fixed(rep0[ki * sizes.size() + si].bytes_per_kcycle, 1));
     }
     table.add_row(row);
   }
@@ -139,7 +137,8 @@ Json run_stream_sweep(const RunOptions& opts) {
   bool monotone = true;
   Json kernel_rows = Json::array();
   for (std::size_t ki = 0; ki < kernels; ++ki) {
-    const StreamPoint* pts = &all[ki * sizes.size()];
+    const std::span<const StreamPoint> pts =
+        rep0.subspan(ki * sizes.size(), sizes.size());
     Json j = Json::object();
     j["kernel"] = workloads::to_string(workloads::kAllStreamKernels[ki]);
     j["arrays"] = static_cast<std::int64_t>(
@@ -172,16 +171,6 @@ Json run_stream_sweep(const RunOptions& opts) {
     kernel_rows.push_back(std::move(j));
   }
 
-  // Per-repetition aggregate: the copy kernel's L1-over-DRAM bandwidth
-  // ratio — the whole-curve compression the hierarchy buys.
-  std::vector<double> ratio_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const StreamPoint* pts = &all[static_cast<std::size_t>(rep) * per_rep];
-    const double dram = pts[kDramPoint].bytes_per_kcycle;
-    ratio_rep.push_back(dram > 0.0 ? pts[kL1Point].bytes_per_kcycle / dram
-                                   : 0.0);
-  }
-
   if (opts.verbose) {
     table.print(std::cout);
     std::cout << "\nExpected shape: each kernel's sustained rate is flat while\n"
@@ -203,7 +192,13 @@ Json run_stream_sweep(const RunOptions& opts) {
   out["working_set_bytes"] = std::move(sj);
   out["kernels"] = std::move(kernel_rows);
   out["monotone_bandwidth_drop_all_kernels"] = monotone;
-  out["copy_l1_over_dram_bandwidth_per_rep"] = rep_metric_json(ratio_rep);
+  // Per-repetition aggregate: the copy kernel's L1-over-DRAM bandwidth
+  // ratio — the whole-curve compression the hierarchy buys.
+  out["copy_l1_over_dram_bandwidth_per_rep"] =
+      per_rep_json(all, [](std::span<const StreamPoint> pts) {
+        const double dram = pts[kDramPoint].bytes_per_kcycle;
+        return dram > 0.0 ? pts[kL1Point].bytes_per_kcycle / dram : 0.0;
+      });
   return out;
 }
 
@@ -220,38 +215,35 @@ Json run_latency_sweep(const RunOptions& opts) {
   const std::vector<std::uint64_t> sizes =
       workloads::sweep_working_sets(kSweepL1Bytes, kSweepL2Bytes);
 
-  const std::size_t per_rep = sizes.size();
-  const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
-  ThreadPool pool(opts.threads);
-  const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
-    const std::size_t rep = task / per_rep;
-    LatencyPoint pt;
-    pt.params.working_set_bytes = sizes[task % per_rep];
-    pt.params.measured_passes =
-        measured_passes_for(pt.params.working_set_bytes);
-    // The chase permutation is part of the workload, not the chip: its
-    // seed stays fixed across repetitions (like lmbench's), while the
-    // chip's variation seed follows the rep stream.
-    const sys::SystemConfig cfg =
-        sweep_config(opts, rep_seed(opts, static_cast<int>(rep)),
-                     /*blocking_loads=*/false);
-    pt.t = run_trace(cfg, workloads::make_latency_trace(pt.params));
-    pt.measured_loads =
-        workloads::latency_loads_per_pass(pt.params) *
-        static_cast<std::uint64_t>(pt.params.measured_passes);
-    pt.cycles_per_load =
-        pt.measured_loads > 0
-            ? static_cast<double>(pt.t.measured_cycles) /
-                  static_cast<double>(pt.measured_loads)
-            : 0.0;
-    return pt;
-  });
+  const auto all =
+      sweep(opts, sizes.size(), [&](std::uint64_t seed, std::size_t point) {
+        LatencyPoint pt;
+        pt.params.working_set_bytes = sizes[point];
+        pt.params.measured_passes =
+            measured_passes_for(pt.params.working_set_bytes);
+        // The chase permutation is part of the workload, not the chip: its
+        // seed stays fixed across repetitions (like lmbench's), while the
+        // chip's variation seed follows the rep stream.
+        const sys::SystemConfig cfg =
+            sweep_config(opts, seed, /*blocking_loads=*/false);
+        pt.t = run_trace(cfg, workloads::make_latency_trace(pt.params));
+        pt.measured_loads =
+            workloads::latency_loads_per_pass(pt.params) *
+            static_cast<std::uint64_t>(pt.params.measured_passes);
+        pt.cycles_per_load =
+            pt.measured_loads > 0
+                ? static_cast<double>(pt.t.measured_cycles) /
+                      static_cast<double>(pt.measured_loads)
+                : 0.0;
+        return pt;
+      });
+  const std::span<const LatencyPoint> rep0 = all.rep(0);
 
   TextTable table;
   table.set_header({"Working set", "loads", "cycles/load"});
   Json points = Json::array();
   for (std::size_t si = 0; si < sizes.size(); ++si) {
-    const LatencyPoint& pt = all[si];
+    const LatencyPoint& pt = rep0[si];
     table.add_row({fmt_size(sizes[si]),
                    std::to_string(pt.measured_loads),
                    fmt_fixed(pt.cycles_per_load, 2)});
@@ -268,19 +260,10 @@ Json run_latency_sweep(const RunOptions& opts) {
     points.push_back(std::move(p));
   }
 
-  const double l1 = all[kL1Point].cycles_per_load;
-  const double l2 = all[kL2Point].cycles_per_load;
-  const double dram = all[kDramPoint].cycles_per_load;
+  const double l1 = rep0[kL1Point].cycles_per_load;
+  const double l2 = rep0[kL2Point].cycles_per_load;
+  const double dram = rep0[kDramPoint].cycles_per_load;
   const bool monotone = l1 < l2 && l2 < dram;
-
-  std::vector<double> ratio_rep;
-  for (int rep = 0; rep < opts.iters; ++rep) {
-    const LatencyPoint* pts = &all[static_cast<std::size_t>(rep) * per_rep];
-    ratio_rep.push_back(pts[kL1Point].cycles_per_load > 0.0
-                            ? pts[kDramPoint].cycles_per_load /
-                                  pts[kL1Point].cycles_per_load
-                            : 0.0);
-  }
 
   if (opts.verbose) {
     table.print(std::cout);
@@ -297,7 +280,13 @@ Json run_latency_sweep(const RunOptions& opts) {
   out["l2_bytes"] = static_cast<std::int64_t>(kSweepL2Bytes);
   out["points"] = std::move(points);
   out["monotone_latency_rise"] = monotone;
-  out["dram_over_l1_latency_per_rep"] = rep_metric_json(ratio_rep);
+  out["dram_over_l1_latency_per_rep"] =
+      per_rep_json(all, [](std::span<const LatencyPoint> pts) {
+        return pts[kL1Point].cycles_per_load > 0.0
+                   ? pts[kDramPoint].cycles_per_load /
+                         pts[kL1Point].cycles_per_load
+                   : 0.0;
+      });
   return out;
 }
 
