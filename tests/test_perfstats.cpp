@@ -1,7 +1,8 @@
 // The v2 measurement contract, tested at both layers: the RepStats
 // reduction every perf bench goes through (cli/measure.hpp) and the
 // tools/check_bench.py gate that thresholds the resulting document in CI.
-// Also covers measure_sim_speed, the fig14_sim_speed measurement.
+// Also covers measure_sim_speed, the fig14_sim_speed measurement, and the
+// scenario built on it.
 // The gate tests build fixture documents with the same Json writer the
 // harness uses and drive the real script through python3, asserting its
 // exit-code contract (0 pass / 1 gate failure / 2 unusable input).
@@ -17,7 +18,9 @@
 
 #include "cli/json.hpp"
 #include "cli/measure.hpp"
+#include "cli/scenario.hpp"
 #include "common/stats.hpp"
+#include "workloads/polybench.hpp"
 
 namespace easydram::cli {
 namespace {
@@ -111,6 +114,47 @@ TEST(SimSpeedTest, EasyDramRateIsModeledAndRamulatorRateIsHostTimed) {
   for (const SimSpeed& s : {a, b}) {
     EXPECT_TRUE(std::isfinite(s.ram_mhz) && s.ram_mhz > 0.0) << s.ram_mhz;
     EXPECT_TRUE(std::isfinite(s.ratio) && s.ratio > 0.0) << s.ratio;
+  }
+}
+
+/// The text of every scalar value stored under `key` in a dumped JSON
+/// document, in document order; object and array values are skipped.
+std::vector<std::string> scalar_values(const std::string& json,
+                                       const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  std::vector<std::string> out;
+  for (auto pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + 1)) {
+    const auto start = pos + needle.size();
+    if (json[start] == '{' || json[start] == '[') continue;
+    out.push_back(json.substr(start, json.find_first_of(",}\n", start) - start));
+  }
+  return out;
+}
+
+TEST(SimSpeedTest, Fig14EasyDramColumnIsThreadCountInvariant) {
+  // The one scenario no golden digest pins: its Ramulator column reads the
+  // host clock. The EasyDRAM column is modeled, so it must match exactly
+  // at any --threads; every ratio must be a finite positive number.
+  const Scenario* s = ScenarioRegistry::instance().find("fig14_sim_speed");
+  ASSERT_NE(s, nullptr);
+  RunOptions opts;
+  opts.verbose = false;
+  const std::string serial = s->run(opts).dump_string();
+  opts.threads = 3;
+  const std::string threaded = s->run(opts).dump_string();
+
+  const std::size_t n = workloads::fig13_names().size();
+  const std::vector<std::string> mhz = scalar_values(serial, "easydram_mhz");
+  ASSERT_EQ(mhz.size(), n);
+  EXPECT_EQ(scalar_values(threaded, "easydram_mhz"), mhz);
+  for (const std::string& json : {serial, threaded}) {
+    const std::vector<std::string> ratios = scalar_values(json, "ratio");
+    ASSERT_EQ(ratios.size(), n);
+    for (const std::string& r : ratios) {
+      const double v = std::strtod(r.c_str(), nullptr);
+      EXPECT_TRUE(std::isfinite(v) && v > 0.0) << r;
+    }
   }
 }
 
