@@ -307,8 +307,7 @@ void print_list(std::ostream& os) {
 
 }  // namespace
 
-int scenario_main(std::span<const std::string_view> default_names, int argc,
-                  char** argv) {
+int scenario_main(int argc, char** argv) {
   const char* prog = argc > 0 ? argv[0] : "easydram_cli";
   ParsedArgs a = parse_args(argc, argv);
   if (!a.error.empty()) {
@@ -361,10 +360,7 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
     return 0;
   }
 
-  std::vector<std::string> names(a.scenarios);
-  if (names.empty()) {
-    names.assign(default_names.begin(), default_names.end());
-  }
+  const std::vector<std::string>& names = a.scenarios;
   if (names.empty()) {
     std::cerr << prog << ": no --scenario given\n\n";
     print_usage(std::cerr, prog);
@@ -391,7 +387,7 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
       return 1;
     }
     // A single run is written as a bare object; multiple runs as a list,
-    // so per-figure one-liners produce the simplest possible file.
+    // so one-scenario runs produce the simplest possible file.
     if (run_docs.size() == 1) {
       out << run_docs.front().dump_string();
     } else {
@@ -404,11 +400,6 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
     }
   }
   return 0;
-}
-
-int scenario_main(std::string_view default_name, int argc, char** argv) {
-  return scenario_main(std::span<const std::string_view>(&default_name, 1),
-                       argc, argv);
 }
 
 }  // namespace easydram::cli

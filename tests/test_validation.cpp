@@ -9,7 +9,7 @@ namespace {
 
 /// Miniature §6 validation: the time-scaled 100 MHz system and the 1 GHz
 /// RTL reference must report near-identical execution times. The full
-/// 28-workload sweep lives in bench_validation; these tests gate a fast
+/// 28-workload sweep is the validation_timescale scenario; these tests gate a fast
 /// subset so regressions surface in CI time.
 class ValidationTest : public ::testing::TestWithParam<std::string_view> {};
 

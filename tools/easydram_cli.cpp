@@ -1,7 +1,8 @@
 // The unified EasyDRAM experiment runner: every paper figure/table
 // reproducer and ablation registers itself as a named scenario; this binary
-// lists them, runs parameter sweeps across a thread pool with deterministic
-// per-task RNG streams, and writes machine-readable JSON summaries.
+// lists them, runs their seeded sweeps across --threads host threads with
+// deterministic per-repetition seeds, and writes machine-readable JSON
+// summaries.
 //
 //   easydram_cli --list
 //   easydram_cli --scenario fig13_trcd_speedup --threads 4 --out r.json
@@ -11,6 +12,5 @@
 #include "cli/scenario.hpp"
 
 int main(int argc, char** argv) {
-  return easydram::cli::scenario_main(
-      std::span<const std::string_view>{}, argc, argv);
+  return easydram::cli::scenario_main(argc, argv);
 }
