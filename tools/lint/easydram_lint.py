@@ -511,8 +511,8 @@ SLICE_SCOPED_RE = re.compile(r"^src/(?!sys/|smc/)")
 def check_cross_slice_shared_state(path, stripped_lines, ctx):
     """Mutable static state in system-layer code without a SLICE-SHARED annotation.
 
-    Scenario sweeps run whole systems concurrently on the sweep ThreadPool,
-    one system per task, so a `static` or `thread_local` object in src/sys
+    Scenario sweeps (`cli::sweep`) run whole systems concurrently, one
+    system per task, so a `static` or `thread_local` object in src/sys
     or src/smc (the layers every system executes) is shared by every
     channel slice of every system in flight. A non-const, non-atomic
     static races between sweep threads; a `thread_local` one forks its
