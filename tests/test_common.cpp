@@ -470,13 +470,15 @@ TEST(Sweep, CellsAreRepMajorWithPerRepSeedsAtAnyThreadCount) {
     }
     EXPECT_NE(cli::rep_seed(opts, 0), cli::rep_seed(opts, 1));
 
-    const std::vector<double> last_points{4.0, 4.0};
-    EXPECT_EQ(cli::per_rep_json(s,
-                                [](std::span<const SweepCell> c) {
-                                  return static_cast<double>(c.back().point);
-                                })
-                  .dump_string(),
-              cli::rep_metric_json(last_points).dump_string());
+    // per_rep_json folds each rep's own span, in rep order.
+    auto fold = [](std::span<const SweepCell> c) {
+      return static_cast<double>(c.back().seed % 1000 + c.back().point);
+    };
+    const std::vector<double> expected{
+        static_cast<double>(cli::rep_seed(opts, 0) % 1000 + 4),
+        static_cast<double>(cli::rep_seed(opts, 1) % 1000 + 4)};
+    EXPECT_EQ(cli::per_rep_json(s, fold).dump_string(),
+              cli::rep_metric_json(expected).dump_string());
   }
 }
 
