@@ -55,7 +55,7 @@ void run_tasks(int threads, std::size_t n,
   std::vector<std::exception_ptr> errors(n);
   std::atomic<std::size_t> next{0};
   auto drain = [&] {
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+    for (std::size_t i = next++; i < n; i = next++) {
       try {
         task(i);
       } catch (...) {
