@@ -117,6 +117,55 @@ void BM_CoreReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+/// The core filter's cache work alone: one PolyBench kernel's loads and
+/// stores (correlation, 93% L1 misses) run through the L1 and L2 of the
+/// PolyBench system (easydram_caches) as cpu::Core's filter stage runs
+/// them, with no pipeline and no memory system. items/s is trace records
+/// per second.
+void BM_CacheHierarchyReplay(benchmark::State& state) {
+  const std::vector<cpu::TraceRecord> records =
+      workloads::generate_kernel("correlation");
+  const cpu::CacheHierConfig caches = cpu::easydram_caches();
+  for (auto _ : state) {
+    cpu::Cache l1(caches.l1);
+    cpu::Cache l2(caches.l2);
+    // Inclusive L1/L2 with write-allocate, as in the core: an L2 victim
+    // back-invalidates L1 and a dirty L1 victim folds into L2.
+    const auto fill_l1 = [&](std::uint64_t line, bool dirty) {
+      const cpu::FillResult f = l1.fill(line, dirty);
+      if (f.evicted && f.evicted_dirty) l2.mark_dirty(f.evicted_line);
+    };
+    for (const cpu::TraceRecord& rec : records) {
+      const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
+      bool store = false;
+      switch (rec.op) {
+        case cpu::Op::kLoad:
+        case cpu::Op::kLoadDependent:
+          if (l1.access(line)) continue;
+          break;
+        case cpu::Op::kStore:
+        case cpu::Op::kStoreStream:
+          if (l1.access_store(line)) continue;
+          store = true;
+          break;
+        default:
+          continue;
+      }
+      if (!l2.access(line)) {
+        const cpu::FillResult f = l2.fill(line);
+        if (f.evicted) l1.flush(f.evicted_line);
+      }
+      fill_l1(line, store);
+    }
+    benchmark::DoNotOptimize(l2.misses());
+    state.counters["l1_miss_ratio"] = static_cast<double>(l1.misses()) /
+                                      static_cast<double>(l1.hits() + l1.misses());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_CacheHierarchyReplay)->Unit(benchmark::kMillisecond);
+
 void BM_FrfcfsPick(benchmark::State& state) {
   smc::RequestTable table(32);
   for (std::uint32_t i = 0; i < 32; ++i) {

@@ -253,16 +253,25 @@ class alignas(64) FilterStage {
 
  private:
   void filter(TraceSource& trace) {
-    TraceRecord rec;
     bool last_rowclone_ok = true;
-    std::uint32_t current_stream = 0;
-    while (trace.next(rec, last_rowclone_ok)) {
+    for (std::span<const TraceRecord> span = trace.pull(last_rowclone_ok);
+         !span.empty(); span = trace.pull(last_rowclone_ok)) {
+      filter_span(span, last_rowclone_ok);
+    }
+    emit(EventKind::kEnd);
+    ring_.hand_over();
+  }
+
+  /// Runs one pulled span; a RowClone in it sets `last_rowclone_ok`.
+  void filter_span(std::span<const TraceRecord> span, bool& last_rowclone_ok) {
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      const TraceRecord& rec = span[i];
       // Stream identity is sticky on the backend: every request this record
       // causes — including writebacks of lines another stream dirtied — is
       // attributed to the stream whose access is executing now.
-      if (rec.stream != current_stream) {
-        current_stream = rec.stream;
-        emit(EventKind::kStream, 0, 0, current_stream);
+      if (rec.stream != stream_) {
+        stream_ = rec.stream;
+        emit(EventKind::kStream, 0, 0, stream_);
       }
       const std::uint64_t instructions = std::uint64_t{rec.gap_instructions} + 1;
       counts_.instructions += static_cast<std::int64_t>(instructions);
@@ -328,7 +337,10 @@ class alignas(64) FilterStage {
         }
 
         case Op::kRowClone: {
-          const TraceRecord dst = next_rowclone_dst(trace, last_rowclone_ok);
+          // The pair travels in one span (TraceSource's contract).
+          EASYDRAM_EXPECTS(i + 1 < span.size() &&
+                           span[i + 1].op == Op::kRowCloneDst);
+          const TraceRecord& dst = span[++i];
           ++counts_.rowclones;
           slots_ += trigger_slots_;
           emit(EventKind::kRowClone, rec.addr(), 0, dst.addr());
@@ -349,8 +361,6 @@ class alignas(64) FilterStage {
           break;
       }
     }
-    emit(EventKind::kEnd);
-    ring_.hand_over();
   }
 
   /// Issue slots of `cycles` cycles; the constructor checks they are >= 0.
@@ -405,6 +415,7 @@ class alignas(64) FilterStage {
   const std::uint64_t flush_slots_;
   const std::uint64_t trigger_slots_;  ///< A RowClone's trigger cost.
   std::uint64_t slots_ = 0;  ///< Issue slots not yet emitted.
+  std::uint32_t stream_ = 0;  ///< Stream of the record last executed.
   RunResult counts_;
   std::exception_ptr error_;
 };

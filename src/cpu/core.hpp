@@ -65,21 +65,22 @@ struct RunResult {
 /// one run: construct, call run(), read the result.
 ///
 /// run() is a two-stage pipeline. A filter stage, on one helper thread per
-/// run, pulls the trace, runs L1/L2 and reduces every record to events:
-/// issue-slot advances, misses with their writebacks, posted writes,
-/// RowClones, drains and markers. Cache state never depends on memory
-/// timing, so the filter runs ahead of time. The timing stage, on the
-/// caller's thread, owns the cycle count and the MLP and store-buffer
+/// run, pulls the trace span by span, runs L1/L2 and reduces every record
+/// to events: issue-slot advances, misses with their writebacks, posted
+/// writes, RowClones, drains and markers. Cache state never depends on
+/// memory timing, so the filter runs ahead of time. The timing stage, on
+/// the caller's thread, owns the cycle count and the MLP and store-buffer
 /// queues, and makes every MemoryBackend call in trace order. The one value
 /// that flows back is a RowClone's outcome: the filter waits for it before
-/// its next pull. Exceptions on either side stop both and leave run() on
-/// the caller's thread with the helper joined.
+/// the next record and passes it to the next pull. Exceptions on either
+/// side stop both and leave run() on the caller's thread with the helper
+/// joined.
 class Core {
  public:
   Core(const CoreConfig& cfg, const CacheHierConfig& caches);
 
   /// Thread-safety: `mem` is called only from the calling thread; `trace`
-  /// only from the helper thread, one next() at a time.
+  /// only from the helper thread, one pull() at a time.
   RunResult run(TraceSource& trace, MemoryBackend& mem);
 
   const Cache& l1() const { return l1_; }

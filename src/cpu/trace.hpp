@@ -74,18 +74,24 @@ class TraceRecord {
 };
 static_assert(sizeof(TraceRecord) == 12);
 
-/// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
-/// the most recent kRowClone so generators can emit CPU-fallback accesses,
-/// exactly as the paper's software falls back to load/store copies.
+/// Pull-based trace generator. Each pull() returns the next span of
+/// records; an empty span ends the trace. The span stays valid until the
+/// next pull. `last_rowclone_ok` feeds back the outcome of the most recent
+/// kRowClone so generators can emit CPU-fallback accesses, exactly as the
+/// paper's software falls back to load/store copies.
 ///
-/// Thread-safety: Core::run calls next() on its helper thread, one call at
+/// Contract: a span never separates a kRowClone from the kRowCloneDst that
+/// follows it. A source whose later records depend on a RowClone's outcome
+/// ends its span with that pair, so the outcome reaches the next pull.
+///
+/// Thread-safety: Core::run calls pull() on its helper thread, one call at
 /// a time, while the caller's thread drives the MemoryBackend. A source
 /// must therefore share no unsynchronised mutable state with the backend;
 /// reading immutable data (an address mapper, a geometry) is fine.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
-  virtual bool next(TraceRecord& out, bool last_rowclone_ok) = 0;
+  virtual std::span<const TraceRecord> pull(bool last_rowclone_ok) = 0;
 };
 
 /// The two records of one RowClone: kRowClone with the source, after
@@ -97,57 +103,49 @@ inline std::array<TraceRecord, 2> rowclone_pair(
           TraceRecord(Op::kRowCloneDst, dst)};
 }
 
-/// Pulls the kRowCloneDst that must follow a kRowClone just read from
-/// `trace`; a missing or different record is a contract violation.
-inline TraceRecord next_rowclone_dst(TraceSource& trace,
-                                     bool last_rowclone_ok) {
-  TraceRecord dst;
-  EASYDRAM_EXPECTS(trace.next(dst, last_rowclone_ok) &&
-                   dst.op == Op::kRowCloneDst);
-  return dst;
-}
-
-/// A trace replayed from a pre-recorded vector (ignores feedback).
+/// A trace replayed from a pre-recorded vector (ignores feedback): the
+/// first pull returns every record, without copying.
 class VectorTrace final : public TraceSource {
  public:
   explicit VectorTrace(std::vector<TraceRecord> records)
       : records_(std::move(records)) {}
 
-  bool next(TraceRecord& out, bool /*last_rowclone_ok*/) override {
-    if (cursor_ >= records_.size()) return false;
-    out = records_[cursor_++];
-    return true;
+  std::span<const TraceRecord> pull(bool /*last_rowclone_ok*/) override {
+    if (pulled_) return {};
+    pulled_ = true;
+    return records_;
   }
 
-  void rewind() { cursor_ = 0; }
+  void rewind() { pulled_ = false; }
   std::size_t size() const { return records_.size(); }
 
  private:
   std::vector<TraceRecord> records_;
-  std::size_t cursor_ = 0;
+  bool pulled_ = false;
 };
 
-/// A trace replayed from a caller-owned span (ignores feedback). Use this
-/// to run several simulators over one generated workload: the multi-
-/// million-record kernels are expensive to copy, and the span borrows them
-/// instead. The underlying storage must outlive the source.
+/// A trace replayed from a caller-owned span (ignores feedback): the first
+/// pull returns every record, without copying. Use this to run several
+/// simulators over one generated workload: the multi-million-record
+/// kernels are expensive to copy, and the span borrows them instead. The
+/// underlying storage must outlive the source.
 class SpanTrace final : public TraceSource {
  public:
   explicit SpanTrace(std::span<const TraceRecord> records)
       : records_(records) {}
 
-  bool next(TraceRecord& out, bool /*last_rowclone_ok*/) override {
-    if (cursor_ >= records_.size()) return false;
-    out = records_[cursor_++];
-    return true;
+  std::span<const TraceRecord> pull(bool /*last_rowclone_ok*/) override {
+    if (pulled_) return {};
+    pulled_ = true;
+    return records_;
   }
 
-  void rewind() { cursor_ = 0; }
+  void rewind() { pulled_ = false; }
   std::size_t size() const { return records_.size(); }
 
  private:
   std::span<const TraceRecord> records_;
-  std::size_t cursor_ = 0;
+  bool pulled_ = false;
 };
 
 }  // namespace easydram::cpu

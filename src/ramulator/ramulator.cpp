@@ -204,8 +204,11 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
   std::int64_t stall_until = 0;
   std::uint64_t stall_on_id = 0;
 
-  cpu::TraceRecord rec;
-  bool have_rec = false;
+  // The pulled span and the next record in it; `rec` is the record being
+  // retired, nullptr between records.
+  std::span<const cpu::TraceRecord> span;
+  std::size_t pos = 0;
+  const cpu::TraceRecord* rec = nullptr;
   std::uint32_t gap_left = 0;
   bool trace_done = false;
 
@@ -274,19 +277,23 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       if (cycle < stall_until) break;
       if (stall_on_id != 0) break;
 
-      if (!have_rec) {
+      if (rec == nullptr) {
         if (trace_done || stats_.instructions >= cfg_.max_instructions) {
           trace_done = true;
           resource_blocked = true;
           break;
         }
-        have_rec = trace.next(rec, /*last_rowclone_ok=*/true);
-        if (!have_rec) {
+        if (pos == span.size()) {
+          span = trace.pull(/*last_rowclone_ok=*/true);
+          pos = 0;
+        }
+        if (span.empty()) {
           trace_done = true;
           resource_blocked = true;
           break;
         }
-        gap_left = rec.gap_instructions;
+        rec = &span[pos++];
+        gap_left = rec->gap_instructions;
       }
 
       if (gap_left > 0) {
@@ -298,14 +305,14 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
         continue;
       }
 
-      const std::uint64_t line = rec.addr() & ~std::uint64_t{63};
+      const std::uint64_t line = rec->addr() & ~std::uint64_t{63};
       bool consumed = true;
-      switch (rec.op) {
+      switch (rec->op) {
         case cpu::Op::kLoad:
         case cpu::Op::kLoadDependent: {
           ++stats_.loads;
           if (llc.access(line)) {
-            if (rec.op == cpu::Op::kLoadDependent) stall_until = cycle + cfg_.llc_latency;
+            if (rec->op == cpu::Op::kLoadDependent) stall_until = cycle + cfg_.llc_latency;
             break;
           }
           ++stats_.llc_misses;
@@ -320,7 +327,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
           const cpu::FillResult fill = llc.fill(line);
           if (fill.evicted && fill.evicted_dirty) enqueue_write(map(fill.evicted_line));
           const std::uint64_t id = enqueue_read(map(line));
-          if (rec.op == cpu::Op::kLoadDependent) stall_on_id = id;
+          if (rec->op == cpu::Op::kLoadDependent) stall_on_id = id;
           break;
         }
 
@@ -358,8 +365,10 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
             consumed = false;
             break;
           }
-          const cpu::TraceRecord dst =
-              cpu::next_rowclone_dst(trace, /*last_rowclone_ok=*/true);
+          // The pair travels in one span (TraceSource's contract).
+          EASYDRAM_EXPECTS(pos < span.size() &&
+                           span[pos].op == cpu::Op::kRowCloneDst);
+          const cpu::TraceRecord& dst = span[pos++];
           MemRequest r;
           r.id = next_id++;
           r.addr = map(dst.addr() & ~std::uint64_t{63});
@@ -399,7 +408,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       }
       ++stats_.instructions;
       --budget;
-      have_rec = false;
+      rec = nullptr;
       progressed = true;
     }
 
@@ -414,7 +423,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
     const auto run_finished = [&] {
       const bool memory_idle = inflight == 0 && read_queue_.empty() &&
                                write_queue_.empty() && completions_.empty();
-      return trace_done && !have_rec && memory_idle && stall_on_id == 0 &&
+      return trace_done && rec == nullptr && memory_idle && stall_on_id == 0 &&
              cycle >= stall_until;
     };
     if (run_finished()) break;

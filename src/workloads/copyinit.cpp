@@ -16,7 +16,6 @@ CopyInitTrace::CopyInitTrace(CopyInitParams params, const smc::AddressMapper& ma
   } else {
     EASYDRAM_EXPECTS(!init_plan_.empty());
   }
-  enqueue_warm();
 }
 
 std::size_t CopyInitTrace::rows() const {
@@ -120,8 +119,8 @@ void CopyInitTrace::enqueue_row(std::size_t row_index) {
   const std::uint64_t dst = params_.kind == CopyInitParams::Kind::kCopy
                                 ? row_base(copy_plan_[row_index].dst)
                                 : row_base(init_plan_[row_index].dst);
-  // The pair is queued whole, so the feedback check in next() runs only
-  // on the pull after the destination record.
+  // The pair ends the span, so the feedback check in pull() runs on the
+  // pull after it.
   for (const cpu::TraceRecord& r : cpu::rowclone_pair(src, dst, 2)) {
     pending_.push_back(r);
   }
@@ -133,8 +132,9 @@ void CopyInitTrace::enqueue_final() {
   phase_ = Phase::kDone;
 }
 
-bool CopyInitTrace::next(cpu::TraceRecord& out, bool last_rowclone_ok) {
-  if (awaiting_feedback_ && pending_.empty()) {
+std::span<const cpu::TraceRecord> CopyInitTrace::pull(bool last_rowclone_ok) {
+  pending_.clear();
+  if (awaiting_feedback_) {
     awaiting_feedback_ = false;
     if (!last_rowclone_ok) {
       // Runtime RowClone failure: redo this row with CPU loads/stores.
@@ -160,13 +160,10 @@ bool CopyInitTrace::next(cpu::TraceRecord& out, bool last_rowclone_ok) {
         enqueue_final();
         break;
       case Phase::kDone:
-        return false;
+        return {};
     }
   }
-
-  out = pending_.front();
-  pending_.pop_front();
-  return true;
+  return pending_;
 }
 
 }  // namespace easydram::workloads

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "cpu/trace.hpp"
@@ -34,7 +34,10 @@ struct CopyInitParams {
 
 /// Trace generator for Copy/Init. Reacts to RowClone fallback feedback:
 /// a failed (or unverified) in-DRAM copy re-emits the row as CPU
-/// loads/stores, exactly like the paper's software fallback.
+/// loads/stores, exactly like the paper's software fallback. Each pull
+/// returns one step: the warm phase, one row, a failed row's CPU redo, or
+/// the final marker. A row that uses RowClone ends its span with the
+/// pair, so the next pull carries its outcome.
 ///
 /// The trace layout is: [warm phase (CLFLUSH setting only)] kMarker
 /// [measured operation] kMarker — benches compute the measured-region
@@ -47,7 +50,7 @@ class CopyInitTrace final : public cpu::TraceSource {
                 std::vector<smc::CopyPlanEntry> copy_plan,
                 std::vector<smc::InitPlanEntry> init_plan);
 
-  bool next(cpu::TraceRecord& out, bool last_rowclone_ok) override;
+  std::span<const cpu::TraceRecord> pull(bool last_rowclone_ok) override;
 
   std::size_t rows() const;
 
@@ -71,7 +74,7 @@ class CopyInitTrace final : public cpu::TraceSource {
   Phase phase_ = Phase::kWarm;
   std::size_t row_index_ = 0;
   bool awaiting_feedback_ = false;
-  std::deque<cpu::TraceRecord> pending_;
+  std::vector<cpu::TraceRecord> pending_;  ///< The last pull's records.
 };
 
 }  // namespace easydram::workloads

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -420,17 +422,16 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
   /// Trace source that emits one rowclone pair then reports the feedback.
   class FeedbackProbe final : public TraceSource {
    public:
-    bool next(TraceRecord& out, bool last_rowclone_ok) override {
-      if (step_ == 2) saw_ok = last_rowclone_ok;
-      if (step_ > 1) return false;
-      out = TraceRecord{};
-      out.op = step_ == 0 ? Op::kRowClone : Op::kRowCloneDst;
-      out.set_addr(step_ == 0 ? 0 : 8192);
-      ++step_;
-      return true;
+    std::span<const TraceRecord> pull(bool last_rowclone_ok) override {
+      if (pulls_++ == 0) return pair_;
+      saw_ok = last_rowclone_ok;
+      return {};
     }
-    int step_ = 0;
     bool saw_ok = true;
+
+   private:
+    std::array<TraceRecord, 2> pair_ = rowclone_pair(0, 8192, 0);
+    int pulls_ = 0;
   };
 
   Core core(tiny_core(), tiny_caches());
@@ -550,11 +551,18 @@ class SerialReferenceCore {
       : cfg_(cfg), l1_(caches.l1), l2_(caches.l2) {}
 
   RunResult run(TraceSource& trace, MemoryBackend& mem) {
-    TraceRecord rec;
     bool last_rowclone_ok = true;
     std::uint32_t current_stream = 0;
     mem.set_stream(current_stream);
-    while (trace.next(rec, last_rowclone_ok)) {
+    std::span<const TraceRecord> span;
+    std::size_t next = 0;
+    for (;;) {
+      if (next == span.size()) {
+        span = trace.pull(last_rowclone_ok);
+        next = 0;
+        if (span.empty()) break;
+      }
+      const TraceRecord& rec = span[next++];
       if (rec.stream != current_stream) {
         current_stream = rec.stream;
         mem.set_stream(current_stream);
@@ -623,7 +631,9 @@ class SerialReferenceCore {
           break;
         }
         case Op::kRowClone: {
-          const TraceRecord dst = next_rowclone_dst(trace, last_rowclone_ok);
+          EASYDRAM_EXPECTS(next < span.size() &&
+                           span[next].op == Op::kRowCloneDst);
+          const TraceRecord& dst = span[next++];
           ++result_.rowclones;
           cycle_ += cfg_.rowclone_trigger_cycles.count;
           const Completion c =
@@ -766,15 +776,21 @@ class ScriptedBackend final : public MemoryBackend {
 /// Seeded random trace over every op, with stream switches and gaps up to
 /// UINT32_MAX. It reacts to RowClone feedback the way CopyInitTrace does:
 /// a failed clone is redone with loads and stores, so the records that
-/// follow depend on the outcome. `records` bounds the randomly drawn
-/// records; `lone_dst_at` replaces that one with an unpaired kRowCloneDst.
+/// follow depend on the outcome, and a span ends with the pair. `records`
+/// bounds the randomly drawn records; `lone_dst_at` replaces that one with
+/// an unpaired kRowCloneDst. A pull hands out at most `span_records`
+/// records, except that a RowClone pair always travels whole.
 class FeedbackTrace final : public TraceSource {
  public:
   FeedbackTrace(std::uint64_t seed, std::size_t records,
-                std::size_t lone_dst_at = std::numeric_limits<std::size_t>::max())
-      : rng_(seed), left_(records), lone_dst_at_(lone_dst_at) {}
+                std::size_t lone_dst_at = std::numeric_limits<std::size_t>::max(),
+                std::size_t span_records = 64)
+      : rng_(seed),
+        left_(records),
+        lone_dst_at_(lone_dst_at),
+        span_records_(span_records) {}
 
-  bool next(TraceRecord& out, bool last_rowclone_ok) override {
+  std::span<const TraceRecord> pull(bool last_rowclone_ok) override {
     ++pulls;
     if (awaiting_ && pending_.empty()) {
       awaiting_ = false;
@@ -785,17 +801,26 @@ class FeedbackTrace final : public TraceSource {
         }
       }
     }
-    if (pending_.empty()) {
-      if (left_ == 0) return false;
-      --left_;
-      draw();
+    span_.clear();
+    while (span_.size() < span_records_) {
+      if (pending_.empty()) {
+        if (awaiting_ || left_ == 0) break;
+        --left_;
+        draw();
+      }
+      span_.push_back(pending_.front());
+      pending_.pop_front();
+      if (span_.back().op == Op::kRowClone) {
+        span_.push_back(pending_.front());
+        pending_.pop_front();
+      }
     }
-    out = pending_.front();
-    pending_.pop_front();
-    return true;
+    handed.insert(handed.end(), span_.begin(), span_.end());
+    return span_;
   }
 
   std::size_t pulls = 0;
+  std::vector<TraceRecord> handed;  ///< Every record pulled, in order.
 
  private:
   void draw() {
@@ -839,12 +864,14 @@ class FeedbackTrace final : public TraceSource {
   SplitMix64 rng_;
   std::size_t left_;
   std::size_t lone_dst_at_;
+  std::size_t span_records_;
   std::size_t drawn_ = 0;
   std::uint16_t stream_ = 0;
   bool awaiting_ = false;
   std::uint64_t clone_src_ = 0;
   std::uint64_t clone_dst_ = 0;
   std::deque<TraceRecord> pending_;
+  std::vector<TraceRecord> span_;
 };
 
 void expect_same_result(const RunResult& want, const RunResult& got) {
@@ -914,6 +941,92 @@ TEST(PipelinedCoreTest, MatchesTheSerialReferenceCallForCall) {
       }
     }
   }
+}
+
+TEST(PipelinedCoreTest, SpanBoundariesLeaveTheRunUnchanged) {
+  // The same feedback-driven trace, pulled one record at a time (a RowClone
+  // pair as one span of two), then replayed from what it handed out as one
+  // SpanTrace span. The scripted backend answers by submission order, so
+  // the replay sees the same RowClone outcomes, and every backend call and
+  // counter must match.
+  std::uint64_t seed = 100;
+  for (const std::uint32_t width : {1u, 3u}) {
+    for (const bool blocking : {false, true}) {
+      for (const bool streaming : {false, true}) {
+        ++seed;
+        CoreConfig cfg = tiny_core();
+        cfg.issue_width = width;
+        cfg.mlp = 2;
+        cfg.store_buffer = 3;
+        cfg.blocking_loads = blocking;
+        cfg.write_streaming = streaming;
+        cfg.rowclone_trigger_cycles = Cycles{37};
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " width " << width << " blocking "
+                     << blocking << " streaming " << streaming);
+
+        constexpr std::size_t kRecords = 12'000;
+        ScriptedBackend one_mem(seed);
+        FeedbackTrace one_trace(seed, kRecords,
+                                std::numeric_limits<std::size_t>::max(),
+                                /*span_records=*/1);
+        const RunResult one =
+            Core(cfg, reference_caches()).run(one_trace, one_mem);
+
+        ScriptedBackend all_mem(seed);
+        SpanTrace all_trace(one_trace.handed);
+        const RunResult all =
+            Core(cfg, reference_caches()).run(all_trace, all_mem);
+
+        ASSERT_EQ(one_mem.log.size(), all_mem.log.size());
+        for (std::size_t i = 0; i < one_mem.log.size(); ++i) {
+          ASSERT_EQ(one_mem.log[i], all_mem.log[i]) << "call " << i;
+        }
+        expect_same_result(one, all);
+        // One pull per record or pair, plus the empty pull that ends it.
+        EXPECT_EQ(one_trace.pulls, one_trace.handed.size() -
+                                       static_cast<std::size_t>(one.rowclones) + 1);
+        EXPECT_GT(all.rowclone_fallbacks, 0);
+        EXPECT_GT(all.rowclones, all.rowclone_fallbacks);
+        const auto switches = std::count_if(
+            all_mem.log.begin(), all_mem.log.end(),
+            [](const Call& c) { return c.kind == 's' && c.a != 0; });
+        EXPECT_GT(switches, 1);
+      }
+    }
+  }
+}
+
+TEST(PipelinedCoreTest, RowClonePairSplitAcrossSpansViolatesTheContract) {
+  /// Hands out a load and a kRowClone, then its kRowCloneDst and a load.
+  class SplitPairTrace final : public TraceSource {
+   public:
+    std::span<const TraceRecord> pull(bool /*last_rowclone_ok*/) override {
+      const std::size_t at = 2 * pulls_++;
+      if (at >= records_.size()) return {};
+      return std::span<const TraceRecord>(records_).subspan(at, 2);
+    }
+
+   private:
+    std::vector<TraceRecord> records_ = {
+        TraceRecord(Op::kLoad, 0), TraceRecord(Op::kRowClone, 8192),
+        TraceRecord(Op::kRowCloneDst, 16384), TraceRecord(Op::kLoad, 64)};
+    std::size_t pulls_ = 0;
+  };
+
+  ScriptedBackend want_mem(5);
+  SplitPairTrace want_trace;
+  EXPECT_THROW(SerialReferenceCore(tiny_core(), reference_caches())
+                   .run(want_trace, want_mem),
+               ContractViolation);
+
+  ScriptedBackend got_mem(5);
+  SplitPairTrace got_trace;
+  Core core(tiny_core(), reference_caches());
+  EXPECT_THROW(core.run(got_trace, got_mem), ContractViolation);
+  EXPECT_EQ(want_mem.log, got_mem.log);
+  EXPECT_TRUE(std::none_of(got_mem.log.begin(), got_mem.log.end(),
+                           [](const Call& c) { return c.kind == 'c'; }));
 }
 
 TEST(PipelinedCoreTest, FilterFailureSurfacesAfterTheCallsBeforeIt) {

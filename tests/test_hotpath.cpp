@@ -4,9 +4,9 @@
 // same decisions as the linked-list table and virtual bank-state walks it
 // replaced; the ring-buffer BoundedFifo must match std::deque semantics
 // under randomized push/pop sequences; the CompletionRing must behave like
-// a map from dense ids to completions; and the structure-of-arrays
-// cpu::Cache must match the array-of-structs cache it replaced, operation
-// by operation.
+// a map from dense ids to completions; and the recency-ordered
+// cpu::Cache must match an array-of-structs cache with LRU stamps,
+// operation by operation.
 
 #include <gtest/gtest.h>
 
@@ -552,11 +552,11 @@ TEST(HotPathPropertyTest, RingFifoContractsStillEnforced) {
 }
 
 // --------------------------------------------------------------------------
-// Structure-of-arrays cpu::Cache vs the array-of-structs reference
+// Recency-ordered cpu::Cache vs the array-of-structs reference
 // --------------------------------------------------------------------------
 
-/// The array-of-structs cache cpu::Cache replaced: one Way record per way,
-/// a separate valid bit, one early-exit scan per lookup. Kept here as the
+/// An array-of-structs cache with LRU stamps: one Way record per way, a
+/// separate valid bit, one early-exit scan per lookup. Kept here as the
 /// behavioral reference for replacement order, dirty tracking and the
 /// hit/miss counters.
 class RefCache {
@@ -660,14 +660,28 @@ class RefCache {
   std::int64_t misses_ = 0;
 };
 
+/// Ways per set the oracle tests cover: every count up to 16, and 32.
+std::vector<std::uint32_t> oracle_ways() {
+  std::vector<std::uint32_t> ways;
+  for (std::uint32_t w = 1; w <= 16; ++w) ways.push_back(w);
+  ways.push_back(32);
+  return ways;
+}
+
+void expect_same_fill(const cpu::FillResult& got, const cpu::FillResult& want) {
+  ASSERT_EQ(got.evicted, want.evicted);
+  ASSERT_EQ(got.evicted_dirty, want.evicted_dirty);
+  ASSERT_EQ(got.evicted_line, want.evicted_line);
+}
+
 /// Drives cpu::Cache and the reference through identical seeded sequences
 /// of every operation (the fused store hit and dirty fill included) over
-/// 1- to 16-way geometries, and requires every return value, every
-/// FillResult and both counters to match. Addresses come from a pool of
-/// three lines per way per set, so sets fill, evict and hold holes left
+/// 1- to 16-way and 32-way geometries, and requires every return value,
+/// every FillResult and both counters to match. Addresses come from a pool
+/// of three lines per way per set, so sets fill, evict and hold holes left
 /// by flushes.
-TEST(HotPathPropertyTest, SoaCacheMatchesArrayOfStructsReference) {
-  for (std::uint32_t ways = 1; ways <= 16; ++ways) {
+TEST(HotPathPropertyTest, RecencyOrderedCacheMatchesArrayOfStructsReference) {
+  for (const std::uint32_t ways : oracle_ways()) {
     for (const std::uint64_t sets : {1u, 2u, 8u}) {
       for (const std::uint32_t line_bytes : {32u, 64u}) {
         const cpu::CacheConfig cfg{sets * ways * line_bytes, ways, line_bytes};
@@ -696,9 +710,8 @@ TEST(HotPathPropertyTest, SoaCacheMatchesArrayOfStructsReference) {
               const cpu::FillResult got = cache.fill(line, dirty);
               const cpu::FillResult want = ref.fill(line);
               if (dirty) ref.mark_dirty(line);
-              ASSERT_EQ(got.evicted, want.evicted);
-              ASSERT_EQ(got.evicted_dirty, want.evicted_dirty);
-              ASSERT_EQ(got.evicted_line, want.evicted_line);
+              expect_same_fill(got, want);
+              if (HasFatalFailure()) return;
               break;
             }
             case 5:
@@ -722,6 +735,90 @@ TEST(HotPathPropertyTest, SoaCacheMatchesArrayOfStructsReference) {
         }
       }
     }
+  }
+}
+
+/// Fills one set, flushes its most recent line (the front word), then
+/// refills the set past capacity: the hole must be taken before any
+/// eviction, and the evictions must then follow LRU order.
+TEST(HotPathPropertyTest, MruFlushThenRefillMatchesReference) {
+  for (const std::uint32_t ways : oracle_ways()) {
+    SCOPED_TRACE(::testing::Message() << ways << " ways");
+    const cpu::CacheConfig cfg{2 * ways * 64, ways, 64};  // Two sets.
+    cpu::Cache cache(cfg);
+    RefCache ref(cfg);
+    constexpr std::uint64_t kStride = 2 * 64;  // Next line of the same set.
+    for (std::uint64_t i = 0; i < ways; ++i) {
+      const bool dirty = i % 3 == 0;
+      expect_same_fill(cache.fill(i * kStride, dirty), ref.fill(i * kStride));
+      if (dirty) ref.mark_dirty(i * kStride);
+    }
+    // Reorder recency, ending on the line to flush.
+    for (std::uint64_t i = 0; i < ways; i += 2) {
+      ASSERT_TRUE(cache.access(i * kStride));
+      ASSERT_TRUE(ref.access(i * kStride));
+    }
+    const std::uint64_t mru = 0;
+    ASSERT_TRUE(cache.access_store(mru));
+    ASSERT_TRUE(ref.access(mru));
+    ref.mark_dirty(mru);
+
+    const cpu::Cache::FlushResult flushed = cache.flush(mru);
+    EXPECT_TRUE(flushed.was_present);
+    EXPECT_TRUE(flushed.was_dirty);
+    ref.flush(mru);
+
+    for (std::uint64_t i = ways; i < 2 * ways + 1; ++i) {
+      const cpu::FillResult got = cache.fill(i * kStride);
+      expect_same_fill(got, ref.fill(i * kStride));
+      if (i == ways) {
+        EXPECT_FALSE(got.evicted) << "the flushed way was not reused";
+      }
+      if (HasFatalFailure()) return;
+    }
+    for (std::uint64_t i = 0; i < 2 * ways + 1; ++i) {
+      ASSERT_EQ(cache.probe(i * kStride), ref.probe(i * kStride)) << "line " << i;
+    }
+    // The other set never saw a fill.
+    EXPECT_FALSE(cache.probe(64));
+    EXPECT_EQ(cache.hits(), ref.hits());
+  }
+}
+
+/// A line's tag packs above the two flag bits of a set word, so the
+/// constructor accepts only geometries whose tag starts at bit 2 or
+/// higher. At that bound the largest line's tag is all ones: it must stay
+/// distinct from the empty word and from line 0, and come back whole when
+/// evicted.
+TEST(HotPathPropertyTest, LargestTagNeverPacksIntoTheEmptyWord) {
+  // 1-byte lines: 4 sets put the tag at bit 2; 2 sets would put it at 1.
+  EXPECT_THROW(cpu::Cache(cpu::CacheConfig{2, 1, 1}), ContractViolation);
+  EXPECT_THROW(cpu::Cache(cpu::CacheConfig{4, 2, 2}), ContractViolation);
+  for (const cpu::CacheConfig& cfg :
+       {cpu::CacheConfig{4, 1, 1}, cpu::CacheConfig{4, 1, 4},
+        cpu::CacheConfig{8, 2, 4}}) {
+    SCOPED_TRACE(::testing::Message() << cfg.size_bytes << " bytes, "
+                                      << cfg.ways << " ways");
+    cpu::Cache cache(cfg);
+    // All ones above the set index: the largest line of set 0.
+    const std::uint64_t set_stride = cfg.size_bytes / cfg.ways;
+    const std::uint64_t top = ~(set_stride - 1);
+    EXPECT_FALSE(cache.probe(top));
+    EXPECT_FALSE(cache.fill(top, /*dirty=*/true).evicted);
+    EXPECT_TRUE(cache.probe(top));
+    EXPECT_FALSE(cache.probe(0));
+    EXPECT_TRUE(cache.access(top));
+    // Line 0 shares the top line's set; filling past the ways evicts the
+    // top line, dirty and at its own address.
+    cpu::FillResult last;
+    for (std::uint64_t i = 0; i < cfg.ways; ++i) {
+      last = cache.fill(i * set_stride);
+    }
+    EXPECT_TRUE(last.evicted);
+    EXPECT_TRUE(last.evicted_dirty);
+    EXPECT_EQ(last.evicted_line, top);
+    EXPECT_FALSE(cache.probe(top));
+    EXPECT_TRUE(cache.probe(0));
   }
 }
 

@@ -136,14 +136,20 @@ struct CopyInitHarness {
   smc::LinearMapper mapper;
 };
 
+/// Pulls every record, answering each RowClone with `rowclone_feedback`.
+/// A CopyInitTrace span that holds a RowClone must end with its pair,
+/// since the records after it depend on the outcome.
 std::vector<cpu::TraceRecord> collect(cpu::TraceSource& src,
                                       bool rowclone_feedback = true) {
   std::vector<cpu::TraceRecord> out;
-  cpu::TraceRecord r;
   bool ok = true;
-  while (src.next(r, ok)) {
-    out.push_back(r);
-    ok = r.op == cpu::Op::kRowClone ? rowclone_feedback : ok;
+  for (auto span = src.pull(ok); !span.empty(); span = src.pull(ok)) {
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      out.push_back(span[i]);
+      if (span[i].op != cpu::Op::kRowClone) continue;
+      EXPECT_EQ(i + 2, span.size()) << "RowClone pair does not end its span";
+      ok = rowclone_feedback;
+    }
   }
   return out;
 }
