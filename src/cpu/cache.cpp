@@ -22,7 +22,6 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
   tag_shift_ = line_shift_ + static_cast<std::uint32_t>(std::countr_zero(sets));
   set_mask_ = sets - 1;
-  set_bits_ = set_mask_ << line_shift_;
   // A tag has 64 - tag_shift_ bits, so with this shift it packs above the
   // flag bits losslessly; the valid bit keeps every packed word off kEmpty.
   EASYDRAM_EXPECTS(tag_shift_ >= kFlagBits);

@@ -117,7 +117,7 @@ class Cache {
   /// The base address of the line a word of `any_line`'s set holds.
   std::uint64_t line_of(std::uint64_t word, std::uint64_t any_line) const {
     const std::uint64_t tag = word >> kFlagBits;
-    return (tag << tag_shift_) | (any_line & set_bits_);
+    return (tag << tag_shift_) | (any_line & (set_mask_ << line_shift_));
   }
 
   /// Position of `key` in the set (its dirty bit ignored) at or after
@@ -160,7 +160,6 @@ class Cache {
   std::uint32_t line_shift_ = 0;  ///< log2(line_bytes).
   std::uint32_t tag_shift_ = 0;   ///< log2(line_bytes) + log2(sets).
   std::uint64_t set_mask_ = 0;    ///< sets - 1.
-  std::uint64_t set_bits_ = 0;    ///< set_mask_ << line_shift_.
   /// Per way, indexed set * ways + position; position 0 is the most recent.
   std::vector<std::uint64_t> words_;
   std::int64_t hits_ = 0;

@@ -116,9 +116,6 @@ class VectorTrace final : public TraceSource {
     return records_;
   }
 
-  void rewind() { pulled_ = false; }
-  std::size_t size() const { return records_.size(); }
-
  private:
   std::vector<TraceRecord> records_;
   bool pulled_ = false;
@@ -139,9 +136,6 @@ class SpanTrace final : public TraceSource {
     pulled_ = true;
     return records_;
   }
-
-  void rewind() { pulled_ = false; }
-  std::size_t size() const { return records_.size(); }
 
  private:
   std::span<const TraceRecord> records_;
