@@ -4,10 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "bender/interpreter.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
@@ -18,6 +21,7 @@
 #include "smc/addr_map.hpp"
 #include "smc/bloom.hpp"
 #include "smc/scheduler.hpp"
+#include "sys/system.hpp"
 #include "workloads/polybench.hpp"
 
 namespace {
@@ -256,6 +260,111 @@ void BM_ChannelInterleavedToDram(benchmark::State& state) {
   map_random_lines<smc::ChannelInterleavedMapper>(state, geo);
 }
 BENCHMARK(BM_ChannelInterleavedToDram);
+
+/// The per-request submit-to-wait path with one read in flight, as in
+/// e2ebench's chase workload: one channel under jetson_nano_time_scaling,
+/// each read to a random line of 16 MiB issued when the previous one
+/// completes. items/s is completed requests per second.
+void BM_SubmitWaitDependentRead(benchmark::State& state) {
+  sys::EasyDramSystem sysm(sys::jetson_nano_time_scaling());
+  constexpr std::uint64_t kLines = (16u << 20) / 64;
+  std::vector<std::uint64_t> addrs(1u << 16);
+  Xoshiro256ss rng(1);
+  for (std::uint64_t& a : addrs) a = rng.next_below(kLines) * 64;
+  std::int64_t now = 100;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t id = sysm.submit_read(addrs[i++ & (addrs.size() - 1)], now);
+    now = sysm.wait(id).release_cycle + 1;
+  }
+  benchmark::DoNotOptimize(now);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SubmitWaitDependentRead);
+
+/// One e2ebench burst8 window per iteration: 4096 requests (3 reads to 1
+/// write, half sequential lines, half random lines of 256 MiB) submitted
+/// in full to 8 channel-interleaved channels with 512-deep FIFOs, then
+/// waited on in id order. items/s is requests per second.
+void BM_Burst8Window(benchmark::State& state) {
+  sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
+  cfg.geometry.channels = 8;
+  cfg.mapping = smc::MappingKind::kChannelInterleaved;
+  cfg.tile.incoming_fifo_depth = 512;
+  sys::EasyDramSystem sysm(cfg);
+
+  struct Req {
+    std::uint64_t addr;
+    bool write;
+  };
+  constexpr std::size_t kWindow = 4096;
+  constexpr std::uint64_t kLines = (256u << 20) / 64;
+  std::vector<Req> reqs(8 * kWindow);
+  Xoshiro256ss rng(1);
+  std::uint64_t seq = rng.next_below(kLines);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const std::uint64_t line = i % 2 == 0 ? seq++ % kLines : rng.next_below(kLines);
+    reqs[i] = {line * 64, rng.next_below(4) == 0};
+  }
+  std::vector<std::uint64_t> ids(kWindow);
+  std::int64_t now = 100;
+  std::size_t base = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      const Req& q = reqs[base + i];
+      const auto at = now + static_cast<std::int64_t>(i);
+      ids[i] = q.write ? sysm.submit_write(q.addr, at) : sysm.submit_read(q.addr, at);
+    }
+    now += static_cast<std::int64_t>(kWindow);
+    for (const std::uint64_t id : ids) now = std::max(now, sysm.wait(id).release_cycle);
+    base = (base + kWindow) % reqs.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kWindow));
+}
+BENCHMARK(BM_Burst8Window)->Unit(benchmark::kMillisecond);
+
+/// The device's cell store through its backdoor: each iteration reads one
+/// line and writes it to a second location. Arg 0 walks an 8 MiB row-major
+/// copy from bank 0 to bank 1 (streaming, column fastest); arg 1 copies
+/// between random lines of a 16 MiB region spread over every bank. items/s
+/// is line operations (a read or a write) per second.
+void BM_LineStoreBackdoor(benchmark::State& state) {
+  const dram::Geometry geo;
+  dram::DramDevice dev(geo, dram::ddr4_1333(), fast_variation());
+  const bool random = state.range(0) != 0;
+  const std::uint32_t cols = geo.cols_per_row();
+  std::vector<std::array<dram::DramAddress, 2>> pairs(1u << 17);
+  Xoshiro256ss rng(1);
+  // Line x of the random region: bank in the low bits, then column, then row.
+  const auto spread = [&](std::uint64_t x) {
+    return dram::DramAddress{static_cast<std::uint32_t>(x % 16),
+                             static_cast<std::uint32_t>(x / 16 / cols),
+                             static_cast<std::uint32_t>(x / 16 % cols)};
+  };
+  for (std::uint32_t i = 0; i < pairs.size(); ++i) {
+    if (random) {
+      constexpr std::uint64_t kRegionLines = (16u << 20) / 64;
+      pairs[i] = {spread(rng.next_below(kRegionLines)),
+                  spread(rng.next_below(kRegionLines))};
+    } else {
+      const dram::DramAddress src{0, i / cols, i % cols};
+      pairs[i] = {src, dram::DramAddress{1, src.row, src.col}};
+    }
+    std::array<std::uint8_t, 64> line{};
+    line[0] = static_cast<std::uint8_t>(i);
+    dev.backdoor_write(pairs[i][0], line);
+  }
+  std::array<std::uint8_t, 64> buf{};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [src, dst] = pairs[i++ & (pairs.size() - 1)];
+    dev.backdoor_read(src, buf);
+    dev.backdoor_write(dst, buf);
+  }
+  benchmark::DoNotOptimize(buf);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_LineStoreBackdoor)->ArgName("random")->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -29,14 +29,16 @@ ExecutionResult Interpreter::execute(const Program& program, Picoseconds start,
       wdata = program.wdata()[inst.wdata_index];
     }
     // Command placement: exact commands issue min_gap after the previous
-    // command; nominal commands are additionally delayed until the
-    // device's timing parameters allow them.
-    Picoseconds issue_at = std::max(t, last_cmd_issue + inst.min_gap);
-    if (inst.respect_nominal) {
-      issue_at = std::max(issue_at, device_->earliest_legal(inst.cmd, inst.addr));
-    }
-    t = issue_at;
-    const dram::IssueResult ir = device_->issue(inst.cmd, inst.addr, t, wdata);
+    // command, on the device's checked path (their violations are the
+    // point); nominal commands are additionally delayed until the device's
+    // timing parameters allow them, which the nominal path does in the
+    // same call that issues them.
+    const Picoseconds cursor = std::max(t, last_cmd_issue + inst.min_gap);
+    const dram::IssueResult ir =
+        inst.respect_nominal
+            ? device_->issue_nominal(inst.cmd, inst.addr, cursor, wdata)
+            : device_->issue(inst.cmd, inst.addr, cursor, wdata);
+    t = ir.at;
     last_cmd_issue = t;
     result.violations |= ir.violations;
     if (ir.rowclone_attempted) {

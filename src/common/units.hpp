@@ -131,6 +131,8 @@ class Frequency {
   constexpr Picoseconds cycles_to_ps(std::int64_t cycles) const {
     if (static_cast<std::uint64_t>(cycles) < cycles_fast_end_) {
       const auto c = static_cast<std::uint64_t>(cycles);
+      // A whole-picosecond period (a == 1): (2cb + 1) / 2 is exactly cb.
+      if (a_ == 1) return Picoseconds{static_cast<std::int64_t>(c * b_)};
       const std::uint64_t num = 2 * c * b_ + a_;
       return Picoseconds{static_cast<std::int64_t>(twice_a_.divide(num))};
     }

@@ -228,8 +228,9 @@ inline void DramDevice::for_each_rule(Command c, const DramAddress& a, F&& f) co
   }
 }
 
-Picoseconds DramDevice::earliest_legal(Command c, const DramAddress& a) const {
-  Picoseconds t = now_;
+Picoseconds DramDevice::place(Command c, const DramAddress& a,
+                              Picoseconds from) const {
+  Picoseconds t = from;
   for_each_rule(c, a, [&t](Picoseconds not_before, Violation) {
     if (t < not_before) t = not_before;
   });
@@ -273,9 +274,24 @@ void DramDevice::skip_refresh(std::uint32_t rank) {
 
 IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
                               std::span<const std::uint8_t> wdata) {
+  return apply<true>(c, a, at, wdata);
+}
+
+IssueResult DramDevice::issue_nominal(Command c, const DramAddress& a,
+                                      Picoseconds cursor,
+                                      std::span<const std::uint8_t> wdata) {
+  // Placed at or after every rule's not_before, the command breaks none,
+  // so the checked path's violation walk would only confirm zero bits.
+  return apply<false>(c, a, place(c, a, std::max(cursor, now_)), wdata);
+}
+
+template <bool kChecked>
+IssueResult DramDevice::apply(Command c, const DramAddress& a, Picoseconds at,
+                              std::span<const std::uint8_t> wdata) {
   EASYDRAM_EXPECTS(at >= now_);
   EASYDRAM_EXPECTS(a.rank < ranks_.size());
-  IssueResult res;
+  IssueResult res;  // `data` stays unfilled unless the command returns data.
+  res.at = at;
   now_ = at;
   ++cmd_counts_[static_cast<std::size_t>(c)];
 
@@ -289,7 +305,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
       BankState& b = banks_[fbank];
       RankState& r = ranks_[a.rank];
       if (b.active) res.violations |= kBankNotIdle;
-      res.violations |= timing_violations(Command::kAct, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kAct, a, at);
+      }
       const std::uint32_t group = group_of(a.bank);
 
       // RowClone: this ACT completes ACT(src) -> early PRE -> early ACT(dst).
@@ -340,7 +358,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         res.violations |= kBankNotActive;
         return res;
       }
-      res.violations |= timing_violations(Command::kPre, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kPre, a, at);
+      }
 
       const Picoseconds act_to_pre = at - b.act_time;
       const auto early_threshold = Picoseconds{static_cast<std::int64_t>(
@@ -358,7 +378,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
     }
 
     case Command::kPreAll: {
-      res.violations |= timing_violations(Command::kPreAll, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kPreAll, a, at);
+      }
       for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
         BankState& b = banks_[geo_.flat_bank(a.rank, bank)];
         if (!b.active) continue;
@@ -384,7 +406,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         for (auto& byte : res.data) byte = static_cast<std::uint8_t>(sm.next());
         return res;
       }
-      res.violations |= timing_violations(Command::kRead, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kRead, a, at);
+      }
       const std::uint32_t group = group_of(a.bank);
       // At or above the field's ceiling every line reads reliably; only a
       // reduced-tRCD read needs the per-line lookup.
@@ -426,7 +450,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
         res.violations |= kBankNotActive;
         return res;  // Write to a closed row is dropped.
       }
-      res.violations |= timing_violations(Command::kWrite, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kWrite, a, at);
+      }
       const std::uint32_t group = group_of(a.bank);
 
       std::memcpy(cells_.line_data(fbank, a.row, a.col).data(), wdata.data(), 64);
@@ -447,7 +473,9 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
 
     case Command::kRef: {
       RankState& r = ranks_[a.rank];
-      res.violations |= timing_violations(Command::kRef, a, at);
+      if constexpr (kChecked) {
+        res.violations |= timing_violations(Command::kRef, a, at);
+      }
       for (std::uint32_t bank = 0; bank < geo_.num_banks(); ++bank) {
         BankState& b = banks_[geo_.flat_bank(a.rank, bank)];
         if (b.active) res.violations |= kRefreshNotIdle;

@@ -46,10 +46,15 @@ enum Violation : std::uint32_t {
 
 /// Result of issuing one command.
 struct IssueResult {
+  /// When the command issued: the caller's time for DramDevice::issue, the
+  /// placed time for DramDevice::issue_nominal.
+  Picoseconds at;
   std::uint32_t violations = kNone;
-  /// Data returned by kRead. Valid (possibly corrupted) even under timing
-  /// violations, mirroring a real chip that always returns *something*.
-  std::array<std::uint8_t, 64> data{};
+  /// Data returned by kRead, valid only when `has_data` (left uninitialized
+  /// otherwise, so commands without data pay no 64-byte fill). Valid
+  /// (possibly corrupted) even under timing violations, mirroring a real
+  /// chip that always returns *something*.
+  std::array<std::uint8_t, 64> data;
   bool has_data = false;
   /// kRead only: false when the access used an effective tRCD below the
   /// line's minimum reliable value and returned corrupted data.
@@ -107,17 +112,31 @@ class DramDevice {
   /// otherwise). `a.rank` selects the rank; `a.channel` is ignored (a
   /// device *is* one channel). Never rejects a command — out-of-spec
   /// issue selects the behavioural model and reports violations.
+  /// This is the checked path: every nominal timing rule is evaluated
+  /// against `at` and each one broken sets its bit in `violations`.
   IssueResult issue(Command c, const DramAddress& a, Picoseconds at,
                     std::span<const std::uint8_t> wdata = {});
+
+  /// The nominal path, for `respect_nominal` commands (bender::Interpreter
+  /// is its caller): issues `c` to `a` at the first time at or after
+  /// `cursor` (and now()) that breaks no nominal timing rule, found in one
+  /// walk of the rules, and returns that time in IssueResult::at. The
+  /// result is what issue(c, a, max(cursor, earliest_legal(c, a)), wdata)
+  /// would return, timing bits (then always clear) skipped: state bits
+  /// (kBankNotIdle, kBankNotActive, kRefreshNotIdle) are still reported.
+  /// Preconditions as for issue and earliest_legal.
+  IssueResult issue_nominal(Command c, const DramAddress& a, Picoseconds cursor,
+                            std::span<const std::uint8_t> wdata = {});
 
   /// Earliest absolute time (Picoseconds, >= now()) at which `c` could be
   /// issued to `a` without violating any *nominal* timing parameter: issue
   /// at this time flags no timing bit, and one picosecond earlier flags
-  /// one. The library's caller is bender::Interpreter, for
-  /// `respect_nominal` commands; techniques ignore it deliberately.
+  /// one. Techniques ignore it deliberately.
   /// Precondition: `a.rank` < num_ranks(), and `a.bank` < num_banks() for
   /// per-bank commands (REF and PREA ignore `a.bank`).
-  Picoseconds earliest_legal(Command c, const DramAddress& a) const;
+  Picoseconds earliest_legal(Command c, const DramAddress& a) const {
+    return place(c, a, now_);
+  }
 
   /// Open row of `bank` in `rank`, if any. Preconditions: bank <
   /// Geometry::num_banks(), rank < num_ranks(). Inline: the FR-FCFS scan
@@ -411,9 +430,16 @@ class DramDevice {
   /// precondition on `a`.
   template <class F>
   void for_each_rule(Command c, const DramAddress& a, F&& f) const;
+  /// The latest of `from` and every rule's not_before for `c` to `a`.
+  Picoseconds place(Command c, const DramAddress& a, Picoseconds from) const;
   /// Bits of the rules that issuing `c` to `a` at `at` breaks.
   std::uint32_t timing_violations(Command c, const DramAddress& a,
                                   Picoseconds at) const;
+  /// Applies `c` at `at`: the body of issue (kChecked, which adds the
+  /// timing bits) and of issue_nominal (which places `at` first).
+  template <bool kChecked>
+  IssueResult apply(Command c, const DramAddress& a, Picoseconds at,
+                    std::span<const std::uint8_t> wdata);
 
   /// RowHammer accounting hooks (no-ops unless tracking is enabled).
   void note_hammer_act(std::uint32_t fbank, std::uint32_t row);

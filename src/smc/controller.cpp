@@ -33,10 +33,9 @@ bool MemoryController::step(EasyApi& api) {
   // software request table (Fig. 6 steps 4-5).
   while (!api.req_empty() && !table_.full()) {
     if (!api.keeper().counters().critical()) api.set_scheduling_state(true);
-    tile::Request req = api.receive_request();
-    TableEntry entry;
-    entry.dram_addr = api.get_addr_mapping(req.paddr);
-    entry.request = std::move(req);
+    // Built in place from the FIFO's head; the table stamps arrival_seq.
+    TableEntry entry{api.receive_request(), {}, 0};
+    entry.dram_addr = api.get_addr_mapping(entry.request.paddr);
     api.charge(api.tile().meter().costs().table_insert);
     streams_.note_arrival(entry.request.stream_id);
     table_.insert(std::move(entry));
@@ -117,7 +116,7 @@ void MemoryController::flush_mitigation(EasyApi& api) {
   injecting_mitigation_ = false;
 }
 
-void MemoryController::serve(EasyApi& api, TableEntry entry) {
+void MemoryController::serve(EasyApi& api, TableEntry&& entry) {
   switch (entry.request.kind) {
     case tile::RequestKind::kRead:
     case tile::RequestKind::kWrite:
@@ -139,7 +138,7 @@ Picoseconds MemoryController::trcd_for(const dram::DramAddress& a,
   return options_.reduced_trcd;
 }
 
-void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
+void MemoryController::serve_column_batch(EasyApi& api, TableEntry&& first) {
   const dram::DramAddress target = first.dram_addr;
 
   // Drain further column requests to the same row into this batch: the
@@ -227,7 +226,7 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
       resp.data = rb.data;
       resp.data_reliable = rb.reliable;
     }
-    api.enqueue_response(resp);
+    api.enqueue_response(std::move(resp));
   }
 }
 
@@ -391,14 +390,14 @@ void MemoryController::serve_rowclone(EasyApi& api, const TableEntry& entry) {
     // Unverified or failing pair: tell the processor to fall back to
     // load/store copy (§7.1, "Source and Target Row Allocation").
     resp.ok = false;
-    api.enqueue_response(resp);
+    api.enqueue_response(std::move(resp));
     return;
   }
 
   api.rowclone(src.bank, src.row, dst.row, src.rank);
   const auto exec = api.flush_commands();
   resp.ok = exec.rowclone_attempts == exec.rowclone_successes;
-  api.enqueue_response(resp);
+  api.enqueue_response(std::move(resp));
 }
 
 void MemoryController::serve_profile(EasyApi& api, const TableEntry& entry) {
@@ -424,7 +423,7 @@ void MemoryController::serve_profile(EasyApi& api, const TableEntry& entry) {
   resp.id = entry.request.id;
   resp.stream_id = entry.request.stream_id;
   resp.ok = std::memcmp(rb.data.data(), pattern.data(), 64) == 0;
-  api.enqueue_response(resp);
+  api.enqueue_response(std::move(resp));
 }
 
 bool SimpleReadController::step(EasyApi& api) {
@@ -443,7 +442,7 @@ bool SimpleReadController::step(EasyApi& api) {
   resp.stream_id = req.stream_id;
   resp.has_data = true;
   resp.data = api.rdback_cacheline().data;
-  api.enqueue_response(resp);
+  api.enqueue_response(std::move(resp));
   api.set_scheduling_state(false);
   return true;
 }

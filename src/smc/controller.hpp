@@ -118,9 +118,9 @@ class MemoryController final : public Controller, public ActSink {
   /// Injects one targeted-refresh program per collected victim row and
   /// flushes it (charged — mitigation work delays real requests).
   void flush_mitigation(EasyApi& api);
-  void serve(EasyApi& api, TableEntry entry);
+  void serve(EasyApi& api, TableEntry&& entry);
   /// Serves `first` plus every same-row column request drained with it.
-  void serve_column_batch(EasyApi& api, TableEntry first);
+  void serve_column_batch(EasyApi& api, TableEntry&& first);
   void serve_rowclone(EasyApi& api, const TableEntry& entry);
   void serve_profile(EasyApi& api, const TableEntry& entry);
 

@@ -69,7 +69,7 @@ tile::Request EasyApi::receive_request() {
   return tile_->incoming().pop();
 }
 
-void EasyApi::enqueue_response(tile::Response r) {
+void EasyApi::enqueue_response(tile::Response&& r) {
   charge_service(tile_->meter().costs().enqueue_response);
   sync_meter();
   r.release_proc_cycle = keeper_->response_release_tag();

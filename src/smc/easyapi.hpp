@@ -128,7 +128,7 @@ class EasyApi final {
 
   /// Tags `r` with the release cycle (Fig. 5 step 10) and pushes it to the
   /// outgoing FIFO.
-  void enqueue_response(tile::Response r);
+  void enqueue_response(tile::Response&& r);
 
   /// Critical-mode register (Table 2: set_scheduling_state).
   void set_scheduling_state(bool critical);

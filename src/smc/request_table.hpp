@@ -67,7 +67,7 @@ class RequestTable {
 
   /// Stages an entry, stamping its arrival sequence number; returns the
   /// slot it was placed in.
-  std::size_t insert(TableEntry entry) {
+  std::size_t insert(TableEntry&& entry) {
     EASYDRAM_EXPECTS(!full());
     const std::uint32_t slot = free_.back();
     free_.pop_back();

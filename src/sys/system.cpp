@@ -289,17 +289,21 @@ smc::WeakRowFilterStats EasyDramSystem::characterize_and_install_weak_rows(
 
 void EasyDramSystem::account_cpu_progress(std::int64_t now) {
   if (now <= last_cpu_cycle_) return;
-  for (auto& ch : channels_) {
-    if (cfg_.mode == timescale::SystemMode::kNoTimeScaling) {
-      // Without time scaling the processor's cycle count *is* the wall clock
-      // at its FPGA frequency: stall cycles already elapsed as SMC/DRAM wall
-      // time, so the wall is synchronized, never double-charged.
-      ch->keeper.advance_wall_to(cfg_.proc_domain.fpga_clock.cycles_to_ps(now));
-    } else {
-      // Under time scaling every emulated cycle — including the replayed
-      // stall windows of Fig. 5(e) — executes on the processor's FPGA clock.
-      ch->keeper.account_proc_cycles(Cycles{now - last_cpu_cycle_});
-    }
+  // Every channel's keeper runs the processor on cfg_.proc_domain's FPGA
+  // clock, so one conversion serves them all.
+  const Frequency& fpga = cfg_.proc_domain.fpga_clock;
+  if (cfg_.mode == timescale::SystemMode::kNoTimeScaling) {
+    // Without time scaling the processor's cycle count *is* the wall clock
+    // at its FPGA frequency: stall cycles already elapsed as SMC/DRAM wall
+    // time, so the wall is synchronized, never double-charged.
+    const Picoseconds wall = fpga.cycles_to_ps(now);
+    for (auto& ch : channels_) ch->keeper.advance_wall_to(wall);
+  } else {
+    // Under time scaling every emulated cycle — including the replayed
+    // stall windows of Fig. 5(e) — executes on the processor's FPGA clock
+    // (TimeKeeper::account_proc_cycles, converted once here).
+    const Picoseconds elapsed = fpga.cycles_to_ps(now - last_cpu_cycle_);
+    for (auto& ch : channels_) ch->keeper.advance_wall(elapsed);
   }
   last_cpu_cycle_ = now;
 }
@@ -372,8 +376,8 @@ void EasyDramSystem::pump_until_fifo_has_room(std::uint32_t channel) {
       1'000'000);
 }
 
-std::uint64_t EasyDramSystem::submit(tile::Request req, std::uint32_t channel,
-                                     std::int64_t now) {
+std::uint64_t EasyDramSystem::submit(tile::Request&& req,
+                                     std::uint32_t channel, std::int64_t now) {
   account_cpu_progress(now);
   pump_until_fifo_has_room(channel);
   ChannelSlice& ch = *channels_[channel];

@@ -305,7 +305,8 @@ class EasyDramSystem final : public cpu::MemoryBackend {
     smc::MemoryController controller;
   };
 
-  std::uint64_t submit(tile::Request req, std::uint32_t channel, std::int64_t now);
+  std::uint64_t submit(tile::Request&& req, std::uint32_t channel,
+                       std::int64_t now);
   /// Channel the line at `paddr` decodes to; skips the mapper entirely on
   /// single-channel systems (the per-request submit hot path).
   std::uint32_t channel_of(std::uint64_t paddr) const;

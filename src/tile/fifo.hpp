@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -28,13 +29,8 @@ class BoundedFifo {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
-  void push(T item) {
-    EASYDRAM_EXPECTS(!full());
-    std::size_t tail = head_ + size_;
-    if (tail >= capacity_) tail -= capacity_;
-    items_[tail] = std::move(item);
-    ++size_;
-  }
+  void push(const T& item) { tail_slot() = item; }
+  void push(T&& item) { tail_slot() = std::move(item); }
 
   T pop() {
     EASYDRAM_EXPECTS(!empty());
@@ -56,6 +52,15 @@ class BoundedFifo {
   }
 
  private:
+  /// Claims the slot behind the last element. Precondition: !full().
+  T& tail_slot() {
+    EASYDRAM_EXPECTS(!full());
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_) tail -= capacity_;
+    ++size_;
+    return items_[tail];
+  }
+
   void advance_head() {
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     --size_;

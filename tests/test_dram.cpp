@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dram/device.hpp"
 
 namespace easydram::dram {
@@ -660,6 +662,104 @@ TEST_F(DeviceTest, CommandCountsTracked) {
   EXPECT_EQ(dev_.commands_issued(Command::kAct), 1);
   EXPECT_EQ(dev_.commands_issued(Command::kRead), 2);
   EXPECT_EQ(dev_.commands_issued(Command::kWrite), 0);
+}
+
+/// The nominal path (issue_nominal) against the checked path
+/// (earliest_legal, then issue) over one seeded random stream on two
+/// devices: 2 ranks of 4 bank groups, ACT bursts that reach tFAW, write
+/// bursts followed by reads (tWTR), PRE, PREA and REF, with commands to
+/// closed banks mixed in for the state bits.
+TEST(NominalIssue, MatchesCheckedPathAndNeverBreaksATimingRule) {
+  Geometry geo;
+  geo.ranks_per_channel = 2;
+  VariationConfig v;
+  v.min_trcd = Picoseconds{1000};
+  v.max_trcd = Picoseconds{1001};
+  const TimingParams t = ddr4_1333();
+  DramDevice checked(geo, t, v);
+  DramDevice nominal(geo, t, v);
+  constexpr std::uint32_t kStateBits = kBankNotIdle | kBankNotActive | kRefreshNotIdle;
+  constexpr std::array kCommands{Command::kAct, Command::kRead, Command::kWrite,
+                                 Command::kPre, Command::kPreAll, Command::kRef};
+
+  Xoshiro256ss rng(0x5EED);
+  Picoseconds cursor{0};
+  std::array<std::uint8_t, 64> wdata{};
+  // Issues one command on both paths and compares everything observable.
+  const auto step = [&](Command c, const DramAddress& a) {
+    for (auto& byte : wdata) byte = static_cast<std::uint8_t>(rng.next());
+    const std::span<const std::uint8_t> w =
+        c == Command::kWrite ? std::span<const std::uint8_t>(wdata)
+                             : std::span<const std::uint8_t>();
+    const Picoseconds at = std::max(cursor, checked.earliest_legal(c, a));
+    const IssueResult want = checked.issue(c, a, at, w);
+    const IssueResult got = nominal.issue_nominal(c, a, cursor, w);
+    SCOPED_TRACE(::testing::Message() << to_string(c) << " rank " << a.rank
+                                      << " bank " << a.bank << " at " << at.count);
+    ASSERT_EQ(want.violations & ~kStateBits, kNone);
+    ASSERT_EQ(got.at, at);
+    ASSERT_EQ(got.violations, want.violations);
+    ASSERT_EQ(got.has_data, want.has_data);
+    if (want.has_data) {
+      ASSERT_EQ(got.data, want.data);
+      ASSERT_EQ(got.data_reliable, want.data_reliable);
+    }
+    ASSERT_EQ(got.rowclone_attempted, want.rowclone_attempted);
+    ASSERT_EQ(got.rowclone_success, want.rowclone_success);
+    // Both devices must leave every later command the same placement.
+    for (const Command next : kCommands) {
+      for (std::uint32_t rank = 0; rank < geo.ranks_per_channel; ++rank) {
+        for (std::uint32_t bank = 0; bank < geo.num_banks(); ++bank) {
+          const DramAddress n{bank, 0, 0, 0, rank};
+          ASSERT_EQ(nominal.earliest_legal(next, n), checked.earliest_legal(next, n));
+        }
+      }
+    }
+    cursor = at + t.tCK * static_cast<std::int64_t>(rng.next_below(4));
+  };
+  // A column address on the open row of (rank, bank), or on a random row
+  // when the bank is closed (a state-bit case).
+  const auto column = [&](std::uint32_t rank, std::uint32_t bank) {
+    const auto open = checked.open_row(bank, rank);
+    const auto row = open ? *open : static_cast<std::uint32_t>(rng.next_below(64));
+    return DramAddress{bank, row, static_cast<std::uint32_t>(rng.next_below(128)), 0,
+                       rank};
+  };
+
+  for (int i = 0; i < 3000 && !::testing::Test::HasFatalFailure(); ++i) {
+    const auto rank = static_cast<std::uint32_t>(rng.next_below(2));
+    const auto bank = static_cast<std::uint32_t>(rng.next_below(16));
+    const std::uint64_t pick = rng.next_below(100);
+    if (pick < 10) {
+      // Back-to-back ACTs across the rank's banks: the fifth meets tFAW.
+      for (std::uint32_t k = 0; k < 6; ++k) {
+        const std::uint32_t b = (bank + 5 * k) % 16;
+        step(Command::kAct, {b, static_cast<std::uint32_t>(rng.next_below(64)), 0, 0, rank});
+      }
+    } else if (pick < 25) {
+      // Writes, then reads of the same rank: the reads meet tWTR.
+      for (int k = 0; k < 2; ++k) step(Command::kWrite, column(rank, bank));
+      const auto other = static_cast<std::uint32_t>(rng.next_below(16));
+      step(Command::kRead, column(rank, other));
+      step(Command::kRead, column(rank, bank));
+    } else if (pick < 45) {
+      step(Command::kAct, {bank, static_cast<std::uint32_t>(rng.next_below(64)), 0, 0, rank});
+    } else if (pick < 65) {
+      step(Command::kRead, column(rank, bank));
+    } else if (pick < 80) {
+      step(Command::kWrite, column(rank, bank));
+    } else if (pick < 94) {
+      step(Command::kPre, {bank, 0, 0, 0, rank});
+    } else if (pick < 98) {
+      step(Command::kPreAll, {0, 0, 0, 0, rank});
+    } else {
+      step(Command::kRef, {0, 0, 0, 0, rank});
+    }
+  }
+  EXPECT_EQ(nominal.now(), checked.now());
+  for (const Command c : kCommands) {
+    EXPECT_EQ(nominal.commands_issued(c), checked.commands_issued(c));
+  }
 }
 
 /// Property sweep: for every command kind, issuing at earliest_legal never

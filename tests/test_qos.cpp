@@ -165,12 +165,12 @@ std::vector<std::uint64_t> bliss_single_source_pick_sequence(
     std::uint32_t rank) {
   RequestTable t(16);
   TableEntry miss = entry(0, bank + 1, 5);  // Closed bank: always a miss.
-  t.insert(miss);
+  t.insert(std::move(miss));
   for (int i = 0; i < 10; ++i) {
     TableEntry hit = entry(0, bank, row);
     hit.dram_addr.channel = channel;
     hit.dram_addr.rank = rank;
-    t.insert(hit);
+    t.insert(std::move(hit));
   }
   // Exactly `row` open in `bank` of `rank`; the miss's bank is one past
   // it, so the view must be sized to cover both.
