@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/contracts.hpp"
+#include "common/table.hpp"
 
 namespace easydram::cli {
 
@@ -85,6 +86,31 @@ std::size_t Json::size() const {
   if (is_array()) return std::get<Array>(value_).size();
   if (is_object()) return std::get<Object>(value_).size();
   return 0;
+}
+
+const Json* Json::find(std::string_view key) const {
+  const Object* obj = std::get_if<Object>(&value_);
+  if (obj == nullptr) return nullptr;
+  for (const auto& [k, v] : *obj) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+const Json* Json::at(std::size_t i) const {
+  const Array* arr = std::get_if<Array>(&value_);
+  return arr != nullptr && i < arr->size() ? &(*arr)[i] : nullptr;
+}
+
+std::string Json::text(int digits) const {
+  EASYDRAM_EXPECTS(!is_array() && !is_object());
+  if (const bool* b = std::get_if<bool>(&value_)) return *b ? "true" : "false";
+  if (const double* d = std::get_if<double>(&value_)) return fmt_fixed(*d, digits);
+  if (const std::int64_t* i = std::get_if<std::int64_t>(&value_)) {
+    return std::to_string(*i);
+  }
+  if (const std::string* s = std::get_if<std::string>(&value_)) return *s;
+  return "null";
 }
 
 void Json::dump(std::ostream& os, int indent) const {

@@ -13,7 +13,8 @@ namespace easydram::cli {
 /// Minimal ordered JSON document builder for the experiment runner's
 /// machine-readable summaries. Insertion order of object keys is preserved
 /// so emitted files diff cleanly across runs; no parsing is provided (the
-/// repository only ever writes JSON).
+/// repository only ever writes JSON). The const accessors let the verbose
+/// renderer read a built document back.
 class Json {
  public:
   using Array = std::vector<Json>;
@@ -43,6 +44,19 @@ class Json {
   void push_back(Json v);
 
   std::size_t size() const;
+
+  /// Object member `key`, or null when this is not an object or has no
+  /// such member.
+  const Json* find(std::string_view key) const;
+
+  /// Array element `i`, or null when this is not an array or `i` is out of
+  /// range.
+  const Json* at(std::size_t i) const;
+
+  /// A scalar as display text: strings verbatim, integers in decimal,
+  /// doubles fixed with `digits` decimals, bools as true/false and null as
+  /// "null". Arrays and objects have no text form.
+  std::string text(int digits) const;
 
   /// Serializes pretty-printed with 2-space indentation; `indent` is the
   /// nesting depth the value starts at (used by the recursion).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iostream>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -15,11 +14,6 @@
 #include "workloads/polybench.hpp"
 
 namespace easydram::cli {
-
-void banner(const std::string& title, const std::string& paper_ref) {
-  std::cout << "\n=== " << title << " ===\n"
-            << "Reproduces: " << paper_ref << "\n\n";
-}
 
 std::string fmt_size(std::uint64_t bytes) {
   if (bytes >= (1u << 20)) return std::to_string(bytes >> 20) + "M";

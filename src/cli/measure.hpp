@@ -34,10 +34,6 @@ struct RepStats {
 /// that produced NaN must fail loudly, not average it away.
 RepStats reduce_reps(std::span<const double> samples, int warmup);
 
-/// Prints a figure/table banner matching the paper artifact being
-/// regenerated.
-void banner(const std::string& title, const std::string& paper_ref);
-
 /// Formats a byte size like the paper's x axes (8K ... 16M).
 std::string fmt_size(std::uint64_t bytes);
 

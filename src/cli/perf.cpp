@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iostream>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -18,7 +18,6 @@
 #include "cli/measure.hpp"
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "sys/system.hpp"
 
 namespace easydram::cli {
@@ -81,8 +80,8 @@ std::int64_t micro_dependent_reads(const PerfOptions& opts) {
   return n;
 }
 
-/// Scenario-wrapped benches: run the registered scenario quietly and time
-/// the whole run. `fig14_sim_speed` is the paper's simulation-speed study
+/// Scenario-wrapped benches: run the registered scenario and time the
+/// whole run. `fig14_sim_speed` is the paper's simulation-speed study
 /// (EasyDRAM model + Ramulator baseline, PolyBench kernels end to end);
 /// `channel_scaling` sweeps the multi-channel subsystem, where most pumped
 /// channels are idle and the idle-channel fast path pays off.
@@ -90,12 +89,12 @@ std::int64_t scenario_bench(std::string_view name, const PerfOptions& opts,
                             std::uint32_t channels) {
   const Scenario* s = ScenarioRegistry::instance().find(name);
   EASYDRAM_EXPECTS(s != nullptr);
-  RunOptions quiet = opts.run;
-  quiet.verbose = false;
-  quiet.iters = 1;
-  quiet.threads = 1;
-  quiet.channels = std::max(quiet.channels, channels);
-  run_scenario(*s, quiet);
+  RunOptions run = opts.run;
+  run.verbose = false;
+  run.iters = 1;
+  run.threads = 1;
+  run.channels = std::max(run.channels, channels);
+  run_scenario(*s, run);
   return 0;
 }
 
@@ -418,31 +417,19 @@ Json perf_results_json(const PerfOptions& opts,
   return doc;
 }
 
-void print_perf_table(std::ostream& os,
-                      const std::vector<PerfBenchOutcome>& outcomes) {
-  TextTable t;
-  t.set_header(
-      {"Bench", "median (s)", "best (s)", "cv", "reqs", "req/s (median)"});
-  for (const PerfBenchOutcome& o : outcomes) {
-    const auto wu = std::min<std::size_t>(static_cast<std::size_t>(o.warmup),
-                                          o.host_seconds.size());
-    if (!o.finite || o.host_seconds.size() <= wu) {
-      t.add_row({o.name, "-", "-", "-",
-                 o.work_items > 0 ? std::to_string(o.work_items) : "-", "-"});
-      continue;
-    }
-    const RepStats r = reduce_reps(o.host_seconds, static_cast<int>(wu));
-    const double rps =
-        o.work_items > 0 && r.median > 0.0
-            ? static_cast<double>(o.work_items) / r.median
-            : 0.0;
-    t.add_row({o.name, fmt_fixed(r.median, 4), fmt_fixed(r.best, 4),
-               fmt_fixed(r.cv, 3),
-               o.work_items > 0 ? std::to_string(o.work_items) : "-",
-               rps > 0.0 ? fmt_fixed(rps, 0) : "-"});
-  }
-  t.print(os);
-  os << "\nHost-clock measurements: load-dependent by design. Warmup reps\n"
+void print_perf_table(std::ostream& os, const Json& results) {
+  // Keys a bench lacks (no statistics when a rep was non-finite, no rate
+  // without work items) print as "-".
+  print_table(os,
+              {"benches",
+               {{"name", "Bench"},
+                {"host_seconds_median", "median (s)", 4},
+                {"host_seconds_best", "best (s)", 4},
+                {"cv", "cv", 3},
+                {"work_items", "reqs"},
+                {"requests_per_second_median", "req/s (median)", 0}}},
+              results);
+  os << "Host-clock measurements: load-dependent by design. Warmup reps\n"
         "are discarded; the median is the headline and cv = stddev/median\n"
         "is the stability score tools/check_bench.py thresholds. Cross-PR\n"
         "comparisons should use the same machine (see docs/bench.md).\n";

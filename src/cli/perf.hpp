@@ -64,9 +64,9 @@ std::vector<PerfBenchOutcome> run_perf_benches(const PerfOptions& opts);
 Json perf_results_json(const PerfOptions& opts,
                        const std::vector<PerfBenchOutcome>& outcomes);
 
-/// Prints the human-readable summary table.
-void print_perf_table(std::ostream& os,
-                      const std::vector<PerfBenchOutcome>& outcomes);
+/// Prints the human-readable summary table, drawn from the `benches` rows
+/// of a perf_results_json document.
+void print_perf_table(std::ostream& os, const Json& results);
 
 /// Lists the registered perf benches (name + summary), one per line.
 void list_perf_benches(std::ostream& os);

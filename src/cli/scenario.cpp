@@ -111,7 +111,6 @@ const Scenario* ScenarioRegistry::find(std::string_view name) const {
 }
 
 Json run_scenario(const Scenario& s, const RunOptions& opts) {
-  if (opts.verbose) banner(std::string(s.summary), std::string(s.paper_ref));
   Json j = Json::object();
   j["scenario"] = s.name;
   j["paper_ref"] = s.paper_ref;
@@ -128,6 +127,21 @@ Json run_scenario(const Scenario& s, const RunOptions& opts) {
   return j;
 }
 
+std::vector<std::string> print_scenario(std::ostream& os, const Scenario& s,
+                                        const Json& run_doc) {
+  os << "\n=== " << s.summary << " ===\nReproduces: " << s.paper_ref << "\n\n";
+  const Json* results = run_doc.find("results");
+  if (results == nullptr) return {"results"};
+  std::vector<std::string> missing;
+  for (const TableSpec& t : s.tables) {
+    for (std::string& m : print_table(os, t, *results)) {
+      missing.push_back(std::move(m));
+    }
+  }
+  if (!s.claim.empty()) os << s.claim << '\n';
+  return missing;
+}
+
 namespace {
 
 struct ParsedArgs {
@@ -136,6 +150,7 @@ struct ParsedArgs {
   std::string out_path;
   bool list = false;
   bool help = false;
+  bool quiet = false;  ///< Skip the human-readable tables.
   bool perf = false;
   int perf_reps = 3;
   int perf_warmup = 1;
@@ -166,6 +181,7 @@ ParsedArgs parse_args(int argc, char** argv) {
     } else if (arg == "--list") {
       a.list = true;
     } else if (arg == "--quiet" || arg == "-q") {
+      a.quiet = true;
       a.opts.verbose = false;
     } else if (arg == "--scenario") {
       if (const char* v = value()) a.scenarios.emplace_back(v);
@@ -289,7 +305,8 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --perf-scale X   multiplier on the micro benches' iteration\n"
         "                   budgets (scenario benches always run whole)\n"
         "  --out PATH       write the JSON summary to PATH\n"
-        "  --quiet          suppress the human-readable tables\n\n"
+        "  --quiet          print no human-readable tables (each is drawn\n"
+        "                   from the JSON results; see docs/scenarios.md)\n\n"
         "The paper scenarios always run the validated 1-channel/1-rank\n"
         "geometry; --channels/--ranks/--mapping shape the memory-system\n"
         "scenarios (channel_scaling, rank_interleaving).\n\n"
@@ -344,7 +361,8 @@ int scenario_main(int argc, char** argv) {
       std::cerr << prog << ": " << e.what() << "\n";
       return 2;
     }
-    if (a.opts.verbose) print_perf_table(std::cout, outcomes);
+    const Json doc = perf_results_json(popts, outcomes);
+    if (!a.quiet) print_perf_table(std::cout, doc);
     if (!a.out_path.empty()) {
       std::ofstream out(a.out_path);
       if (!out) {
@@ -352,8 +370,8 @@ int scenario_main(int argc, char** argv) {
                   << " for writing\n";
         return 1;
       }
-      out << perf_results_json(popts, outcomes).dump_string();
-      if (a.opts.verbose) {
+      out << doc.dump_string();
+      if (!a.quiet) {
         std::cout << "\nWrote perf results to " << a.out_path << "\n";
       }
     }
@@ -378,6 +396,7 @@ int scenario_main(int argc, char** argv) {
       return 2;
     }
     run_docs.push_back(run_scenario(*s, a.opts));
+    if (!a.quiet) print_scenario(std::cout, *s, run_docs.back());
   }
 
   if (!a.out_path.empty()) {
@@ -395,7 +414,7 @@ int scenario_main(int argc, char** argv) {
       for (Json& r : run_docs) doc.push_back(std::move(r));
       out << doc.dump_string();
     }
-    if (a.opts.verbose) {
+    if (!a.quiet) {
       std::cout << "\nWrote JSON summary to " << a.out_path << "\n";
     }
   }

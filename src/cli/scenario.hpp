@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "cli/json.hpp"
+#include "cli/render.hpp"
 #include "common/contracts.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/scheduler.hpp"
@@ -111,15 +113,19 @@ Json per_rep_json(const Sweep<T>& s, F&& f) {
 
 /// One registered experiment: a figure/table reproducer or an ablation.
 /// `run` executes the sweep under the given options and returns the
-/// machine-readable result payload (it may also print tables when
-/// opts.verbose). Scenarios are pure functions of RunOptions: a fixed
-/// (seed, iters) pair yields an identical payload at any --threads value,
-/// except where a scenario explicitly measures the host clock (fig14).
+/// machine-readable result payload, the single source of every output: it
+/// prints nothing, and print_scenario draws the human-readable view from
+/// the payload with `tables` and `claim`. Scenarios are pure functions of
+/// RunOptions: a fixed (seed, iters) pair yields an identical payload at
+/// any --threads value, except where a scenario explicitly measures the
+/// host clock (fig14).
 struct Scenario {
   std::string_view name;
   std::string_view summary;
   std::string_view paper_ref;
   Json (*run)(const RunOptions& opts);
+  std::vector<TableSpec> tables = {};  ///< The verbose tables, in order.
+  std::string_view claim = {};  ///< Expected-shape prose after the tables.
 };
 
 /// Name-keyed registry of every scenario, populated at first use from the
@@ -142,6 +148,12 @@ class ScenarioRegistry {
 /// Runs one scenario and wraps its payload in the standard envelope
 /// (scenario, paper_ref, seed, iters, threads, results).
 Json run_scenario(const Scenario& s, const RunOptions& opts);
+
+/// Prints one run_scenario document for a human: the banner, each of
+/// `s.tables` drawn from its `results`, then `s.claim`. Returns the cells
+/// that did not resolve (see print_table); a correct spec returns none.
+std::vector<std::string> print_scenario(std::ostream& os, const Scenario& s,
+                                        const Json& run_doc);
 
 /// main() of the `easydram_cli` tool. Flags: --scenario NAME (at least
 /// one unless --list, --help or --perf), --list, --seed N, --iters N,
