@@ -4,14 +4,12 @@
 
 #include <array>
 #include <cmath>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "workloads/polybench.hpp"
 
 namespace easydram::cli {
@@ -65,20 +63,15 @@ Json run_quickstart(const RunOptions& opts) {
     return r;
   });
 
-  TextTable t;
-  t.set_header({"rep", "read latency (cycles)", "64K chase (cycles/load)"});
   Json rep_list = Json::array();
   for (int i = 0; i < reps.reps(); ++i) {
     const Rep& r = reps.rep(i)[0];
-    t.add_row({std::to_string(i), std::to_string(r.read_latency),
-               fmt_fixed(r.chase_cpl, 2)});
     Json j = Json::object();
     j["seed"] = static_cast<std::int64_t>(r.seed);
     j["read_latency_cycles"] = r.read_latency;
     j["chase_cycles_per_load"] = r.chase_cpl;
     rep_list.push_back(std::move(j));
   }
-  if (opts.verbose) t.print(std::cout);
 
   Json out = Json::object();
   out["reps"] = std::move(rep_list);
@@ -150,13 +143,8 @@ Json run_fig2(const RunOptions& opts) {
   };
 
   Json rows = Json::array();
-  TextTable t;
-  t.set_header({"Configuration", "Processing (ns)", "Scheduling (ns)",
-                "Main memory (ns)"});
   for (std::size_t which = 0; which < std::size(kConfigs); ++which) {
     const RequestBreakdown& b = all.rep(0)[which];
-    t.add_row({kConfigs[which].name, fmt_fixed(b.processing_ns, 1),
-               fmt_fixed(b.scheduling_ns, 1), fmt_fixed(b.memory_ns, 1)});
     Json j = Json::object();
     j["config"] = kConfigs[which].name;
     j["processing_ns"] = b.processing_ns;
@@ -167,19 +155,6 @@ Json run_fig2(const RunOptions& opts) {
 
   const auto [memory_constant, smc_stretches_sched, ts_restores] =
       shape_checks(all.rep(0));
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nExpected shape (paper Fig. 2): FPGA configs stretch\n"
-                 "processing; the software MC stretches scheduling; main\n"
-                 "memory stays constant; time scaling restores the real\n"
-                 "system's proportions on the emulated timeline.\n";
-    std::cout << "\nChecks: memory-constant=" << (memory_constant ? "yes" : "NO")
-              << " smc-stretches-scheduling="
-              << (smc_stretches_sched ? "yes" : "NO")
-              << " ts-restores-processing=" << (ts_restores ? "yes" : "NO")
-              << "\n";
-  }
 
   Json out = Json::object();
   out["configs"] = std::move(rows);
@@ -234,30 +209,15 @@ Json run_fig8(const RunOptions& opts) {
         return p;
       });
 
-  TextTable t;
-  t.set_header({"Size (KiB)", "EasyDRAM - No Time Scaling",
-                "EasyDRAM - Time Scaling", "Cortex A57 (2 MiB L2)"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const Point& p = all.rep(0)[i];
-    t.add_row({std::to_string(sizes[i] / 1024), fmt_fixed(p.nts, 1),
-               fmt_fixed(p.ts, 1), fmt_fixed(p.a57, 1)});
     Json j = Json::object();
     j["bytes"] = sizes[i];
     j["no_time_scaling"] = p.nts;
     j["time_scaling"] = p.ts;
     j["cortex_a57"] = p.a57;
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout
-        << "\nExpected shape (paper Fig. 8): the No-Time-Scaling curve\n"
-           "shows a much lower main-memory plateau (few tens of cycles at\n"
-           "50 MHz); Time Scaling tracks the Cortex A57 profile, with the\n"
-           "L2->memory transition at 512 KiB instead of 2 MiB because the\n"
-           "EasyDRAM build has a smaller L2 (noted in the paper).\n";
   }
 
   Json out = Json::object();
@@ -278,15 +238,11 @@ Json run_fig14(const RunOptions& opts) {
         return measure_sim_speed(names[point], seed);
       });
 
-  TextTable t;
-  t.set_header({"Workload", "EasyDRAM (MHz)", "Ramulator 2.0 (MHz)", "Ratio"});
   Json rows = Json::array();
   std::vector<double> ratios;
   for (std::size_t i = 0; i < names.size(); ++i) {
     const SimSpeed& s = all.rep(0)[i];
     ratios.push_back(s.ratio);
-    t.add_row({std::string(names[i]), fmt_fixed(s.easy_mhz, 2),
-               fmt_fixed(s.ram_mhz, 2), fmt_fixed(s.ratio, 1) + "x"});
     Json j = Json::object();
     j["workload"] = names[i];
     j["easydram_mhz"] = s.easy_mhz;
@@ -295,24 +251,6 @@ Json run_fig14(const RunOptions& opts) {
     rows.push_back(std::move(j));
   }
   const double geo = geomean(ratios, GeomeanPolicy::kSkipNonPositive);
-  t.add_row({"geomean", "", "", fmt_fixed(geo, 1) + "x"});
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    Summary s;
-    for (double v : ratios) s.add(v);
-    std::cout << "\nPaper: EasyDRAM averages 5.9x (max 20.3x) faster than\n"
-                 "Ramulator 2.0, with the gap growing as memory intensity falls\n"
-                 "(durbin, ~0.01 LLC MPKC, shows the maximum). Measured here:\n"
-                 "avg " << fmt_fixed(s.mean(), 1) << "x, max "
-              << fmt_fixed(s.max(), 1)
-              << "x. Note: the Ramulator column depends on host CPU speed; the\n"
-                 "EasyDRAM column is a deterministic model output. The host-\n"
-                 "speed overhaul made this repository's Ramulator baseline\n"
-                 "itself ~2.5x faster, so measured ratios here are smaller\n"
-                 "than the paper's (and than pre-overhaul runs) by exactly\n"
-                 "that baseline speedup — a host artifact, not a model change.\n";
-  }
 
   Json out = Json::object();
   out["host_clock_dependent"] = true;  // Ramulator MHz reads the host clock.
@@ -341,25 +279,6 @@ Json run_table1(const RunOptions& opts) {
   });
   const double speed_hz = speeds.rep(0)[0];
 
-  if (opts.verbose) {
-    TextTable t;
-    t.set_header({"Platform", "Real DRAM", "Flexible MC", "Eval. CPU cycles/s",
-                  "Accurate perf.", "Easily configurable"});
-    t.add_row({"Commercial systems", "yes", "no", "billions", "yes", "no"});
-    t.add_row({"Software simulators", "no", "yes (C/C++)", "~10K - ~1M", "yes",
-               "yes"});
-    t.add_row({"FPGA-based simulators", "no", "no", "~4M - ~100M", "yes", "yes"});
-    t.add_row({"DRAM testing platforms", "DDR3/4", "no", "N/A", "no", "no"});
-    t.add_row({"FPGA-based emulators", "DDR3/4", "HDL", "50M - 200M", "no",
-               "yes"});
-    t.add_row({"EasyDRAM (this repro)", "DDR4 (modelled)", "yes (C/C++)",
-               fmt_fixed(speed_hz / 1e6, 1) + "M (measured)", "yes", "yes"});
-    t.print(std::cout);
-    std::cout << "\nPaper reports ~10M evaluated CPU cycles/s for EasyDRAM.\n"
-              << "Measured here on gemver: " << fmt_fixed(speed_hz / 1e6, 2)
-              << "M emulated cycles per modelled-FPGA second.\n";
-  }
-
   Json out = Json::object();
   out["workload"] = "gemver";
   out["eval_cycles_per_second"] = speed_hz;
@@ -374,19 +293,77 @@ Json run_table1(const RunOptions& opts) {
 void register_system_scenarios(ScenarioRegistry& r) {
   r.add({"quickstart",
          "2-second smoke run: one cold read + a 64 KiB pointer chase",
-         "EasyDRAM (DSN 2025), Listing 1 shape", &run_quickstart});
+         "EasyDRAM (DSN 2025), Listing 1 shape", &run_quickstart,
+         {{"reps",
+           {{"seed", "seed"},
+            {"read_latency_cycles", "read latency (cycles)"},
+            {"chase_cycles_per_load", "64K chase (cycles/load)"}}}}});
   r.add({"fig2_breakdown",
          "Memory-request time breakdown across four system configurations",
-         "EasyDRAM (DSN 2025), Fig. 2", &run_fig2});
+         "EasyDRAM (DSN 2025), Fig. 2", &run_fig2,
+         {{"configs",
+           {{"config", "Configuration"},
+            {"processing_ns", "Processing (ns)", 1},
+            {"scheduling_ns", "Scheduling (ns)", 1},
+            {"memory_ns", "Main memory (ns)", 1}}},
+          {"checks",
+           {{"memory_constant", "memory constant"},
+            {"smc_stretches_scheduling", "SMC stretches scheduling"},
+            {"ts_restores_processing", "TS restores processing"}}}},
+         "Expected shape (paper Fig. 2): FPGA configs stretch\n"
+         "processing; the software MC stretches scheduling; main\n"
+         "memory stays constant; time scaling restores the real\n"
+         "system's proportions on the emulated timeline."});
   r.add({"fig8_latency_profile",
          "lmbench cycles-per-load profile over 1 KiB .. 16 MiB buffers",
-         "EasyDRAM (DSN 2025), Fig. 8", &run_fig8});
+         "EasyDRAM (DSN 2025), Fig. 8", &run_fig8,
+         {{"points",
+           {{"bytes", "Size (bytes)"},
+            {"no_time_scaling", "EasyDRAM - No Time Scaling", 1},
+            {"time_scaling", "EasyDRAM - Time Scaling", 1},
+            {"cortex_a57", "Cortex A57 (2 MiB L2)", 1}}}},
+         "Expected shape (paper Fig. 8): the No-Time-Scaling curve\n"
+         "shows a much lower main-memory plateau (few tens of cycles at\n"
+         "50 MHz); Time Scaling tracks the Cortex A57 profile, with the\n"
+         "L2->memory transition at 512 KiB instead of 2 MiB because the\n"
+         "EasyDRAM build has a smaller L2 (noted in the paper)."});
   r.add({"fig14_sim_speed",
          "Simulation speed (MHz) of EasyDRAM vs the Ramulator-2.0 baseline",
-         "EasyDRAM (DSN 2025), Fig. 14", &run_fig14});
+         "EasyDRAM (DSN 2025), Fig. 14", &run_fig14,
+         {{"workloads",
+           {{"workload", "Workload"},
+            {"easydram_mhz", "EasyDRAM (MHz)"},
+            {"ramulator_mhz", "Ramulator 2.0 (MHz)"},
+            {"ratio", "Ratio", 1}}},
+          {"",
+           {{"ratio_geomean", "ratio geomean", 1},
+            {"ratio.mean", "ratio mean", 1},
+            {"ratio.p95", "ratio p95", 1}}}},
+         "Paper: EasyDRAM averages 5.9x (max 20.3x) faster than\n"
+         "Ramulator 2.0, with the gap growing as memory intensity falls\n"
+         "(durbin, ~0.01 LLC MPKC, shows the maximum). Note: the Ramulator\n"
+         "column depends on host CPU speed; the EasyDRAM column is a\n"
+         "deterministic model output. The host-speed overhaul made this\n"
+         "repository's Ramulator baseline itself ~2.5x faster, so measured\n"
+         "ratios here are smaller than the paper's (and than pre-overhaul\n"
+         "runs) by exactly that baseline speedup — a host artifact, not a\n"
+         "model change."});
   r.add({"table1_platforms",
          "Platform comparison with this reproduction's measured speed",
-         "EasyDRAM (DSN 2025), Table 1", &run_table1});
+         "EasyDRAM (DSN 2025), Table 1", &run_table1,
+         {{"",
+           {{"workload", "workload"},
+            {"eval_cycles_per_second", "evaluated cycles/s", 0},
+            {"paper_reference_cycles_per_second", "paper (cycles/s)", 0}}}},
+         "Evaluated cycles/s = emulated cycles per modelled-FPGA second.\n"
+         "Paper Table 1 (real DRAM / flexible MC / eval. CPU cycles/s /\n"
+         "accurate perf. / easily configurable):\n"
+         "  Commercial systems      yes     no           billions     yes  no\n"
+         "  Software simulators     no      yes (C/C++)  ~10K - ~1M   yes  yes\n"
+         "  FPGA-based simulators   no      no           ~4M - ~100M  yes  yes\n"
+         "  DRAM testing platforms  DDR3/4  no           N/A          no   no\n"
+         "  FPGA-based emulators    DDR3/4  HDL          50M - 200M   no   yes\n"
+         "  EasyDRAM                DDR4    yes (C/C++)  ~10M         yes  yes"});
 }
 
 }  // namespace easydram::cli
