@@ -1,14 +1,12 @@
 // RowClone scenarios: the Fig. 10 (No Flush) and Fig. 11 (CLFLUSH)
 // Copy/Init speedup sweeps and the §7.1 bank-interleaving ablation.
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "smc/rowclone_alloc.hpp"
 
 namespace easydram::cli {
@@ -56,10 +54,6 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
 
   Json out = Json::object();
   for (std::size_t k = 0; k < 2; ++k) {
-    const bool is_copy = k == 0;
-    TextTable t;
-    t.set_header({"Size", "EasyDRAM - No Time Scaling",
-                  "EasyDRAM - Time Scaling", "Ramulator 2.0"});
     Summary s_nts, s_ts, s_ram;
     Json rows = Json::array();
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -67,8 +61,6 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
       s_nts.add(p.nts);
       s_ts.add(p.ts);
       s_ram.add(p.ram);
-      t.add_row({fmt_size(sizes[i]), fmt_fixed(p.nts, 1) + "x",
-                 fmt_fixed(p.ts, 2) + "x", fmt_fixed(p.ram, 1) + "x"});
       Json j = Json::object();
       j["bytes"] = sizes[i];
       j["no_time_scaling"] = p.nts;
@@ -76,17 +68,6 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
       j["ramulator"] = p.ram;
       rows.push_back(std::move(j));
     }
-    t.add_row({"average", fmt_fixed(s_nts.mean(), 1) + "x",
-               fmt_fixed(s_ts.mean(), 2) + "x", fmt_fixed(s_ram.mean(), 1) + "x"});
-    t.add_row({"maximum", fmt_fixed(s_nts.max(), 1) + "x",
-               fmt_fixed(s_ts.max(), 2) + "x", fmt_fixed(s_ram.max(), 1) + "x"});
-
-    if (opts.verbose) {
-      std::cout << (is_copy ? "(a) Copy\n" : "(b) Init\n");
-      t.print(std::cout);
-      std::cout << '\n';
-    }
-
     Json kind_json = Json::object();
     kind_json["points"] = std::move(rows);
     Json avg = Json::object();
@@ -99,7 +80,7 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
     mx["time_scaling"] = s_ts.max();
     mx["ramulator"] = s_ram.max();
     kind_json["maximum"] = std::move(mx);
-    out[is_copy ? "copy" : "init"] = std::move(kind_json);
+    out[k == 0 ? "copy" : "init"] = std::move(kind_json);
   }
 
   // Per-repetition aggregate: mean Time-Scaling speedup of each kind (the
@@ -115,27 +96,32 @@ Json rowclone_sweep(const RunOptions& opts, bool clflush) {
         });
   }
 
-  if (opts.verbose) {
-    if (!clflush) {
-      std::cout
-          << "Paper (Fig. 10) avg(max): Copy NoTS 306.7x(423.1x), TS 15.0x(17.4x),\n"
-             "Ramulator 27.2x(33.0x); Init NoTS 36.7x(51.3x), TS 1.8x(2.0x),\n"
-             "Ramulator 17.3x(21.0x). Shape to check: NoTS >> Ramulator > TS for\n"
-             "Copy; the ~20x NoTS/TS skew; Ramulator Init >> TS Init (no fallback\n"
-             "or per-operation software cost modeled in Ramulator).\n";
-    } else {
-      std::cout
-          << "Paper (Fig. 11) avg(max): Copy TS 4.04x(6.62x), NoTS 3.1x(4.83x);\n"
-             "Init degrades at small sizes (<=256KB TS, <=32KB NoTS) and improves\n"
-             "with size. Shape to check: coherence flushes crush small-size\n"
-             "benefits; speedups grow with data size.\n";
-    }
-  }
   return out;
 }
 
 Json run_fig10(const RunOptions& opts) { return rowclone_sweep(opts, false); }
 Json run_fig11(const RunOptions& opts) { return rowclone_sweep(opts, true); }
+
+/// The Fig. 10/11 tables: each kind's speedups per size, then their
+/// average and maximum.
+std::vector<TableSpec> rowclone_tables() {
+  const std::vector<Column> points = {
+      {"bytes", "Size (bytes)"},
+      {"no_time_scaling", "EasyDRAM - No Time Scaling", 1},
+      {"time_scaling", "EasyDRAM - Time Scaling", 2},
+      {"ramulator", "Ramulator 2.0", 1}};
+  const std::vector<Column> summary = {
+      {"average.no_time_scaling", "avg NoTS", 1},
+      {"average.time_scaling", "avg TS", 2},
+      {"average.ramulator", "avg Ramulator", 1},
+      {"maximum.no_time_scaling", "max NoTS", 1},
+      {"maximum.time_scaling", "max TS", 2},
+      {"maximum.ramulator", "max Ramulator", 1}};
+  return {{"copy.points", points, "(a) Copy speedup (x)"},
+          {"copy", summary},
+          {"init.points", points, "(b) Init speedup (x)"},
+          {"init", summary}};
+}
 
 // --- ablation_rowclone_interleaving ---------------------------------------
 
@@ -177,24 +163,15 @@ Json run_interleaving(const RunOptions& opts) {
     return p;
   });
 
-  TextTable t;
-  t.set_header({"allocation", "cycles", "DRAM busy (us)"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < 2; ++i) {
     const Point& p = all.rep(0)[i];
     const char* name = i == 1 ? "bank-interleaved" : "bank-sequential";
-    t.add_row({name, std::to_string(p.cycles), fmt_fixed(p.dram_busy_us, 1)});
     Json j = Json::object();
     j["allocation"] = name;
     j["cycles"] = p.cycles;
     j["dram_busy_us"] = p.dram_busy_us;
     rows.push_back(std::move(j));
-  }
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\n(The single-issue MMIO trigger serializes operations, so\n"
-                 "interleaving mainly spreads activations; with a batched\n"
-                 "trigger interface it would overlap in-DRAM copies.)\n";
   }
 
   Json out = Json::object();
@@ -214,13 +191,29 @@ Json run_interleaving(const RunOptions& opts) {
 void register_rowclone_scenarios(ScenarioRegistry& r) {
   r.add({"fig10_rowclone_noflush",
          "RowClone Copy/Init speedup sweep, source data resident (No Flush)",
-         "EasyDRAM (DSN 2025), Fig. 10", &run_fig10});
+         "EasyDRAM (DSN 2025), Fig. 10", &run_fig10, rowclone_tables(),
+         "Paper (Fig. 10) avg(max): Copy NoTS 306.7x(423.1x), TS 15.0x(17.4x),\n"
+         "Ramulator 27.2x(33.0x); Init NoTS 36.7x(51.3x), TS 1.8x(2.0x),\n"
+         "Ramulator 17.3x(21.0x). Shape to check: NoTS >> Ramulator > TS for\n"
+         "Copy; the ~20x NoTS/TS skew; Ramulator Init >> TS Init (no fallback\n"
+         "or per-operation software cost modeled in Ramulator)."});
   r.add({"fig11_rowclone_clflush",
          "RowClone Copy/Init speedup sweep with coherence flushes (CLFLUSH)",
-         "EasyDRAM (DSN 2025), Fig. 11", &run_fig11});
+         "EasyDRAM (DSN 2025), Fig. 11", &run_fig11, rowclone_tables(),
+         "Paper (Fig. 11) avg(max): Copy TS 4.04x(6.62x), NoTS 3.1x(4.83x);\n"
+         "Init degrades at small sizes (<=256KB TS, <=32KB NoTS) and improves\n"
+         "with size. Shape to check: coherence flushes crush small-size\n"
+         "benefits; speedups grow with data size."});
   r.add({"ablation_rowclone_interleaving",
          "RowClone bank interleaving vs sequential allocation (2 MiB copy)",
-         "DESIGN.md ablation A4 (beyond the paper)", &run_interleaving});
+         "DESIGN.md ablation A4 (beyond the paper)", &run_interleaving,
+         {{"allocations",
+           {{"allocation", "allocation"},
+            {"cycles", "cycles"},
+            {"dram_busy_us", "DRAM busy (us)", 1}}}},
+         "The single-issue MMIO trigger serializes operations, so\n"
+         "interleaving mainly spreads activations; with a batched\n"
+         "trigger interface it would overlap in-DRAM copies."});
 }
 
 }  // namespace easydram::cli
