@@ -2,14 +2,12 @@
 // heatmap and the Fig. 13 tRCD-reduction speedup study.
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "smc/trcd_profiler.hpp"
 #include "workloads/polybench.hpp"
 
@@ -128,30 +126,6 @@ Json run_fig12(const RunOptions& opts) {
     }
     const BankStats b = summarize_bank(min_trcd, strong);
 
-    if (opts.verbose) {
-      std::cout << "Bank " << bank + 1
-                << " — heatmap (rows x groups, 8x8 block averages; columns =\n"
-                   "Row ID 0..63, rows = Group ID 0..63; symbols: '.' <=9.0ns,\n"
-                   "':' <=9.75ns, '*' <=10.25ns, '#' >10.25ns)\n";
-      for (const std::string& line : b.heatmap) {
-        std::cout << "  " << line << '\n';
-      }
-      std::cout << "  rows below nominal 13.5ns: " << b.below_nominal << "/"
-                << kRows << "  strong (<=9.0ns): "
-                << fmt_fixed(100.0 * static_cast<double>(b.strong) / kRows, 1)
-                << "% (paper: 84.5% of lines)\n  measured range: ["
-                << fmt_fixed(b.min_ns, 2) << ", " << fmt_fixed(b.max_ns, 2)
-                << "] ns (paper colorbar: 9.0-10.5 ns)\n  weak-row clustering: "
-                << fmt_fixed(
-                       100.0 * static_cast<double>(b.weak_with_weak_neighbour) /
-                           static_cast<double>(
-                               std::max<std::int64_t>(b.weak_total, 1)),
-                       1)
-                << "% of weak rows have a weak successor (base rate "
-                << fmt_fixed(100.0 * static_cast<double>(b.weak_total) / kRows, 1)
-                << "%)\n\n";
-    }
-
     Json j = Json::object();
     j["bank"] = static_cast<std::int64_t>(bank);
     Json heatmap = Json::array();
@@ -167,10 +141,6 @@ Json run_fig12(const RunOptions& opts) {
         static_cast<double>(b.weak_with_weak_neighbour) /
         static_cast<double>(std::max<std::int64_t>(b.weak_total, 1));
     banks.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    std::cout << "Lines characterized: " << lines_tested << "\n";
   }
 
   Json out = Json::object();
@@ -196,8 +166,6 @@ Json run_fig13(const RunOptions& opts) {
         return measure_trcd_speedup(names[point], seed);
       });
 
-  TextTable t;
-  t.set_header({"Workload", "EasyDRAM", "Ramulator 2.0", "(EasyDRAM MPKC)"});
   std::vector<double> easy_speedups, ram_speedups, easy_pct;
   Json rows = Json::array();
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -205,9 +173,6 @@ Json run_fig13(const RunOptions& opts) {
     easy_speedups.push_back(s.easy);
     ram_speedups.push_back(s.ram);
     easy_pct.push_back((s.easy - 1.0) * 100.0);
-    t.add_row({std::string(names[i]), fmt_fixed((s.easy - 1.0) * 100.0, 2) + "%",
-               fmt_fixed((s.ram - 1.0) * 100.0, 2) + "%",
-               fmt_fixed(s.mpkc, 2)});
     Json j = Json::object();
     j["workload"] = names[i];
     j["easydram_speedup"] = s.easy;
@@ -217,23 +182,6 @@ Json run_fig13(const RunOptions& opts) {
   }
   const double easy_geo = geomean(easy_speedups, GeomeanPolicy::kSkipNonPositive);
   const double ram_geo = geomean(ram_speedups, GeomeanPolicy::kSkipNonPositive);
-  t.add_row({"geomean", fmt_fixed((easy_geo - 1.0) * 100.0, 2) + "%",
-             fmt_fixed((ram_geo - 1.0) * 100.0, 2) + "%", ""});
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    Summary easy_sum, ram_sum;
-    for (double v : easy_speedups) easy_sum.add((v - 1.0) * 100.0);
-    for (double v : ram_speedups) ram_sum.add((v - 1.0) * 100.0);
-    std::cout << "\nEasyDRAM avg(max): " << fmt_fixed(easy_sum.mean(), 2)
-              << "%(" << fmt_fixed(easy_sum.max(), 2)
-              << "%)  — paper: 2.75%(9.76%)\n"
-              << "Ramulator avg(max): " << fmt_fixed(ram_sum.mean(), 2) << "%("
-              << fmt_fixed(ram_sum.max(), 2) << "%)  — paper: 2.58%(7.04%)\n"
-              << "(Workloads are not memory-intensive — paper reports 2.2 LLC\n"
-              << "misses per kilo-cycle on average — so single-digit gains are\n"
-              << "the expected shape.)\n";
-  }
 
   Json out = Json::object();
   out["workloads"] = std::move(rows);
@@ -261,10 +209,42 @@ Json run_fig13(const RunOptions& opts) {
 void register_trcd_scenarios(ScenarioRegistry& r) {
   r.add({"fig12_trcd_heatmap",
          "Minimum reliable tRCD heatmap over the first two banks",
-         "EasyDRAM (DSN 2025), Fig. 12", &run_fig12});
+         "EasyDRAM (DSN 2025), Fig. 12", &run_fig12,
+         {{"banks",
+           {{"bank", "bank"},
+            {"rows_below_nominal", "rows below 13.5ns"},
+            {"strong_fraction", "strong (<=9.0ns)", 3},
+            {"min_trcd_ns", "min (ns)"},
+            {"max_trcd_ns", "max (ns)"},
+            {"weak_fraction", "weak", 3},
+            {"weak_clustering", "weak with weak successor", 3}}},
+          {"banks.0.heatmap", {{"", "bank 0 heatmap"}}},
+          {"banks.1.heatmap", {{"", "bank 1 heatmap"}}},
+          {"",
+           {{"lines_tested", "lines characterized"},
+            {"paper_strong_fraction", "paper strong fraction", 3}}}},
+         "Heatmaps: 8x8 block averages; columns = Row ID 0..63, rows =\n"
+         "Group ID 0..63; symbols: '.' <=9.0ns, ':' <=9.75ns, '*' <=10.25ns,\n"
+         "'#' >10.25ns. Paper: 84.5% of lines are strong, colorbar\n"
+         "9.0-10.5 ns. Weak-row clustering is the share of weak rows whose\n"
+         "successor is weak too; compare it with the weak base rate."});
   r.add({"fig13_trcd_speedup",
          "tRCD-reduction speedup across the PolyBench kernel subset",
-         "EasyDRAM (DSN 2025), Fig. 13", &run_fig13});
+         "EasyDRAM (DSN 2025), Fig. 13", &run_fig13,
+         {{"workloads",
+           {{"workload", "Workload"},
+            {"easydram_speedup", "EasyDRAM speedup", 4},
+            {"ramulator_speedup", "Ramulator 2.0 speedup", 4},
+            {"mpkc", "EasyDRAM MPKC"}}},
+          {"summary",
+           {{"easydram_geomean", "EasyDRAM geomean", 4},
+            {"ramulator_geomean", "Ramulator geomean", 4},
+            {"easydram_pct_mean", "EasyDRAM mean (%)"},
+            {"easydram_pct_p95", "EasyDRAM p95 (%)"}}}},
+         "Paper avg(max) gain: EasyDRAM 2.75%(9.76%), Ramulator\n"
+         "2.58%(7.04%). The workloads are not memory-intensive (the paper\n"
+         "reports 2.2 LLC misses per kilo-cycle on average), so\n"
+         "single-digit gains are the expected shape."});
 }
 
 }  // namespace easydram::cli
