@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <functional>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "smc/scheduler.hpp"
 #include "workloads/lmbench.hpp"
 #include "workloads/polybench.hpp"
@@ -66,9 +64,6 @@ Json run_validation(const RunOptions& opts) {
         return p;
       });
 
-  TextTable t;
-  t.set_header({"Workload", "Reference 1GHz (cycles)",
-                "TS 100MHz->1GHz (cycles)", "Error (%)"});
   Summary err_summary;
   std::vector<double> errors;
   Json rows = Json::array();
@@ -76,21 +71,12 @@ Json run_validation(const RunOptions& opts) {
     const Point& p = all.rep(0)[i];
     err_summary.add(p.err_pct);
     errors.push_back(p.err_pct);
-    t.add_row({entries[i].name, std::to_string(p.ref_cycles),
-               std::to_string(p.ts_cycles), fmt_fixed(p.err_pct, 4)});
     Json j = Json::object();
     j["workload"] = entries[i].name;
     j["reference_cycles"] = p.ref_cycles;
     j["time_scaled_cycles"] = p.ts_cycles;
     j["error_pct"] = p.err_pct;
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nAverage error: " << fmt_fixed(err_summary.mean(), 4)
-              << "% (paper: <0.1%)\nMaximum error: "
-              << fmt_fixed(err_summary.max(), 4) << "% (paper: <1%)\n";
   }
 
   Json out = Json::object();
@@ -125,15 +111,10 @@ Json run_batch_limit(const RunOptions& opts) {
         return run_kernel_cycles(cfg, "gesummv").count;
       });
 
-  TextTable t;
-  t.set_header({"row_batch_limit", "cycles", "vs limit=16"});
   const auto base = static_cast<double>(all.rep(0)[0]);  // limit=16.
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kLimits); ++i) {
     const std::int64_t cycles = all.rep(0)[i];
-    t.add_row({std::to_string(kLimits[i]), std::to_string(cycles),
-               fmt_fixed(100.0 * (static_cast<double>(cycles) / base - 1.0), 1) +
-                   "%"});
     Json j = Json::object();
     j["row_batch_limit"] = kLimits[i];
     j["cycles"] = cycles;
@@ -141,7 +122,6 @@ Json run_batch_limit(const RunOptions& opts) {
         100.0 * (static_cast<double>(cycles) / base - 1.0);
     rows.push_back(std::move(j));
   }
-  if (opts.verbose) t.print(std::cout);
 
   Json out = Json::object();
   out["workload"] = "gesummv";
@@ -186,18 +166,14 @@ Json run_scheduler(const RunOptions& opts) {
         return run_kernel_cycles(cfg, "mvt").count;
       });
 
-  TextTable t;
-  t.set_header({"policy", "cycles"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kPolicies); ++i) {
     const std::int64_t cycles = all.rep(0)[i];
-    t.add_row({kPolicies[i].name, std::to_string(cycles)});
     Json j = Json::object();
     j["policy"] = kPolicies[i].name;
     j["cycles"] = cycles;
     rows.push_back(std::move(j));
   }
-  if (opts.verbose) t.print(std::cout);
 
   Json out = Json::object();
   out["workload"] = "mvt";
@@ -223,19 +199,13 @@ Json run_hardware_mc(const RunOptions& opts) {
     return run_kernel_cycles(cfg, "trisolv").count;
   });
 
-  TextTable t;
-  t.set_header({"controller", "cycles"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < 2; ++i) {
-    const char* name = i == 0 ? "software (SMC cycles charged)"
-                              : "hardware (8-cycle pipeline)";
-    t.add_row({name, std::to_string(all.rep(0)[i])});
     Json j = Json::object();
     j["controller"] = i == 0 ? "software" : "hardware";
     j["cycles"] = all.rep(0)[i];
     rows.push_back(std::move(j));
   }
-  if (opts.verbose) t.print(std::cout);
 
   Json out = Json::object();
   out["workload"] = "trisolv";
@@ -254,16 +224,36 @@ void register_validation_scenarios(ScenarioRegistry& r) {
   r.add({"validation_timescale",
          "Time-scaling validation: 28 PolyBench kernels + lmbench, error vs "
          "a 1 GHz reference",
-         "EasyDRAM (DSN 2025), Section 6", &run_validation});
+         "EasyDRAM (DSN 2025), Section 6", &run_validation,
+         {{"workloads",
+           {{"workload", "Workload"},
+            {"reference_cycles", "Reference 1GHz (cycles)"},
+            {"time_scaled_cycles", "TS 100MHz->1GHz (cycles)"},
+            {"error_pct", "Error (%)", 4}}},
+          {"summary",
+           {{"error_pct_mean", "mean error (%)", 4},
+            {"paper_bound_avg_pct", "paper bound"},
+            {"error_pct_max", "max error (%)", 4},
+            {"paper_bound_max_pct", "paper bound"}}}},
+         "Paper: time scaling keeps the average error below 0.1% and the\n"
+         "maximum below 1% against the 1 GHz reference."});
   r.add({"ablation_batch_limit",
          "Row-hit batch draining limit sweep (gesummv cycles)",
-         "DESIGN.md ablation A1 (beyond the paper)", &run_batch_limit});
+         "DESIGN.md ablation A1 (beyond the paper)", &run_batch_limit,
+         {{"limits",
+           {{"row_batch_limit", "row_batch_limit"},
+            {"cycles", "cycles"},
+            {"overhead_vs_16_pct", "vs limit=16 (%)", 1}}}}});
   r.add({"ablation_scheduler",
          "Scheduling policy comparison: FCFS/FR-FCFS/PAR-BS/BLISS (mvt)",
-         "DESIGN.md ablation A2 (beyond the paper)", &run_scheduler});
+         "DESIGN.md ablation A2 (beyond the paper)", &run_scheduler,
+         {{"policies", {{"policy", "policy"}, {"cycles", "cycles"}}}}});
   r.add({"ablation_hardware_mc",
          "Software vs fixed-function hardware memory controller (trisolv)",
-         "DESIGN.md ablation A3 (beyond the paper)", &run_hardware_mc});
+         "DESIGN.md ablation A3 (beyond the paper)", &run_hardware_mc,
+         {{"controllers", {{"controller", "controller"}, {"cycles", "cycles"}}}},
+         "software: the SMC's own cycles are charged; hardware: a fixed\n"
+         "8-cycle scheduling pipeline."});
 }
 
 }  // namespace easydram::cli
