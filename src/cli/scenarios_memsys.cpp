@@ -4,13 +4,11 @@
 // 1-channel/1-rank row in every table is the paper's configuration.
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "common/table.hpp"
 
 namespace easydram::cli {
 namespace {
@@ -77,9 +75,6 @@ Json run_channel_scaling(const RunOptions& opts) {
                                kBurstRequests);
                          });
 
-  TextTable t;
-  t.set_header({"Channels", "linear (req/us)", "line (req/us)",
-                "channel (req/us)", "channel speedup vs 1ch"});
   Json rows = Json::array();
   const std::span<const double> rep0 = all.rep(0);
   const double base_channel_tp = rep0[n_mappings - 1];  // 1 ch, channel map.
@@ -87,9 +82,6 @@ Json run_channel_scaling(const RunOptions& opts) {
     const double lin = rep0[ci * n_mappings + 0];
     const double line = rep0[ci * n_mappings + 1];
     const double chan = rep0[ci * n_mappings + 2];
-    t.add_row({std::to_string(channel_counts[ci]), fmt_fixed(lin, 2),
-               fmt_fixed(line, 2), fmt_fixed(chan, 2),
-               fmt_fixed(chan / base_channel_tp, 2) + "x"});
     Json j = Json::object();
     j["channels"] = static_cast<std::int64_t>(channel_counts[ci]);
     j["ranks"] = static_cast<std::int64_t>(opts.ranks);
@@ -98,15 +90,6 @@ Json run_channel_scaling(const RunOptions& opts) {
     j["channel_req_per_us"] = chan;
     j["channel_speedup_vs_1ch"] = chan / base_channel_tp;
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nExpected shape: the channel-interleaved mapping spreads\n"
-                 "the burst across every channel's bus and software\n"
-                 "controller, so throughput grows with the channel count;\n"
-                 "the row-linear mapping pins the burst to channel 0 and\n"
-                 "stays flat. 1 channel x 1 rank is the paper's §7.2 system.\n";
   }
 
   Json out = Json::object();
@@ -149,17 +132,12 @@ Json run_rank_interleaving(const RunOptions& opts) {
                                kBurstRequests);
                          });
 
-  TextTable t;
-  t.set_header({"Ranks/channel", "linear (req/us)", "line (req/us)",
-                "channel (req/us)"});
   Json rows = Json::array();
   const std::span<const double> rep0 = all.rep(0);
   for (std::size_t ri = 0; ri < rank_counts.size(); ++ri) {
     const double lin = rep0[ri * n_mappings + 0];
     const double line = rep0[ri * n_mappings + 1];
     const double chan = rep0[ri * n_mappings + 2];
-    t.add_row({std::to_string(rank_counts[ri]), fmt_fixed(lin, 2),
-               fmt_fixed(line, 2), fmt_fixed(chan, 2)});
     Json j = Json::object();
     j["ranks"] = static_cast<std::int64_t>(rank_counts[ri]);
     j["channels"] = static_cast<std::int64_t>(opts.channels);
@@ -167,17 +145,6 @@ Json run_rank_interleaving(const RunOptions& opts) {
     j["line_req_per_us"] = line;
     j["channel_req_per_us"] = chan;
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nExpected shape: the linear mapping never leaves rank 0,\n"
-                 "so its row is flat; the interleaved mappings alternate\n"
-                 "ranks and pay the tRTRS bus turnaround on every switch.\n"
-                 "A channel's software controller serves one command batch\n"
-                 "at a time, so rank interleaving costs a little instead of\n"
-                 "scaling — channels (one controller each) are the scaling\n"
-                 "axis, which is exactly what channel_scaling shows.\n";
   }
 
   Json out = Json::object();
@@ -195,10 +162,33 @@ Json run_rank_interleaving(const RunOptions& opts) {
 void register_memsys_scenarios(ScenarioRegistry& r) {
   r.add({"channel_scaling",
          "Read-burst throughput vs channel count for each address mapping",
-         "EasyDRAM (DSN 2025), extension beyond §7.2", &run_channel_scaling});
+         "EasyDRAM (DSN 2025), extension beyond §7.2", &run_channel_scaling,
+         {{"points",
+           {{"channels", "Channels"},
+            {"linear_req_per_us", "linear (req/us)"},
+            {"line_req_per_us", "line (req/us)"},
+            {"channel_req_per_us", "channel (req/us)"},
+            {"channel_speedup_vs_1ch", "channel speedup vs 1ch"}}}},
+         "Expected shape: the channel-interleaved mapping spreads\n"
+         "the burst across every channel's bus and software\n"
+         "controller, so throughput grows with the channel count;\n"
+         "the row-linear mapping pins the burst to channel 0 and\n"
+         "stays flat. 1 channel x 1 rank is the paper's §7.2 system."});
   r.add({"rank_interleaving",
          "Read-burst throughput of 1 vs 2 ranks/channel for each mapping",
-         "EasyDRAM (DSN 2025), extension beyond §7.2", &run_rank_interleaving});
+         "EasyDRAM (DSN 2025), extension beyond §7.2", &run_rank_interleaving,
+         {{"points",
+           {{"ranks", "Ranks/channel"},
+            {"linear_req_per_us", "linear (req/us)"},
+            {"line_req_per_us", "line (req/us)"},
+            {"channel_req_per_us", "channel (req/us)"}}}},
+         "Expected shape: the linear mapping never leaves rank 0,\n"
+         "so its row is flat; the interleaved mappings alternate\n"
+         "ranks and pay the tRTRS bus turnaround on every switch.\n"
+         "A channel's software controller serves one command batch\n"
+         "at a time, so rank interleaving costs a little instead of\n"
+         "scaling — channels (one controller each) are the scaling\n"
+         "axis, which is exactly what channel_scaling shows."});
 }
 
 }  // namespace easydram::cli
