@@ -6,14 +6,12 @@
 // third "rapidly prototyped maintenance technique" the EasyDRAM pitch
 // calls for, and it leans on the same EasyAPI/Bender machinery.
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "workloads/hammer.hpp"
 #include "workloads/polybench.hpp"
 
@@ -126,17 +124,9 @@ Json run_rowhammer(const RunOptions& opts, MitigationKind kind) {
         return run_trace(hammer_config(seed, kind), traces[point]);
       });
 
-  TextTable t;
-  t.set_header({"Pattern", "exposure (acts)", "neighbor refreshes",
-                "requests", "wall (us)", "req/us"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < traces.size(); ++pi) {
-    const HammerOutcome& o = all.rep(0)[pi];
-    t.add_row({std::string(workloads::to_string(kPatterns[pi])),
-               std::to_string(o.exposure), std::to_string(o.neighbor_refreshes),
-               std::to_string(o.requests), fmt_fixed(o.wall_us, 1),
-               fmt_fixed(static_cast<double>(o.requests) / o.wall_us, 2)});
-    Json j = outcome_json(o);
+    Json j = outcome_json(all.rep(0)[pi]);
     j["pattern"] = workloads::to_string(kPatterns[pi]);
     rows.push_back(std::move(j));
   }
@@ -151,15 +141,6 @@ Json run_rowhammer(const RunOptions& opts, MitigationKind kind) {
   std::int64_t max_exposure = 0;
   for (int r = 0; r < all.reps(); ++r) {
     max_exposure = std::max(max_exposure, rep_exposure(all.rep(r)));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nExposure = max activations any victim row absorbed\n"
-                 "between two refreshes of that row (the number a RowHammer\n"
-                 "threshold is compared against). Mitigated runs must land\n"
-                 "far below the unmitigated baseline at a modest\n"
-                 "neighbor-refresh cost.\n";
   }
 
   Json out = Json::object();
@@ -227,9 +208,6 @@ Json run_mitigation_overhead(const RunOptions& opts) {
         return o;
       });
 
-  TextTable t;
-  t.set_header({"Mitigation", "hammer exposure", "hammer overhead",
-                "blend overhead", "neighbor refreshes"});
   Json rows = Json::array();
   const std::span<const OverheadOutcome> rep0 = all.rep(0);
   const double base_hammer_us = rep0[0].hammer.wall_us;
@@ -238,12 +216,6 @@ Json run_mitigation_overhead(const RunOptions& opts) {
     const OverheadOutcome& o = rep0[ki];
     const double hammer_over = o.hammer.wall_us / base_hammer_us - 1.0;
     const double blend_over = o.blend.wall_us / base_blend_us - 1.0;
-    t.add_row({std::string(smc::mitigation::to_string(kKinds[ki])),
-               std::to_string(o.hammer.exposure),
-               fmt_fixed(hammer_over * 100.0, 2) + "%",
-               fmt_fixed(blend_over * 100.0, 2) + "%",
-               std::to_string(o.hammer.neighbor_refreshes +
-                              o.blend.neighbor_refreshes)});
     Json j = Json::object();
     j["mitigation"] = smc::mitigation::to_string(kKinds[ki]);
     j["hammer"] = outcome_json(o.hammer);
@@ -251,14 +223,6 @@ Json run_mitigation_overhead(const RunOptions& opts) {
     j["hammer_overhead_pct"] = hammer_over * 100.0;
     j["blend_overhead_pct"] = blend_over * 100.0;
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nOverhead = extra FPGA wall time vs the unmitigated run\n"
-                 "of the identical trace. The pure hammer loop is the\n"
-                 "worst case (every ACT is observable attack traffic); the\n"
-                 "blend shows what a benign application pays.\n";
   }
 
   Json out = Json::object();
@@ -277,24 +241,56 @@ Json run_mitigation_overhead(const RunOptions& opts) {
   return out;
 }
 
+/// The per-pattern table and the exposure claim the three per-policy
+/// scenarios share.
+std::vector<TableSpec> rowhammer_tables() {
+  return {{"patterns",
+           {{"pattern", "Pattern"},
+            {"exposure", "exposure (acts)"},
+            {"neighbor_refreshes", "neighbor refreshes"},
+            {"requests", "requests"},
+            {"wall_us", "wall (us)", 1},
+            {"req_per_us", "req/us"}}},
+          {"", {{"max_exposure", "max exposure (all reps)"}}}};
+}
+
+constexpr std::string_view kRowhammerClaim =
+    "Exposure = max activations any victim row absorbed\n"
+    "between two refreshes of that row (the number a RowHammer\n"
+    "threshold is compared against). Mitigated runs must land\n"
+    "far below the unmitigated baseline at a modest\n"
+    "neighbor-refresh cost.";
+
 }  // namespace
 
 void register_rowhammer_scenarios(ScenarioRegistry& r) {
   r.add({"rowhammer_baseline",
          "Bitflip-window exposure of hammer patterns, no mitigation",
          "EasyDRAM (DSN 2025), extension beyond §7-§8",
-         &run_rowhammer_baseline});
+         &run_rowhammer_baseline, rowhammer_tables(), kRowhammerClaim});
   r.add({"rowhammer_para",
          "Hammer exposure under the PARA probabilistic mitigator",
-         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_rowhammer_para});
+         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_rowhammer_para,
+         rowhammer_tables(), kRowhammerClaim});
   r.add({"rowhammer_graphene",
          "Hammer exposure under the Graphene-style counter tracker",
          "EasyDRAM (DSN 2025), extension beyond §7-§8",
-         &run_rowhammer_graphene});
+         &run_rowhammer_graphene, rowhammer_tables(), kRowhammerClaim});
   r.add({"mitigation_overhead",
          "Throughput cost of PARA/Graphene vs the unmitigated baseline",
          "EasyDRAM (DSN 2025), extension beyond §7-§8",
-         &run_mitigation_overhead});
+         &run_mitigation_overhead,
+         {{"kinds",
+           {{"mitigation", "Mitigation"},
+            {"hammer.exposure", "hammer exposure"},
+            {"hammer_overhead_pct", "hammer overhead (%)"},
+            {"blend_overhead_pct", "blend overhead (%)"},
+            {"hammer.neighbor_refreshes", "hammer neighbor refreshes"},
+            {"blend.neighbor_refreshes", "blend neighbor refreshes"}}}},
+         "Overhead = extra FPGA wall time vs the unmitigated run\n"
+         "of the identical trace. The pure hammer loop is the\n"
+         "worst case (every ACT is observable attack traffic); the\n"
+         "blend shows what a benign application pays."});
 }
 
 }  // namespace easydram::cli
