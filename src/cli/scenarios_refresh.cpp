@@ -8,14 +8,12 @@
 // mitigators), exercising the refresh pacing machinery from the opposite
 // direction to the mitigators' *extra* refreshes.
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "workloads/hammer.hpp"
 
 namespace easydram::cli {
@@ -140,29 +138,13 @@ Json run_raidr_baseline(const RunOptions& opts) {
                          });
 
   const dram::TimingParams timing = dram::ddr4_1333();
-  TextTable t;
-  t.set_header({"Refresh", "REF issued", "REF skipped", "reduction",
-                "busy saved (us)", "wall (us)"});
   Json rows = Json::array();
   for (std::size_t ki = 0; ki < std::size(kRefreshKinds); ++ki) {
     const RefreshOutcome& o = all.rep(0)[ki];
-    t.add_row({std::string(smc::to_string(kRefreshKinds[ki])),
-               std::to_string(o.issued), std::to_string(o.skipped),
-               fmt_fixed(reduction_pct(o), 1) + "%",
-               fmt_fixed(Picoseconds{timing.tRFC.count * o.skipped}.microseconds(), 1),
-               fmt_fixed(o.wall_us, 1)});
     Json j = outcome_json(o, timing);
     j["refresh"] = smc::to_string(kRefreshKinds[ki]);
     if (kRefreshKinds[ki] == RefreshKind::kRaidr) j["bins"] = bins_json(o.bins);
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nRAIDR bins refresh stripes by their weakest row's modeled\n"
-                 "retention (64/128/256 ms classes) and skips REF slots whose\n"
-                 "stripe is not yet due. Reduction = skipped / total slots;\n"
-                 "busy saved = skipped REFs x tRFC returned to the rank.\n";
   }
 
   Json out = Json::object();
@@ -197,28 +179,13 @@ Json run_raidr_savings(const RunOptions& opts) {
       });
 
   const dram::TimingParams timing = dram::ddr4_1333();
-  TextTable t;
-  t.set_header({"Weakness x", "x1 stripes", "x2 stripes", "x4 stripes",
-                "predicted issue", "measured reduction"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kWeaknessFactors); ++i) {
     const RefreshOutcome& o = all.rep(0)[i];
-    t.add_row({fmt_fixed(kWeaknessFactors[i], 0),
-               std::to_string(o.bins.stripes_x1), std::to_string(o.bins.stripes_x2),
-               std::to_string(o.bins.stripes_x4),
-               fmt_fixed(o.bins.issue_fraction * 100.0, 1) + "%",
-               fmt_fixed(reduction_pct(o), 1) + "%"});
     Json j = outcome_json(o, timing);
     j["weakness_factor"] = kWeaknessFactors[i];
     j["bins"] = bins_json(o.bins);
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nMeasured reduction should track 100% - predicted issue\n"
-                 "fraction; a leakier chip (more x1/x2 stripes) erodes the\n"
-                 "savings toward zero.\n";
   }
 
   Json out = Json::object();
@@ -275,18 +242,11 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
   });
 
   const dram::TimingParams timing = dram::ddr4_1333();
-  TextTable t;
-  t.set_header({"Refresh", "Mitigation", "exposure", "neighbor refreshes",
-                "REF issued", "REF skipped"});
   Json rows = Json::array();
   for (std::size_t cell = 0; cell < n; ++cell) {
     const RefreshOutcome& o = all.rep(0)[cell];
     const RefreshKind rk = kRefreshKinds[cell / n_mit];
     const MitigationKind mk = kMitKinds[cell % n_mit];
-    t.add_row({std::string(smc::to_string(rk)),
-               std::string(smc::mitigation::to_string(mk)),
-               std::to_string(o.exposure), std::to_string(o.neighbor_refreshes),
-               std::to_string(o.issued), std::to_string(o.skipped)});
     Json j = outcome_json(o, timing);
     j["refresh"] = smc::to_string(rk);
     j["mitigation"] = smc::mitigation::to_string(mk);
@@ -303,14 +263,6 @@ Json run_raidr_vs_mitigation(const RunOptions& opts) {
     const std::span<const RefreshOutcome> cells = all.rep(r);
     raidr_never_lowers_exposure = raidr_never_lowers_exposure &&
                                   cells[n_mit].exposure >= cells[0].exposure;
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nSkipping stripes removes some periodic victim-counter\n"
-                 "resets, so unmitigated exposure under raidr must be >= the\n"
-                 "all_rows exposure; PARA/Graphene bound it either way because\n"
-                 "their targeted refreshes are ACT-driven, not stripe-driven.\n";
   }
 
   Json out = Json::object();
@@ -365,18 +317,9 @@ Json run_raidr_misbinning(const RunOptions& opts) {
       });
 
   const dram::TimingParams timing = dram::ddr4_1333();
-  TextTable t;
-  t.set_header({"Stride", "rows profiled", "x1/x2/x4 stripes", "REF reduction",
-                "violations", "worst overshoot (us)"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kStrides); ++i) {
     const RefreshOutcome& o = all.rep(0)[i];
-    t.add_row({std::to_string(kStrides[i]), std::to_string(o.bins.rows_profiled),
-               std::to_string(o.bins.stripes_x1) + "/" +
-                   std::to_string(o.bins.stripes_x2) + "/" +
-                   std::to_string(o.bins.stripes_x4),
-               fmt_fixed(reduction_pct(o), 1) + "%",
-               std::to_string(o.violations), fmt_fixed(o.overshoot_us, 1)});
     Json j = outcome_json(o, timing);
     j["sample_stride"] = static_cast<std::int64_t>(kStrides[i]);
     j["bins"] = bins_json(o.bins);
@@ -391,15 +334,6 @@ Json run_raidr_misbinning(const RunOptions& opts) {
   for (int r = 0; r < all.reps(); ++r) {
     exhaustive_always_safe =
         exhaustive_always_safe && all.rep(r)[0].violations == 0;
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nViolations = issued REFs whose stripe went unrefreshed\n"
-                 "longer than its weakest row's modeled retention (device\n"
-                 "ground truth). Exhaustive profiling (stride 1) must report\n"
-                 "zero; sparse profiles miss weak rows, overbin their\n"
-                 "stripes, and accumulate violations.\n";
   }
 
   Json out = Json::object();
@@ -420,19 +354,69 @@ void register_refresh_scenarios(ScenarioRegistry& r) {
   r.add({"raidr_baseline",
          "REF-issue reduction of retention-aware refresh on a benign trace",
          "EasyDRAM (DSN 2025), extension beyond §7-§8; RAIDR (ISCA 2012)",
-         &run_raidr_baseline});
+         &run_raidr_baseline,
+         {{"kinds",
+           {{"refresh", "Refresh"},
+            {"refreshes_issued", "REF issued"},
+            {"refreshes_skipped", "REF skipped"},
+            {"ref_reduction_pct", "reduction (%)", 1},
+            {"refresh_busy_saved_us", "busy saved (us)", 1},
+            {"wall_us", "wall (us)", 1}}}},
+         "RAIDR bins refresh stripes by their weakest row's modeled\n"
+         "retention (64/128/256 ms classes) and skips REF slots whose\n"
+         "stripe is not yet due. Reduction = skipped / total slots;\n"
+         "busy saved = skipped REFs x tRFC returned to the rank."});
   r.add({"raidr_savings",
          "Refresh savings vs retention-weakness of the synthetic chip",
          "EasyDRAM (DSN 2025), extension beyond §7-§8; RAIDR (ISCA 2012)",
-         &run_raidr_savings});
+         &run_raidr_savings,
+         {{"points",
+           {{"weakness_factor", "Weakness x", 0},
+            {"bins.stripes_x1", "x1 stripes"},
+            {"bins.stripes_x2", "x2 stripes"},
+            {"bins.stripes_x4", "x4 stripes"},
+            {"bins.issue_fraction_predicted", "predicted issue fraction", 3},
+            {"ref_reduction_pct", "measured reduction (%)", 1}}}},
+         "Measured reduction (%) should track 100 x (1 - predicted\n"
+         "issue fraction); a leakier chip (more x1/x2 stripes) erodes\n"
+         "the savings toward zero."});
   r.add({"raidr_vs_mitigation",
          "Skipped-stripe hammer exposure with and without PARA/Graphene",
          "EasyDRAM (DSN 2025), extension beyond §7-§8; RAIDR (ISCA 2012)",
-         &run_raidr_vs_mitigation});
+         &run_raidr_vs_mitigation,
+         {{"cells",
+           {{"refresh", "Refresh"},
+            {"mitigation", "Mitigation"},
+            {"exposure", "exposure"},
+            {"neighbor_refreshes", "neighbor refreshes"},
+            {"refreshes_issued", "REF issued"},
+            {"refreshes_skipped", "REF skipped"}}},
+          {"",
+           {{"raidr_never_lowers_unmitigated_exposure",
+             "raidr never lowers unmitigated exposure"}}}},
+         "Skipping stripes removes some periodic victim-counter\n"
+         "resets, so unmitigated exposure under raidr must be >= the\n"
+         "all_rows exposure; PARA/Graphene bound it either way because\n"
+         "their targeted refreshes are ACT-driven, not stripe-driven."});
   r.add({"raidr_misbinning",
          "Retention violations from sparse profiling (time-compressed)",
          "EasyDRAM (DSN 2025), extension beyond §7-§8; RAIDR (ISCA 2012)",
-         &run_raidr_misbinning});
+         &run_raidr_misbinning,
+         {{"points",
+           {{"sample_stride", "Stride"},
+            {"bins.rows_profiled", "rows profiled"},
+            {"bins.stripes_x1", "x1 stripes"},
+            {"bins.stripes_x2", "x2 stripes"},
+            {"bins.stripes_x4", "x4 stripes"},
+            {"ref_reduction_pct", "REF reduction (%)", 1},
+            {"retention_violations", "violations"},
+            {"max_retention_overshoot_us", "worst overshoot (us)", 1}}},
+          {"", {{"exhaustive_always_safe", "exhaustive always safe"}}}},
+         "Violations = issued REFs whose stripe went unrefreshed\n"
+         "longer than its weakest row's modeled retention (device\n"
+         "ground truth). Exhaustive profiling (stride 1) must report\n"
+         "zero; sparse profiles miss weak rows, overbin their\n"
+         "stripes, and accumulate violations."});
 }
 
 }  // namespace easydram::cli
