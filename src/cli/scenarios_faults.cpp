@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "cli/scenario.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "workloads/hammer.hpp"
 
 namespace easydram::cli {
@@ -208,17 +206,9 @@ Json run_fault_sweep(const RunOptions& opts) {
             fault_sweep_config(seed, kFaultRates[point]));
       });
 
-  TextTable t;
-  t.set_header({"Rate", "CE", "UE", "retries", "retired", "failed reads",
-                "escaped"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kFaultRates); ++i) {
-    const PipelineOutcome& o = all.rep(0)[i];
-    t.add_row({fmt_fixed(kFaultRates[i], 2), std::to_string(o.corrected),
-               std::to_string(o.uncorrectable), std::to_string(o.retries),
-               std::to_string(o.retired), std::to_string(o.failed_reads),
-               std::to_string(o.escaped)});
-    Json j = outcome_json(o);
+    Json j = outcome_json(all.rep(0)[i]);
     j["transient_read_rate"] = kFaultRates[i];
     rows.push_back(std::move(j));
   }
@@ -239,16 +229,6 @@ Json run_fault_sweep(const RunOptions& opts) {
                              clean.corrected == 4 && clean.uncorrectable == 1 &&
                              clean.retries == 3 && clean.retired == 2 &&
                              clean.failed_reads == 1;
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nEvery read lands on a written (ECC-protected) line: faults\n"
-                 "are corrected (CE), recovered by a bounded re-read (planned\n"
-                 "transient), or detected and failed with a typed error after\n"
-                 "retirement (double stuck bit). 'escaped' counts ok-acked\n"
-                 "reads whose data mismatched the stored cells - it must be 0\n"
-                 "at every rate.\n";
   }
 
   Json out = Json::object();
@@ -349,17 +329,9 @@ Json run_ecc_vs_hammer(const RunOptions& opts) {
             ecc_vs_hammer_config(seed, kHammerMitKinds[point]), hp);
       });
 
-  TextTable t;
-  t.set_header({"Mitigation", "flips manifested", "CE", "UE", "retired",
-                "failed reads", "escaped"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < std::size(kHammerMitKinds); ++i) {
-    const PipelineOutcome& o = all.rep(0)[i];
-    t.add_row({std::string(smc::mitigation::to_string(kHammerMitKinds[i])),
-               std::to_string(o.manifested), std::to_string(o.corrected),
-               std::to_string(o.uncorrectable), std::to_string(o.retired),
-               std::to_string(o.failed_reads), std::to_string(o.escaped)});
-    Json j = outcome_json(o);
+    Json j = outcome_json(all.rep(0)[i]);
     j["mitigation"] = smc::mitigation::to_string(kHammerMitKinds[i]);
     rows.push_back(std::move(j));
   }
@@ -373,16 +345,6 @@ Json run_ecc_vs_hammer(const RunOptions& opts) {
     zero_escaped = zero_escaped && none.escaped == 0 && graphene.escaped == 0;
     unmitigated_flips = unmitigated_flips && none.manifested > 0;
     graphene_prevents = graphene_prevents && graphene.manifested == 0;
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nUnmitigated, the double-sided kernel pushes every victim\n"
-                 "past the flip threshold: ECC corrects the single-bit flips,\n"
-                 "retires rows, and fails double-bit lines with typed errors\n"
-                 "- never a silent wrong answer. Graphene resets the\n"
-                 "ground-truth victim counters long before the threshold, so\n"
-                 "no flip ever manifests: mitigation and ECC compose.\n";
   }
 
   Json out = Json::object();
@@ -475,17 +437,9 @@ Json run_scrub_raidr(const RunOptions& opts) {
     return run_scrub_raidr_cell(scrub_raidr_config(seed, point == 1));
   });
 
-  TextTable t;
-  t.set_header({"Scrub", "scrub reads", "CE", "UE", "retired", "failed reads",
-                "escaped"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < 2; ++i) {
-    const PipelineOutcome& o = all.rep(0)[i];
-    t.add_row({i == 0 ? "off" : "on", std::to_string(o.scrub_reads),
-               std::to_string(o.corrected), std::to_string(o.uncorrectable),
-               std::to_string(o.retired), std::to_string(o.failed_reads),
-               std::to_string(o.escaped)});
-    Json j = outcome_json(o);
+    Json j = outcome_json(all.rep(0)[i]);
     j["scrub"] = i == 1;
     rows.push_back(std::move(j));
   }
@@ -500,17 +454,6 @@ Json run_scrub_raidr(const RunOptions& opts) {
     decay_observed = decay_observed && off.manifested > 0;
     scrub_shields_demand = scrub_shields_demand && on.scrub_reads > 0 &&
                            on.failed_reads <= off.failed_reads;
-  }
-
-  if (opts.verbose) {
-    t.print(std::cout);
-    std::cout << "\nSparse profiling overbins stripes holding unsampled weak\n"
-                 "rows; RAIDR then under-refreshes them and their cells decay\n"
-                 "(sticky flips). Without scrubbing, demand reads absorb the\n"
-                 "CEs and typed UE failures; the patrol scrubber - riding the\n"
-                 "very refresh slots RAIDR skips - corrects and write-backs\n"
-                 "decayed lines (and retires dead rows) before demand traffic\n"
-                 "reaches them. Escapes must be zero either way.\n";
   }
 
   Json out = Json::object();
@@ -533,14 +476,69 @@ Json run_scrub_raidr(const RunOptions& opts) {
 void register_faults_scenarios(ScenarioRegistry& r) {
   r.add({"fault_sweep",
          "Deterministic fault injection vs the full error pipeline",
-         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_fault_sweep});
+         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_fault_sweep,
+         {{"rates",
+           {{"transient_read_rate", "Rate"},
+            {"ecc_corrected", "CE"},
+            {"ecc_uncorrectable", "UE"},
+            {"retries_issued", "retries"},
+            {"rows_retired", "retired"},
+            {"failed_reads", "failed reads"},
+            {"ecc_escaped", "escaped"}}},
+          {"",
+           {{"zero_escaped_all_rates", "zero escaped"},
+            {"planned_faults_handled_exactly", "planned faults exact"}}}},
+         "Every read lands on a written (ECC-protected) line: faults\n"
+         "are corrected (CE), recovered by a bounded re-read (planned\n"
+         "transient), or detected and failed with a typed error after\n"
+         "retirement (double stuck bit). 'escaped' counts ok-acked\n"
+         "reads whose data mismatched the stored cells - it must be 0\n"
+         "at every rate."});
   r.add({"ecc_vs_hammer",
          "Hammer-induced bitflips under ECC, retirement, and Graphene",
-         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_ecc_vs_hammer});
+         "EasyDRAM (DSN 2025), extension beyond §7-§8", &run_ecc_vs_hammer,
+         {{"cells",
+           {{"mitigation", "Mitigation"},
+            {"faults_manifested", "flips manifested"},
+            {"ecc_corrected", "CE"},
+            {"ecc_uncorrectable", "UE"},
+            {"rows_retired", "retired"},
+            {"failed_reads", "failed reads"},
+            {"ecc_escaped", "escaped"}}},
+          {"",
+           {{"zero_escaped_all_cells", "zero escaped"},
+            {"unmitigated_attack_flips_bits", "attack flips bits"},
+            {"graphene_prevents_all_flips", "graphene prevents flips"}}}},
+         "Unmitigated, the double-sided kernel pushes every victim\n"
+         "past the flip threshold: ECC corrects the single-bit flips,\n"
+         "retires rows, and fails double-bit lines with typed errors\n"
+         "- never a silent wrong answer. Graphene resets the\n"
+         "ground-truth victim counters long before the threshold, so\n"
+         "no flip ever manifests: mitigation and ECC compose."});
   r.add({"scrub_raidr",
          "Patrol scrub catching RAIDR-misbinned decay (time-compressed)",
          "EasyDRAM (DSN 2025), extension beyond §7-§8; RAIDR (ISCA 2012)",
-         &run_scrub_raidr});
+         &run_scrub_raidr,
+         {{"cells",
+           {{"scrub", "Scrub"},
+            {"scrub_reads", "scrub reads"},
+            {"ecc_corrected", "CE"},
+            {"ecc_uncorrectable", "UE"},
+            {"rows_retired", "retired"},
+            {"failed_reads", "failed reads"},
+            {"ecc_escaped", "escaped"}}},
+          {"",
+           {{"zero_escaped_all_cells", "zero escaped"},
+            {"decay_observed_without_scrub", "decay without scrub"},
+            {"scrub_never_increases_demand_failures",
+             "scrub never adds failures"}}}},
+         "Sparse profiling overbins stripes holding unsampled weak\n"
+         "rows; RAIDR then under-refreshes them and their cells decay\n"
+         "(sticky flips). Without scrubbing, demand reads absorb the\n"
+         "CEs and typed UE failures; the patrol scrubber - riding the\n"
+         "very refresh slots RAIDR skips - corrects and write-backs\n"
+         "decayed lines (and retires dead rows) before demand traffic\n"
+         "reaches them. Escapes must be zero either way."});
 }
 
 }  // namespace easydram::cli
