@@ -12,7 +12,6 @@
 // CI-sized footprints (real multi-tenant working sets dwarf any LLC).
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
-#include "common/table.hpp"
 #include "cpu/trace.hpp"
 #include "sys/system.hpp"
 #include "workloads/mixed.hpp"
@@ -188,23 +186,10 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
         return t;
       });
 
-  TextTable table;
-  table.set_header({"Policy", "chase p50", "chase p95", "chase p99",
-                    "chase slowdown", "max slowdown", "unfairness"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < policies.size(); ++pi) {
     const Task& t = all.rep(0)[pi];
     const double unfair = unfairness(t.slowdown);
-    table.add_row({policy_name(policies[pi]),
-                   fmt_fixed(t.mixed.streams[0].p50, 0),
-                   fmt_fixed(t.mixed.streams[0].p95, 0),
-                   fmt_fixed(t.mixed.streams[0].p99, 0),
-                   fmt_fixed(t.slowdown[0], 2) + "x",
-                   fmt_fixed(*std::max_element(t.slowdown.begin(),
-                                               t.slowdown.end()),
-                             2) +
-                       "x",
-                   fmt_fixed(unfair, 2)});
     Json j = Json::object();
     j["policy"] = policy_name(policies[pi]);
     j["sched"] = smc::to_string(policies[pi]);
@@ -218,16 +203,6 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
     j["unfairness_max_over_min"] = unfair;
     add_sched_counters(j, t.mixed.stats);
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nExpected shape: FR-FCFS serves the copy tenants' row-hit\n"
-                 "trains first, so the pointer chase (one dependent miss at a\n"
-                 "time) eats the queueing delay — its slowdown and the\n"
-                 "max/min unfairness are the baseline's worst numbers. The\n"
-                 "QoS policies cap (BLISS), rank (ATLAS), or cluster (TCM)\n"
-                 "the hogs and pull the chase's tail latency back down.\n";
   }
 
   Json out = Json::object();
@@ -286,9 +261,6 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
         return run_records(cfg, std::move(mix.interleaved), n);
       });
 
-  TextTable table;
-  table.set_header(
-      {"Tenants", "Policy", "chase p95", "chase mean", "mean spread"});
   Json rows = Json::array();
   for (std::size_t ci = 0; ci < std::size(counts); ++ci) {
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
@@ -301,9 +273,6 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
         if (s.mean > hi) hi = s.mean;
       }
       const double spread = ratio(hi, lo);
-      table.add_row({std::to_string(counts[ci]), policy_name(policies[pi]),
-                     fmt_fixed(r.streams[0].p95, 0),
-                     fmt_fixed(r.streams[0].mean, 0), fmt_fixed(spread, 2)});
       Json j = Json::object();
       j["tenants"] = static_cast<std::int64_t>(counts[ci]);
       j["policy"] = policy_name(policies[pi]);
@@ -314,16 +283,6 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
       add_sched_counters(j, r.stats);
       rows.push_back(std::move(j));
     }
-  }
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nObserved shape (default seed): the victim's tail grows\n"
-                 "with every added hog under both policies. BLISS gives the\n"
-                 "same victim p95 and mean as FR-FCFS at 4 and 8 tenants and\n"
-                 "differs at 2 only in the stream mean spread: blacklisting\n"
-                 "the hogs does not shorten the victim's tail in this mix, so\n"
-                 "the widest-mix tail ratio reads 1.\n";
   }
 
   Json out = Json::object();
@@ -388,19 +347,10 @@ Json run_qos_mitigation(const RunOptions& opts) {
         return t;
       });
 
-  TextTable table;
-  table.set_header({"Mitigation", "Policy", "victim p95", "victim slowdown",
-                    "adversary mean", "victim refreshes"});
   Json rows = Json::array();
   for (std::size_t mi = 0; mi < std::size(para_points); ++mi) {
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
       const Task& t = all.rep(0)[mi * policies.size() + pi];
-      table.add_row(
-          {para_points[mi] ? "PARA" : "none", policy_name(policies[pi]),
-           fmt_fixed(t.mixed.streams[0].p95, 0),
-           fmt_fixed(t.victim_slowdown, 2) + "x",
-           fmt_fixed(t.mixed.streams[1].mean, 0),
-           std::to_string(t.mixed.mitigation.neighbor_refreshes)});
       Json j = Json::object();
       j["mitigation"] = para_points[mi] ? "para" : "none";
       j["policy"] = policy_name(policies[pi]);
@@ -413,16 +363,6 @@ Json run_qos_mitigation(const RunOptions& opts) {
       add_sched_counters(j, t.mixed.stats);
       rows.push_back(std::move(j));
     }
-  }
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nObserved shape (default seed): the adversary's ACT storm\n"
-                 "triggers PARA's targeted refreshes, which queue at the\n"
-                 "shared controller like any other work and raise the\n"
-                 "victim's slowdown but not its p95. FR-FCFS and BLISS give\n"
-                 "identical rows with PARA off and on: BLISS does not shield\n"
-                 "the victim from that tax in this mix.\n";
   }
 
   Json out = Json::object();
@@ -479,17 +419,9 @@ Json run_qos_bank_partition(const RunOptions& opts) {
         return run_records(cfg, std::move(mix.interleaved), tenants.size());
       });
 
-  TextTable table;
-  table.set_header({"Mapping", "chase p50", "chase p95", "row hits",
-                    "row conflicts"});
   Json rows = Json::array();
   for (std::size_t mi = 0; mi < std::size(mappings); ++mi) {
     const QosRun& r = all.rep(0)[mi];
-    table.add_row({std::string(smc::to_string(mappings[mi])),
-                   fmt_fixed(r.streams[0].p50, 0),
-                   fmt_fixed(r.streams[0].p95, 0),
-                   std::to_string(r.stats.sched_row_hits),
-                   std::to_string(r.stats.sched_row_conflicts)});
     Json j = Json::object();
     j["mapping"] = smc::to_string(mappings[mi]);
     j["policy"] = policy_name(policy);
@@ -500,15 +432,6 @@ Json run_qos_bank_partition(const RunOptions& opts) {
     j["streams"] = std::move(streams);
     add_sched_counters(j, r.stats);
     rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nExpected shape: line interleaving strews every tenant\n"
-                 "over every bank, so the hogs keep closing the rows the\n"
-                 "chase is about to need; bank partitioning pins each tenant\n"
-                 "to its own banks, cutting cross-tenant row conflicts to\n"
-                 "zero by construction — no scheduler cooperation needed.\n";
   }
 
   Json out = Json::object();
@@ -527,19 +450,71 @@ void register_qos_scenarios(ScenarioRegistry& r) {
   r.add({"qos_mixed_tenants",
          "4-tenant mixed traffic: per-stream tails and fairness per policy",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
-         &run_qos_mixed_tenants});
+         &run_qos_mixed_tenants,
+         {{"policies",
+           {{"policy", "Policy"},
+            {"streams.0.p50_cycles", "chase p50", 0},
+            {"streams.0.p95_cycles", "chase p95", 0},
+            {"streams.0.p99_cycles", "chase p99", 0},
+            {"streams.0.slowdown_vs_alone", "chase slowdown"},
+            {"streams.1.slowdown_vs_alone", "copy slowdown"},
+            {"streams.2.slowdown_vs_alone", "copy slowdown"},
+            {"streams.3.slowdown_vs_alone", "hammer slowdown"},
+            {"unfairness_max_over_min", "unfairness"}}}},
+         "Expected shape: FR-FCFS serves the copy tenants' row-hit\n"
+         "trains first, so the pointer chase (one dependent miss at a\n"
+         "time) eats the queueing delay — its slowdown and the\n"
+         "max/min unfairness are the baseline's worst numbers. The\n"
+         "QoS policies cap (BLISS), rank (ATLAS), or cluster (TCM)\n"
+         "the hogs and pull the chase's tail latency back down."});
   r.add({"qos_tenant_scaling",
          "Victim tail latency at 2/4/8 tenants, FR-FCFS vs BLISS",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
-         &run_qos_tenant_scaling});
+         &run_qos_tenant_scaling,
+         {{"points",
+           {{"tenants", "Tenants"},
+            {"policy", "Policy"},
+            {"victim_p95_cycles", "chase p95", 0},
+            {"victim_mean_cycles", "chase mean", 0},
+            {"stream_mean_spread", "mean spread"}}}},
+         "Observed shape (default seed): the victim's tail grows\n"
+         "with every added hog under both policies. BLISS gives the\n"
+         "same victim p95 and mean as FR-FCFS at 4 and 8 tenants and\n"
+         "differs at 2 only in the stream mean spread: blacklisting\n"
+         "the hogs does not shorten the victim's tail in this mix, so\n"
+         "the widest-mix tail ratio reads 1."});
   r.add({"qos_mitigation",
          "Chase victim vs hammer adversary with PARA off/on per policy",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
-         &run_qos_mitigation});
+         &run_qos_mitigation,
+         {{"points",
+           {{"mitigation", "Mitigation"},
+            {"policy", "Policy"},
+            {"victim.p95_cycles", "victim p95", 0},
+            {"victim.slowdown_vs_alone", "victim slowdown"},
+            {"adversary.mean_cycles", "adversary mean", 0},
+            {"neighbor_refreshes", "neighbor refreshes"}}}},
+         "Observed shape (default seed): the adversary's ACT storm\n"
+         "triggers PARA's targeted refreshes, which queue at the\n"
+         "shared controller like any other work and raise the\n"
+         "victim's slowdown but not its p95. FR-FCFS and BLISS give\n"
+         "identical rows with PARA off and on: BLISS does not shield\n"
+         "the victim from that tax in this mix."});
   r.add({"qos_bank_partition",
          "Tenant isolation: line-interleaved vs static bank partitions",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
-         &run_qos_bank_partition});
+         &run_qos_bank_partition,
+         {{"points",
+           {{"mapping", "Mapping"},
+            {"streams.0.p50_cycles", "chase p50", 0},
+            {"streams.0.p95_cycles", "chase p95", 0},
+            {"sched_row_hits", "row hits"},
+            {"sched_row_conflicts", "row conflicts"}}}},
+         "Expected shape: line interleaving strews every tenant\n"
+         "over every bank, so the hogs keep closing the rows the\n"
+         "chase is about to need; bank partitioning pins each tenant\n"
+         "to its own banks, cutting cross-tenant row conflicts to\n"
+         "zero by construction — no scheduler cooperation needed."});
 }
 
 }  // namespace easydram::cli
