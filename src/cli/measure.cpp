@@ -15,11 +15,6 @@
 
 namespace easydram::cli {
 
-std::string fmt_size(std::uint64_t bytes) {
-  if (bytes >= (1u << 20)) return std::to_string(bytes >> 20) + "M";
-  return std::to_string(bytes >> 10) + "K";
-}
-
 RepStats reduce_reps(std::span<const double> samples, int warmup) {
   if (warmup < 0) throw StatsError("reduce_reps: negative warmup");
   if (static_cast<std::size_t>(warmup) >= samples.size()) {

@@ -34,9 +34,6 @@ struct RepStats {
 /// that produced NaN must fail loudly, not average it away.
 RepStats reduce_reps(std::span<const double> samples, int warmup);
 
-/// Formats a byte size like the paper's x axes (8K ... 16M).
-std::string fmt_size(std::uint64_t bytes);
-
 /// Outcome of one Copy/Init measurement.
 struct CopyInitResult {
   Cycles measured_cycles{};  ///< Between the two markers.

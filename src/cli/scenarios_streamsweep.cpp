@@ -15,14 +15,11 @@
 // latency in the sustained rate is exactly what the curve is for.
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cli/measure.hpp"
 #include "cli/scenario.hpp"
-#include "common/table.hpp"
 #include "cpu/trace.hpp"
 #include "sys/system.hpp"
 #include "workloads/streamsweep.hpp"
@@ -121,19 +118,6 @@ Json run_stream_sweep(const RunOptions& opts) {
       });
   const std::span<const StreamPoint> rep0 = all.rep(0);
 
-  // Repetition 0 provides the detail rows (rows = sizes, columns = kernels).
-  TextTable table;
-  table.set_header({"Working set", "copy B/kc", "scale B/kc", "add B/kc",
-                    "triad B/kc"});
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<std::string> row{fmt_size(sizes[si])};
-    for (std::size_t ki = 0; ki < kernels; ++ki) {
-      row.push_back(
-          fmt_fixed(rep0[ki * sizes.size() + si].bytes_per_kcycle, 1));
-    }
-    table.add_row(row);
-  }
-
   bool monotone = true;
   Json kernel_rows = Json::array();
   for (std::size_t ki = 0; ki < kernels; ++ki) {
@@ -169,17 +153,6 @@ Json run_stream_sweep(const RunOptions& opts) {
     j["l1_over_l2_bandwidth"] = l2 > 0.0 ? l1 / l2 : 0.0;
     j["l2_over_dram_bandwidth"] = dram > 0.0 ? l2 / dram : 0.0;
     kernel_rows.push_back(std::move(j));
-  }
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nExpected shape: each kernel's sustained rate is flat while\n"
-                 "the arrays fit a level, then drops at every capacity wall —\n"
-                 "L1-resident points stream at hit speed, the L2 plateau pays\n"
-                 "the L2 service latency per line, and past the LLC every\n"
-                 "pass goes to DRAM (plus writeback traffic). The in-order\n"
-                 "core configuration makes each level's latency visible in\n"
-                 "the rate; see docs/scenarios.md.\n";
   }
 
   Json out = Json::object();
@@ -239,14 +212,9 @@ Json run_latency_sweep(const RunOptions& opts) {
       });
   const std::span<const LatencyPoint> rep0 = all.rep(0);
 
-  TextTable table;
-  table.set_header({"Working set", "loads", "cycles/load"});
   Json points = Json::array();
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const LatencyPoint& pt = rep0[si];
-    table.add_row({fmt_size(sizes[si]),
-                   std::to_string(pt.measured_loads),
-                   fmt_fixed(pt.cycles_per_load, 2)});
     Json p = Json::object();
     p["working_set_bytes"] =
         static_cast<std::int64_t>(pt.params.working_set_bytes);
@@ -264,16 +232,6 @@ Json run_latency_sweep(const RunOptions& opts) {
   const double l2 = rep0[kL2Point].cycles_per_load;
   const double dram = rep0[kDramPoint].cycles_per_load;
   const bool monotone = l1 < l2 && l2 < dram;
-
-  if (opts.verbose) {
-    table.print(std::cout);
-    std::cout << "\nExpected shape: the chase's single-cycle permutation makes\n"
-                 "every load depend on the previous one, so cycles/load is the\n"
-                 "exposed latency of whichever level holds the working set —\n"
-                 "the L1 hit time, then the L2 service latency, then the full\n"
-                 "DRAM round trip (row misses dominating, since the chase\n"
-                 "order strews lines across rows).\n";
-  }
 
   Json out = Json::object();
   out["l1_bytes"] = static_cast<std::int64_t>(kSweepL1Bytes);
@@ -296,11 +254,44 @@ void register_streamsweep_scenarios(ScenarioRegistry& r) {
   r.add({"stream_sweep",
          "STREAM copy/scale/add/triad bandwidth across L1/LLC/DRAM sizes",
          "EasyDRAM (DSN 2025), extension: workload characterization",
-         &run_stream_sweep});
+         &run_stream_sweep,
+         {{"kernels",
+           {{"kernel", "B/kcycle at"},
+            {"points.0.bytes_per_kcycle", "4K", 1},
+            {"points.1.bytes_per_kcycle", "8K", 1},
+            {"points.2.bytes_per_kcycle", "16K", 1},
+            {"points.3.bytes_per_kcycle", "32K", 1},
+            {"points.4.bytes_per_kcycle", "64K", 1},
+            {"points.5.bytes_per_kcycle", "128K", 1},
+            {"points.6.bytes_per_kcycle", "256K", 1},
+            {"points.7.bytes_per_kcycle", "512K", 1}}},
+          {"kernels",
+           {{"kernel", "Kernel"},
+            {"l1_over_l2_bandwidth", "L1/L2 bandwidth"},
+            {"l2_over_dram_bandwidth", "L2/DRAM bandwidth"},
+            {"monotone_bandwidth_drop", "monotone drop"}}}},
+         "Expected shape: each kernel's sustained rate is flat while\n"
+         "the arrays fit a level, then drops at every capacity wall —\n"
+         "L1-resident points stream at hit speed, the L2 plateau pays\n"
+         "the L2 service latency per line, and past the LLC every\n"
+         "pass goes to DRAM (plus writeback traffic). The in-order\n"
+         "core configuration makes each level's latency visible in\n"
+         "the rate; see docs/scenarios.md."});
   r.add({"latency_sweep",
          "Dependent-load pointer-chase latency across L1/LLC/DRAM sizes",
          "EasyDRAM (DSN 2025), extension: workload characterization",
-         &run_latency_sweep});
+         &run_latency_sweep,
+         {{"points",
+           {{"working_set_bytes", "Working set (bytes)"},
+            {"measured_loads", "loads"},
+            {"cycles_per_load", "cycles/load"}}},
+          {"", {{"monotone_latency_rise", "monotone latency rise"}}}},
+         "Expected shape: the chase's single-cycle permutation makes\n"
+         "every load depend on the previous one, so cycles/load is the\n"
+         "exposed latency of whichever level holds the working set —\n"
+         "the L1 hit time, then the L2 service latency, then the full\n"
+         "DRAM round trip (row misses dominating, since the chase\n"
+         "order strews lines across rows)."});
 }
 
 }  // namespace easydram::cli
