@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "sys/system.hpp"

@@ -90,7 +90,6 @@ std::int64_t scenario_bench(std::string_view name, const PerfOptions& opts,
   const Scenario* s = ScenarioRegistry::instance().find(name);
   EASYDRAM_EXPECTS(s != nullptr);
   RunOptions run = opts.run;
-  run.verbose = false;
   run.iters = 1;
   run.threads = 1;
   run.channels = std::max(run.channels, channels);

@@ -182,7 +182,6 @@ ParsedArgs parse_args(int argc, char** argv) {
       a.list = true;
     } else if (arg == "--quiet" || arg == "-q") {
       a.quiet = true;
-      a.opts.verbose = false;
     } else if (arg == "--scenario") {
       if (const char* v = value()) a.scenarios.emplace_back(v);
     } else if (arg == "--out") {

@@ -28,7 +28,6 @@ struct RunOptions {
   std::uint64_t seed = 0x5AFA2125ULL;
   int iters = 1;    ///< Independent repetitions aggregated into the summary.
   int threads = 1;  ///< Host threads running independent sweep tasks.
-  bool verbose = true;  ///< Print the human-readable tables to stdout.
 
   /// Memory-system shape (--channels/--ranks/--mapping). The paper
   /// figure/table scenarios always run the 1x1 defaults they were validated

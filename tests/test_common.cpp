@@ -440,6 +440,118 @@ TEST(Table, FmtFixed) {
   EXPECT_EQ(fmt_fixed(2.0, 0), "2");
 }
 
+/// {"rows": [{"name": "chase", "count": 42, "mean": 3.14159,
+///            "lat": {"p95": 7.5}, "streams": [{"p95": 12}, {"p95": 30}],
+///            "ok": true}],
+///  "total": 2.5}
+cli::Json render_fixture() {
+  cli::Json row = cli::Json::object();
+  row["name"] = "chase";
+  row["count"] = 42;
+  row["mean"] = 3.14159;
+  row["lat"]["p95"] = 7.5;
+  cli::Json streams = cli::Json::array();
+  for (const double p95 : {12.0, 30.0}) {
+    cli::Json st = cli::Json::object();
+    st["p95"] = p95;
+    streams.push_back(std::move(st));
+  }
+  row["streams"] = std::move(streams);
+  row["ok"] = true;
+  cli::Json doc = cli::Json::object();
+  doc["rows"].push_back(std::move(row));
+  doc["total"] = 2.5;
+  return doc;
+}
+
+TEST(JsonRead, ConstFindAtAndText) {
+  const cli::Json doc = render_fixture();
+  const cli::Json* rows = doc.find("rows");
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(doc.find("absent"), nullptr);
+  EXPECT_EQ(rows->find("name"), nullptr);  // Not an object.
+  ASSERT_NE(rows->at(0), nullptr);
+  EXPECT_EQ(rows->at(1), nullptr);         // Out of range.
+  EXPECT_EQ(doc.at(0), nullptr);           // Not an array.
+
+  const cli::Json& row = *rows->at(0);
+  EXPECT_EQ(row.find("name")->text(2), "chase");
+  EXPECT_EQ(row.find("count")->text(2), "42");
+  EXPECT_EQ(row.find("mean")->text(3), "3.142");
+  EXPECT_EQ(row.find("mean")->text(0), "3");
+  EXPECT_EQ(row.find("ok")->text(2), "true");
+  EXPECT_EQ(cli::Json().text(2), "null");
+  EXPECT_THROW((void)row.find("lat")->text(2), ContractViolation);
+}
+
+TEST(Render, ResolvesNestedPathsAndArrayIndices) {
+  const cli::Json doc = render_fixture();
+  EXPECT_EQ(cli::resolve(doc, ""), &doc);
+  ASSERT_NE(cli::resolve(doc, "rows.0.lat.p95"), nullptr);
+  EXPECT_EQ(cli::resolve(doc, "rows.0.lat.p95")->text(1), "7.5");
+  EXPECT_EQ(cli::resolve(doc, "rows.0.streams.1.p95")->text(0), "30");
+  EXPECT_EQ(cli::resolve(doc, "rows.1.name"), nullptr);
+  EXPECT_EQ(cli::resolve(doc, "rows.x.name"), nullptr);
+  EXPECT_EQ(cli::resolve(doc, "rows.0.lat.p50"), nullptr);
+}
+
+TEST(Render, PrintsEachColumnAtItsDigits) {
+  const cli::TableSpec spec{"rows",
+                            {{"name", "Name"},
+                             {"count", "Count"},
+                             {"mean", "Mean", 3},
+                             {"lat.p95", "p95", 1},
+                             {"streams.0.p95", "s0 p95"},
+                             {"ok", "OK"}},
+                            "Title"};
+  std::ostringstream os;
+  EXPECT_TRUE(cli::print_table(os, spec, render_fixture()).empty());
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("Title\nName", 0), 0u) << out;
+  for (const char* cell : {"chase", "42", "3.142", "7.5", "12.00", "true"}) {
+    EXPECT_NE(out.find(cell), std::string::npos) << cell << " in\n" << out;
+  }
+  // An object rows path is one row; the empty path is the payload itself.
+  std::ostringstream one;
+  EXPECT_TRUE(
+      cli::print_table(one, {"", {{"total", "Total", 1}}}, render_fixture())
+          .empty());
+  EXPECT_NE(one.str().find("2.5"), std::string::npos);
+}
+
+TEST(Render, ReportsUnresolvedPathsAsFailures) {
+  std::ostringstream os;
+  EXPECT_EQ(cli::print_table(
+                os, {"rows", {{"name", "Name"}, {"nope", "Nope"}, {"lat", "Lat"}}},
+                render_fixture()),
+            (std::vector<std::string>{"rows:nope", "rows:lat"}));
+  EXPECT_NE(os.str().find("chase  -"), std::string::npos) << os.str();
+  EXPECT_EQ(cli::print_table(os, {"absent", {{"name", "Name"}}},
+                             render_fixture()),
+            std::vector<std::string>{"absent"});
+}
+
+TEST(Render, PrintScenarioPrintsBannerTablesAndClaim) {
+  const cli::Scenario s{"fixture", "A fixture", "Nowhere", nullptr,
+                        {{"rows", {{"count", "Count"}}},
+                         {"rows", {{"missing", "Missing"}}}},
+                        "Expected shape: flat."};
+  cli::Json doc = cli::Json::object();
+  doc["results"] = render_fixture();
+  std::ostringstream os;
+  EXPECT_EQ(cli::print_scenario(os, s, doc),
+            std::vector<std::string>{"rows:missing"});
+  const std::string out = os.str();
+  const std::size_t banner = out.find("=== A fixture ===");
+  const std::size_t table = out.find("Count");
+  const std::size_t claim = out.find("Expected shape: flat.");
+  ASSERT_NE(claim, std::string::npos) << out;
+  EXPECT_LT(banner, table);
+  EXPECT_LT(table, claim);
+  EXPECT_EQ(cli::print_scenario(os, s, cli::Json::object()),
+            std::vector<std::string>{"results"});
+}
+
 struct SweepCell {
   std::uint64_t seed = 0;
   std::size_t point = 0;

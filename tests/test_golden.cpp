@@ -9,6 +9,9 @@
 // file), as is each thread-count sweep, so `ctest -j` runs them in
 // parallel and a failure names its scenario.
 //
+// Each digested run document is also drawn by print_scenario, and every
+// column path of the scenario's verbose tables must resolve in it.
+//
 // When a change *intentionally* alters scenario output, run this suite
 // with EASYDRAM_PRINT_GOLDEN=1 to print the new table, verify the diff is
 // expected, and update kGolden below.
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "cli/scenario.hpp"
@@ -93,10 +97,14 @@ std::uint64_t scenario_hash(const char* name, int iters = 1, int threads = 1) {
   EXPECT_NE(s, nullptr) << name;
   if (s == nullptr) return 0;
   RunOptions opts;
-  opts.verbose = false;
   opts.iters = iters;
   opts.threads = threads;
-  return fnv1a(run_scenario(*s, opts).dump_string());
+  const Json doc = run_scenario(*s, opts);
+  std::ostringstream verbose;
+  for (const std::string& cell : print_scenario(verbose, *s, doc)) {
+    ADD_FAILURE() << name << ": verbose column " << cell << " does not resolve";
+  }
+  return fnv1a(doc.dump_string());
 }
 
 std::uint64_t iters2_hash(const GoldenEntry& g) {
@@ -163,7 +171,6 @@ TEST(GoldenHashTest, MultiChannelScenariosThreadCountInvariant) {
     const Scenario* s = ScenarioRegistry::instance().find(name);
     ASSERT_NE(s, nullptr) << name;
     RunOptions base;
-    base.verbose = false;
     base.channels = 8;  // Widest sweep point: 8-channel systems.
     const std::string serial =
         run_scenario(*s, base)["results"].dump_string();
@@ -186,7 +193,6 @@ TEST(GoldenHashTest, QosScenariosThreadCountInvariant) {
     const Scenario* s = ScenarioRegistry::instance().find(name);
     ASSERT_NE(s, nullptr) << name;
     RunOptions base;
-    base.verbose = false;
     const std::string serial =
         run_scenario(*s, base)["results"].dump_string();
     RunOptions opts = base;
@@ -206,7 +212,6 @@ TEST(GoldenHashTest, StreamSweepScenariosThreadCountInvariant) {
     const Scenario* s = ScenarioRegistry::instance().find(name);
     ASSERT_NE(s, nullptr) << name;
     RunOptions base;
-    base.verbose = false;
     const std::string serial =
         run_scenario(*s, base)["results"].dump_string();
     RunOptions opts = base;

@@ -375,7 +375,6 @@ std::string run_payload(const char* name, int threads) {
   const cli::Scenario* s = cli::ScenarioRegistry::instance().find(name);
   EXPECT_NE(s, nullptr) << name;
   cli::RunOptions opts;
-  opts.verbose = false;
   opts.threads = threads;
   return s->run(opts).dump_string();
 }

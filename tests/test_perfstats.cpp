@@ -13,11 +13,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/json.hpp"
 #include "cli/measure.hpp"
+#include "cli/perf.hpp"
 #include "cli/scenario.hpp"
 #include "common/stats.hpp"
 #include "workloads/polybench.hpp"
@@ -139,8 +141,12 @@ TEST(SimSpeedTest, Fig14EasyDramColumnIsThreadCountInvariant) {
   const Scenario* s = ScenarioRegistry::instance().find("fig14_sim_speed");
   ASSERT_NE(s, nullptr);
   RunOptions opts;
-  opts.verbose = false;
-  const std::string serial = s->run(opts).dump_string();
+  Json doc = Json::object();
+  doc["results"] = s->run(opts);
+  const std::string serial = doc["results"].dump_string();
+  // Outside the golden suite, so its verbose columns are checked here.
+  std::ostringstream verbose;
+  EXPECT_TRUE(print_scenario(verbose, *s, doc).empty());
   opts.threads = 3;
   const std::string threaded = s->run(opts).dump_string();
 
@@ -156,6 +162,37 @@ TEST(SimSpeedTest, Fig14EasyDramColumnIsThreadCountInvariant) {
       EXPECT_TRUE(std::isfinite(v) && v > 0.0) << r;
     }
   }
+}
+
+TEST(PerfTable, DrawsEveryRowFromTheResultsDocument) {
+  PerfBenchOutcome steady;
+  steady.name = "steady";
+  steady.work_items = 100;
+  steady.warmup = 1;
+  steady.host_seconds = {0.5, 0.25, 0.25, 0.25};
+  PerfBenchOutcome broken;
+  broken.name = "broken";
+  broken.warmup = 1;
+  broken.host_seconds = {0.5, std::numeric_limits<double>::quiet_NaN()};
+  broken.finite = false;
+
+  std::ostringstream os;
+  print_perf_table(os, perf_results_json(PerfOptions{}, {steady, broken}));
+  const std::string text = os.str();
+  const std::size_t steady_row = text.find("steady");
+  const std::size_t broken_row = text.find("broken");
+  ASSERT_NE(steady_row, std::string::npos);
+  ASSERT_NE(broken_row, std::string::npos);
+  const std::string steady_line =
+      text.substr(steady_row, text.find('\n', steady_row) - steady_row);
+  const std::string broken_line =
+      text.substr(broken_row, text.find('\n', broken_row) - broken_row);
+  // median and best 0.25 s, cv 0, 100 requests at 400 req/s.
+  EXPECT_NE(steady_line.find("0.2500"), std::string::npos) << steady_line;
+  EXPECT_NE(steady_line.find("400"), std::string::npos) << steady_line;
+  // A non-finite bench has no statistics in the document: "-" cells.
+  EXPECT_NE(broken_line.find(" - "), std::string::npos) << broken_line;
+  EXPECT_EQ(broken_line.find("0.2500"), std::string::npos) << broken_line;
 }
 
 // --------------------------------------------------------------------------
