@@ -32,7 +32,6 @@ class GrapheneMitigator final : public RowHammerMitigator {
                    std::vector<dram::DramAddress>& victims) override;
   void on_refresh(std::uint32_t rank) override;
   void on_refresh_skipped(std::uint32_t rank) override;
-  std::string_view name() const override { return "Graphene"; }
 
   /// Test introspection: estimated count tracked for (rank, bank, row), or
   /// 0 when the row holds no entry.

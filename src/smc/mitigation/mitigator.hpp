@@ -54,8 +54,6 @@ class RowHammerMitigator {
   /// Default no-op: never called under the all-rows regime.
   virtual void on_refresh_skipped(std::uint32_t /*rank*/) {}
 
-  virtual std::string_view name() const = 0;
-
   const MitigationStats& stats() const { return stats_; }
 
  protected:

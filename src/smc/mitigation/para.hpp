@@ -20,7 +20,6 @@ class ParaMitigator final : public RowHammerMitigator {
   void on_activate(const dram::DramAddress& a,
                    std::vector<dram::DramAddress>& victims) override;
   void on_refresh(std::uint32_t rank) override;
-  std::string_view name() const override { return "PARA"; }
 
  private:
   dram::Geometry geo_;

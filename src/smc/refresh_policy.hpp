@@ -57,8 +57,6 @@ class RefreshPolicy {
   /// power-on — issued or skipped — so `slot % window_refs` is the
   /// round-robin stripe the REF would target.
   virtual bool should_issue(std::uint32_t rank, std::int64_t slot) = 0;
-
-  virtual std::string_view name() const = 0;
 };
 
 /// The default regime: every slot issues. Behaviour (and every timeline)
@@ -66,7 +64,6 @@ class RefreshPolicy {
 class AllRowsRefreshPolicy final : public RefreshPolicy {
  public:
   bool should_issue(std::uint32_t, std::int64_t) override { return true; }
-  std::string_view name() const override { return "all_rows"; }
 };
 
 /// RAIDR-style retention-aware refresh (Liu+, ISCA'12): stripes binned by
@@ -81,7 +78,6 @@ class RaidrRefreshPolicy final : public RefreshPolicy {
   explicit RaidrRefreshPolicy(RaidrBinning binning);
 
   bool should_issue(std::uint32_t rank, std::int64_t slot) override;
-  std::string_view name() const override { return "raidr"; }
 
   const RaidrBinning& binning() const { return binning_; }
 

@@ -362,7 +362,6 @@ struct Harness {
 class SkipEverything final : public smc::RefreshPolicy {
  public:
   bool should_issue(std::uint32_t, std::int64_t) override { return false; }
-  std::string_view name() const override { return "skip_everything"; }
 };
 
 class SkipOddSlots final : public smc::RefreshPolicy {
@@ -370,7 +369,6 @@ class SkipOddSlots final : public smc::RefreshPolicy {
   bool should_issue(std::uint32_t, std::int64_t slot) override {
     return slot % 2 == 0;
   }
-  std::string_view name() const override { return "skip_odd"; }
 };
 
 TEST(ApiRefreshPacing, SkippedSlotsConsumePacingWithoutIssuing) {
@@ -412,7 +410,6 @@ TEST(ApiRefreshPacing, PolicyConsultedPerRank) {
     bool should_issue(std::uint32_t rank, std::int64_t) override {
       return rank == 0;
     }
-    std::string_view name() const override { return "rank1_skips"; }
   } policy;
   h.api.set_refresh_policy(&policy);
   h.advance_emulated_past_slots(3);
