@@ -9,7 +9,6 @@
 #include <optional>
 #include <thread>
 
-#include "cli/measure.hpp"
 #include "cli/perf.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"

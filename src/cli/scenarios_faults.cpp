@@ -484,10 +484,7 @@ void register_faults_scenarios(ScenarioRegistry& r) {
             {"retries_issued", "retries"},
             {"rows_retired", "retired"},
             {"failed_reads", "failed reads"},
-            {"ecc_escaped", "escaped"}}},
-          {"",
-           {{"zero_escaped_all_rates", "zero escaped"},
-            {"planned_faults_handled_exactly", "planned faults exact"}}}},
+            {"ecc_escaped", "escaped"}}}},
          "Every read lands on a written (ECC-protected) line: faults\n"
          "are corrected (CE), recovered by a bounded re-read (planned\n"
          "transient), or detected and failed with a typed error after\n"
@@ -504,11 +501,7 @@ void register_faults_scenarios(ScenarioRegistry& r) {
             {"ecc_uncorrectable", "UE"},
             {"rows_retired", "retired"},
             {"failed_reads", "failed reads"},
-            {"ecc_escaped", "escaped"}}},
-          {"",
-           {{"zero_escaped_all_cells", "zero escaped"},
-            {"unmitigated_attack_flips_bits", "attack flips bits"},
-            {"graphene_prevents_all_flips", "graphene prevents flips"}}}},
+            {"ecc_escaped", "escaped"}}}},
          "Unmitigated, the double-sided kernel pushes every victim\n"
          "past the flip threshold: ECC corrects the single-bit flips,\n"
          "retires rows, and fails double-bit lines with typed errors\n"
@@ -526,12 +519,7 @@ void register_faults_scenarios(ScenarioRegistry& r) {
             {"ecc_uncorrectable", "UE"},
             {"rows_retired", "retired"},
             {"failed_reads", "failed reads"},
-            {"ecc_escaped", "escaped"}}},
-          {"",
-           {{"zero_escaped_all_cells", "zero escaped"},
-            {"decay_observed_without_scrub", "decay without scrub"},
-            {"scrub_never_increases_demand_failures",
-             "scrub never adds failures"}}}},
+            {"ecc_escaped", "escaped"}}}},
          "Sparse profiling overbins stripes holding unsampled weak\n"
          "rows; RAIDR then under-refreshes them and their cells decay\n"
          "(sticky flips). Without scrubbing, demand reads absorb the\n"

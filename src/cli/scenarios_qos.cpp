@@ -11,7 +11,6 @@
 // matter, so these scenarios scale the cache hierarchy down with the
 // CI-sized footprints (real multi-tenant working sets dwarf any LLC).
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>

@@ -390,10 +390,7 @@ void register_refresh_scenarios(ScenarioRegistry& r) {
             {"exposure", "exposure"},
             {"neighbor_refreshes", "neighbor refreshes"},
             {"refreshes_issued", "REF issued"},
-            {"refreshes_skipped", "REF skipped"}}},
-          {"",
-           {{"raidr_never_lowers_unmitigated_exposure",
-             "raidr never lowers unmitigated exposure"}}}},
+            {"refreshes_skipped", "REF skipped"}}}},
          "Skipping stripes removes some periodic victim-counter\n"
          "resets, so unmitigated exposure under raidr must be >= the\n"
          "all_rows exposure; PARA/Graphene bound it either way because\n"
@@ -410,8 +407,7 @@ void register_refresh_scenarios(ScenarioRegistry& r) {
             {"bins.stripes_x4", "x4 stripes"},
             {"ref_reduction_pct", "REF reduction (%)", 1},
             {"retention_violations", "violations"},
-            {"max_retention_overshoot_us", "worst overshoot (us)", 1}}},
-          {"", {{"exhaustive_always_safe", "exhaustive always safe"}}}},
+            {"max_retention_overshoot_us", "worst overshoot (us)", 1}}}},
          "Violations = issued REFs whose stripe went unrefreshed\n"
          "longer than its weakest row's modeled retention (device\n"
          "ground truth). Exhaustive profiling (stride 1) must report\n"

@@ -250,8 +250,7 @@ std::vector<TableSpec> rowhammer_tables() {
             {"neighbor_refreshes", "neighbor refreshes"},
             {"requests", "requests"},
             {"wall_us", "wall (us)", 1},
-            {"req_per_us", "req/us"}}},
-          {"", {{"max_exposure", "max exposure (all reps)"}}}};
+            {"req_per_us", "req/us"}}}};
 }
 
 constexpr std::string_view kRowhammerClaim =

@@ -264,12 +264,7 @@ void register_streamsweep_scenarios(ScenarioRegistry& r) {
             {"points.4.bytes_per_kcycle", "64K", 1},
             {"points.5.bytes_per_kcycle", "128K", 1},
             {"points.6.bytes_per_kcycle", "256K", 1},
-            {"points.7.bytes_per_kcycle", "512K", 1}}},
-          {"kernels",
-           {{"kernel", "Kernel"},
-            {"l1_over_l2_bandwidth", "L1/L2 bandwidth"},
-            {"l2_over_dram_bandwidth", "L2/DRAM bandwidth"},
-            {"monotone_bandwidth_drop", "monotone drop"}}}},
+            {"points.7.bytes_per_kcycle", "512K", 1}}}},
          "Expected shape: each kernel's sustained rate is flat while\n"
          "the arrays fit a level, then drops at every capacity wall —\n"
          "L1-resident points stream at hit speed, the L2 plateau pays\n"
@@ -284,8 +279,7 @@ void register_streamsweep_scenarios(ScenarioRegistry& r) {
          {{"points",
            {{"working_set_bytes", "Working set (bytes)"},
             {"measured_loads", "loads"},
-            {"cycles_per_load", "cycles/load"}}},
-          {"", {{"monotone_latency_rise", "monotone latency rise"}}}},
+            {"cycles_per_load", "cycles/load"}}}},
          "Expected shape: the chase's single-cycle permutation makes\n"
          "every load depend on the previous one, so cycles/load is the\n"
          "exposed latency of whichever level holds the working set —\n"
