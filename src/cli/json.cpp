@@ -60,11 +60,6 @@ void pad(std::ostream& os, int depth) {
 
 }  // namespace
 
-Json::Json(std::uint64_t u) {
-  EASYDRAM_EXPECTS(u <= static_cast<std::uint64_t>(INT64_MAX));
-  value_ = static_cast<std::int64_t>(u);
-}
-
 Json& Json::operator[](const std::string& key) {
   if (std::holds_alternative<std::nullptr_t>(value_)) value_ = Object{};
   EASYDRAM_EXPECTS(is_object());
@@ -109,6 +104,9 @@ std::string Json::text(int digits) const {
   if (const std::int64_t* i = std::get_if<std::int64_t>(&value_)) {
     return std::to_string(*i);
   }
+  if (const std::uint64_t* u = std::get_if<std::uint64_t>(&value_)) {
+    return std::to_string(*u);
+  }
   if (const std::string* s = std::get_if<std::string>(&value_)) return *s;
   return "null";
 }
@@ -122,6 +120,8 @@ void Json::dump(std::ostream& os, int indent) const {
     write_double(os, *d);
   } else if (const std::int64_t* i = std::get_if<std::int64_t>(&value_)) {
     os << *i;
+  } else if (const std::uint64_t* u = std::get_if<std::uint64_t>(&value_)) {
+    os << *u;
   } else if (const std::string* s = std::get_if<std::string>(&value_)) {
     write_escaped(os, *s);
   } else if (const Array* a = std::get_if<Array>(&value_)) {

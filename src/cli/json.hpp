@@ -25,7 +25,8 @@ class Json {
   Json(double d) : value_(d) {}  // NOLINT(google-explicit-constructor)
   Json(std::int64_t i) : value_(i) {}  // NOLINT(google-explicit-constructor)
   Json(int i) : value_(static_cast<std::int64_t>(i)) {}  // NOLINT(google-explicit-constructor)
-  Json(std::uint64_t u);  // NOLINT(google-explicit-constructor)
+  /// Kept unsigned, so a seed above INT64_MAX prints as itself.
+  Json(std::uint64_t u) : value_(u) {}  // NOLINT(google-explicit-constructor)
   Json(std::string s) : value_(std::move(s)) {}  // NOLINT(google-explicit-constructor)
   Json(std::string_view s) : value_(std::string(s)) {}  // NOLINT(google-explicit-constructor)
   Json(const char* s) : value_(std::string(s)) {}  // NOLINT(google-explicit-constructor)
@@ -67,8 +68,8 @@ class Json {
   explicit Json(Object o) : value_(std::move(o)) {}
   explicit Json(Array a) : value_(std::move(a)) {}
 
-  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array,
-               Object>
+  std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,
+               std::string, Array, Object>
       value_;
 };
 

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli/json.hpp"
+#include "cli/measure.hpp"
 #include "cli/scenario.hpp"
 
 namespace easydram::cli {
@@ -20,10 +22,9 @@ struct PerfOptions {
   /// excluded from every statistic (cold caches, allocator growth — the
   /// systematic first-run cost the v2 contract discards; see docs/bench.md).
   int warmup = 1;
-  /// Multiplier on the request budgets of the benches that drive the
-  /// memory system directly (the three micro bursts, ecc_scrub_overhead,
-  /// qos_scheduler_overhead). The six scenario-wrapped benches
-  /// (fig14_sim_speed, channel_scaling, mitigation_overhead,
+  /// Multiplier on the request budgets of the two benches that drive the
+  /// memory system directly (ecc_scrub_overhead, qos_scheduler_overhead).
+  /// The five scenario benches (fig14_sim_speed, mitigation_overhead,
   /// raidr_refresh, stream_sweep, latency_sweep) always run their full
   /// scenario — a partial scenario would not measure the artifact the
   /// bench is named after; use --scenario to skip them when a short run
@@ -32,7 +33,7 @@ struct PerfOptions {
   std::vector<std::string> only;  ///< Bench-name filter; empty = all.
 };
 
-/// One bench's timed outcome.
+/// One bench's timed outcome: the series of its headline variant.
 struct PerfBenchOutcome {
   std::string name;
   std::string summary;
@@ -40,20 +41,22 @@ struct PerfBenchOutcome {
   /// One entry per repetition: the first `warmup` entries are the warmup
   /// runs, the rest are the measured series RepStats reduces.
   std::vector<double> host_seconds;
-  int warmup = 0;      ///< Leading warmup entries in host_seconds.
-  bool finite = true;  ///< All measurements were positive and finite.
-  /// Bench-specific structured payload (null unless the bench provides
-  /// one): the ECC and QoS overhead sweeps report their per-variant
-  /// timings here.
+  int warmup = 0;  ///< Leading warmup entries in host_seconds.
+  /// The reduction of host_seconds; empty when a sample of any of the
+  /// bench's variants was non-finite or non-positive.
+  std::optional<RepStats> stats;
+  /// Bench-specific structured payload built from every variant's series
+  /// (null unless the bench provides one): the ECC and QoS overhead
+  /// benches report their per-variant timings here.
   Json detail;
 };
 
-/// Runs the 11 registered host-performance benches (see
-/// list_perf_benches) and returns their outcomes: five that drive the
-/// memory system directly (micro_read_burst, micro_write_burst,
-/// micro_dependent_reads, ecc_scrub_overhead, qos_scheduler_overhead) and
-/// the six scenario-wrapped ones named under PerfOptions::scale. Throws on
-/// an unknown name in `opts.only`.
+/// Runs the seven registered host-performance benches (see
+/// list_perf_benches) and returns their outcomes. Each bench is a list of
+/// variants, and every variant runs exactly `warmup + reps` times: one for
+/// each scenario bench, ecc/baseline for ecc_scrub_overhead, one per
+/// policy for qos_scheduler_overhead. Throws on an unknown name in
+/// `opts.only`.
 std::vector<PerfBenchOutcome> run_perf_benches(const PerfOptions& opts);
 
 /// Wraps outcomes in the machine-readable BENCH_results.json document

@@ -113,7 +113,7 @@ Json run_scenario(const Scenario& s, const RunOptions& opts) {
   Json j = Json::object();
   j["scenario"] = s.name;
   j["paper_ref"] = s.paper_ref;
-  j["seed"] = static_cast<std::int64_t>(opts.seed);
+  j["seed"] = opts.seed;
   j["iters"] = opts.iters;
   j["threads"] = opts.threads;
   j["channels"] = static_cast<std::int64_t>(opts.channels);
@@ -300,16 +300,17 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --perf-reps N    measured repetitions per perf bench (default 3)\n"
         "  --perf-warmup N  warmup repetitions discarded before the measured\n"
         "                   ones (default 1; see docs/bench.md)\n"
-        "  --perf-scale X   multiplier on the micro benches' iteration\n"
-        "                   budgets (scenario benches always run whole)\n"
+        "  --perf-scale X   multiplier on the ECC and QoS burst sizes\n"
+        "                   (scenario benches always run whole)\n"
         "  --out PATH       write the JSON summary to PATH\n"
         "  --quiet          print no human-readable tables (each is drawn\n"
         "                   from the JSON results; see docs/scenarios.md)\n\n"
         "The paper scenarios always run the validated 1-channel/1-rank\n"
         "geometry; --channels/--ranks/--mapping shape the memory-system\n"
         "scenarios (channel_scaling, rank_interleaving).\n\n"
-        "--perf times the simulator's host-side hot paths (micro read/write\n"
-        "bursts plus the throughput-sensitive scenarios) and writes the\n"
+        "--perf times the simulator on the host clock: Fig. 14, the\n"
+        "subsystem overheads and the working-set sweeps (e2ebench/ times\n"
+        "end-to-end workloads, bench_micro hot paths). It writes the\n"
         "BENCH_results.json perf-trajectory document to --out; with --perf,\n"
         "--scenario filters the perf benches by name.\n";
 }

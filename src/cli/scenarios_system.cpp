@@ -67,7 +67,7 @@ Json run_quickstart(const RunOptions& opts) {
   for (int i = 0; i < reps.reps(); ++i) {
     const Rep& r = reps.rep(i)[0];
     Json j = Json::object();
-    j["seed"] = static_cast<std::int64_t>(r.seed);
+    j["seed"] = r.seed;
     j["read_latency_cycles"] = r.read_latency;
     j["chase_cycles_per_load"] = r.chase_cpl;
     rep_list.push_back(std::move(j));

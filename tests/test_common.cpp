@@ -484,6 +484,22 @@ TEST(JsonRead, ConstFindAtAndText) {
   EXPECT_THROW((void)row.find("lat")->text(2), ContractViolation);
 }
 
+TEST(JsonWrite, Uint64AboveInt64MaxStaysUnsigned) {
+  // Seeds span the full uint64 range; none may print negative.
+  const std::uint64_t past = std::uint64_t{1} << 63;
+  cli::Json doc = cli::Json::object();
+  doc["max"] = kU64Max;
+  doc["past"] = past;
+  doc["small"] = std::uint64_t{7};
+  EXPECT_EQ(doc.dump_string(),
+            "{\n  \"max\": 18446744073709551615,\n"
+            "  \"past\": 9223372036854775808,\n  \"small\": 7\n}\n");
+  EXPECT_EQ(doc.find("max")->text(0), "18446744073709551615");
+  EXPECT_EQ(doc.find("past")->text(3), "9223372036854775808");
+  // Signed values still print signed.
+  EXPECT_EQ(cli::Json(std::int64_t{-1}).text(0), "-1");
+}
+
 TEST(Render, ResolvesNestedPathsAndArrayIndices) {
   const cli::Json doc = render_fixture();
   EXPECT_EQ(cli::resolve(doc, ""), &doc);

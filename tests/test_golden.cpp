@@ -77,7 +77,7 @@ constexpr GoldenEntry kGolden[] = {
     {"qos_mitigation", 0xED42D1BBCB2C9035ull, 0xC007907C1529D0CFull},
     {"qos_mixed_tenants", 0xE834B07DB32CA8F6ull, 0x17957D853D466AABull},
     {"qos_tenant_scaling", 0xFD316D25A77D8CACull, 0x9026B4A95AC73556ull},
-    {"quickstart", 0x030BF38B297270D9ull, 0xB10BCF95419BB80Bull},
+    {"quickstart", 0x030BF38B297270D9ull, 0xB87C0F8714DBA9F1ull},
     {"raidr_baseline", 0xF41CB380C1C0612Cull, 0xEF3C8C3149FAEA9Bull},
     {"raidr_misbinning", 0xEB18E22701594F4Eull, 0x0E12839E145DFCF3ull},
     {"raidr_savings", 0xA27DF139B4AC7DEAull, 0x8584FF57F1409EB9ull},

@@ -170,11 +170,11 @@ TEST(PerfTable, DrawsEveryRowFromTheResultsDocument) {
   steady.work_items = 100;
   steady.warmup = 1;
   steady.host_seconds = {0.5, 0.25, 0.25, 0.25};
-  PerfBenchOutcome broken;
+  steady.stats = reduce_reps(steady.host_seconds, steady.warmup);
+  PerfBenchOutcome broken;  // A NaN sample leaves the bench unreduced.
   broken.name = "broken";
   broken.warmup = 1;
   broken.host_seconds = {0.5, std::numeric_limits<double>::quiet_NaN()};
-  broken.finite = false;
 
   std::ostringstream os;
   print_perf_table(os, perf_results_json(PerfOptions{}, {steady, broken}));
@@ -193,6 +193,40 @@ TEST(PerfTable, DrawsEveryRowFromTheResultsDocument) {
   // A non-finite bench has no statistics in the document: "-" cells.
   EXPECT_NE(broken_line.find(" - "), std::string::npos) << broken_line;
   EXPECT_EQ(broken_line.find("0.2500"), std::string::npos) << broken_line;
+}
+
+TEST(PerfHarness, EachVariantSeriesIsTimedOnce) {
+  // The headline of a multi-variant bench is one of its variants' series,
+  // not a second timing of the same burst.
+  PerfOptions opts;
+  opts.only = {"ecc_scrub_overhead", "qos_scheduler_overhead"};
+  opts.reps = 2;
+  opts.warmup = 1;
+  opts.scale = 0.01;
+  const Json doc = perf_results_json(opts, run_perf_benches(opts));
+  const Json& benches = *doc.find("benches");
+  ASSERT_EQ(benches.size(), 2u);
+  const Json& ecc = *benches.at(0);
+  const Json& qos = *benches.at(1);
+  ASSERT_EQ(ecc.find("name")->text(0), "ecc_scrub_overhead");
+  ASSERT_EQ(qos.find("name")->text(0), "qos_scheduler_overhead");
+
+  const Json* ecc_reps = ecc.find("host_seconds_per_rep");
+  ASSERT_NE(ecc_reps, nullptr);
+  ASSERT_EQ(ecc_reps->size(), 2u);
+  const Json& ecc_detail = *ecc.find("detail");
+  EXPECT_EQ(ecc_reps->dump_string(),
+            ecc_detail.find("ecc_host_seconds_per_rep")->dump_string());
+
+  const Json& points = *qos.find("detail")->find("points");
+  ASSERT_EQ(points.size(), 5u);
+  const Json& tcm = *points.at(4);
+  ASSERT_EQ(tcm.find("sched")->text(0), "tcm");
+  EXPECT_EQ(qos.find("host_seconds_per_rep")->dump_string(),
+            tcm.find("host_seconds_per_rep")->dump_string());
+  // One warmup rep per series too.
+  EXPECT_EQ(tcm.find("warmup_host_seconds")->dump_string(),
+            qos.find("warmup_host_seconds")->dump_string());
 }
 
 // --------------------------------------------------------------------------
@@ -239,8 +273,8 @@ Json fixture_doc(int host_cores, double median_scale = 1.0,
 
   Json benches = Json::array();
   for (const std::string name :
-       {"mitigation_overhead", "raidr_refresh", "stream_sweep",
-        "latency_sweep"}) {
+       {"fig14_sim_speed", "mitigation_overhead", "raidr_refresh",
+        "stream_sweep", "latency_sweep"}) {
     benches.push_back(fixture_bench(name, 0.1 * median_scale, cv));
   }
 

@@ -30,6 +30,7 @@ import sys
 SCHEMA = "easydram-bench-v2"
 
 REQUIRED_BENCHES = [
+    "fig14_sim_speed",
     "mitigation_overhead",
     "raidr_refresh",
     "ecc_scrub_overhead",
